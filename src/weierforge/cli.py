@@ -132,6 +132,15 @@ def _cmd_orders(args):
     return 0
 
 
+def _read_json_object(path, what):
+    """The top-level JSON object of a description file."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("%s file: expected a JSON object" % what)
+    return data
+
+
 def _load_series(field, data):
     return [field(str(c)) for c in data]
 
@@ -166,8 +175,7 @@ def _curve_from_json(data, char_override=None):
 
 
 def _cmd_curve(args):
-    with open(args.file) as fh:
-        data = json.load(fh)
+    data = _read_json_object(args.file, "curve")
     X = _curve_from_json(data, args.char)
     rep = weight_report(X)
     payload = rep.to_json()
@@ -184,8 +192,7 @@ def _cmd_curve(args):
 
 
 def _cmd_two_branch(args):
-    with open(args.file) as fh:
-        data = json.load(fh)
+    data = _read_json_object(args.file, "ring")
     field = field_of_characteristic(data.get("characteristic", 0))
     xi1, xi2 = data["conductor"]
     pairs = [(_load_series(field, bt), _load_series(field, bu))

@@ -486,7 +486,10 @@ def singular_weight(X, singularity_index, basis, orders=None):
     V = LinearSystem(funcs)
     if orders is None:
         orders = order_sequence(V)
-    det = wronskian(V, tuple(orders))
+    # from the Hasse derivatives of tau_j / tau, not from the numerator route
+    # of the raw wronskian, so weight_report's cross-check compares two
+    # independent computations
+    det = wronski.hasse_wronskian(V, tuple(orders))
     if det.is_zero():
         raise TotalMismatch("trivialized wronskian vanished at the system orders")
     infinite_branches = sum(1 for br in sing.branches() if br.location is INF)

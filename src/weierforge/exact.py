@@ -467,11 +467,30 @@ class Polynomial:
             v += 1
         return v
 
+    def _taylor_lead(self, a):
+        """(m, c) with p(t) = c (t - a)^m + higher powers of (t - a), c != 0,
+        by synthetic division by (t - a) until the remainder is nonzero."""
+        if self.is_zero():
+            raise ValueError("zero polynomial has no Taylor lead")
+        a = self.field(a) if isinstance(a, (int, str)) else a
+        coeffs = self.coeffs[::-1]    # high degree first
+        m = 0
+        while True:
+            acc = self.field.zero
+            values = []
+            for c in coeffs:
+                acc = acc * a + c
+                values.append(acc)
+            if acc:
+                return m, acc
+            m += 1
+            coeffs = values[:-1]    # the quotient by (t - a), high degree first
+
     def root_multiplicity(self, a):
         """Multiplicity of t = a as a root."""
         if self.is_zero():
             return math.inf
-        return self.shift(a).valuation_at_zero()
+        return self._taylor_lead(a)[0]
 
     def multiplicity_of_factor(self, g):
         """Largest e with g^e dividing self (g nonconstant)."""
@@ -784,10 +803,6 @@ class RationalFunction:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den)
 
-    def shift(self, a):
-        """f(t + a)."""
-        return RationalFunction(self.num.shift(a), self.den.shift(a))
-
     def substitute_inverse(self):
         """f(1/u) as a rational function of u."""
         if self.is_zero():
@@ -817,10 +832,7 @@ class RationalFunction:
             raise ValueError("zero function has no leading coefficient")
         if point is INF:
             return self.num.leading_coefficient / self.den.leading_coefficient
-        num = self.num.shift(point)
-        den = self.den.shift(point)
-        return (num.coeffs[num.valuation_at_zero()]
-                / den.coeffs[den.valuation_at_zero()])
+        return self.num._taylor_lead(point)[1] / self.den._taylor_lead(point)[1]
 
     def laurent_at(self, point, upto):
         """Laurent expansion at the point as a TruncatedSeries valid on
@@ -1108,6 +1120,16 @@ def valuation(f, point):
 # Linear algebra
 # ---------------------------------------------------------------------------
 
+def shared_denominator(functions):
+    """(D, [n_j]) with f_j = n_j / D for the given nonempty sequence of
+    rational functions, D the monic lcm of their denominators."""
+    common = Polynomial(functions[0].field, [1])
+    for f in functions:
+        g = common.gcd(f.den)
+        common = common * (f.den.exact_div(g) if g.degree > 0 else f.den)
+    return common, [f.num * common.exact_div(f.den) for f in functions]
+
+
 def fraction_free_rank_det(rows):
     """Rank over the function field and, for square input, the exact
     determinant as a RationalFunction.
@@ -1144,12 +1166,8 @@ def fraction_free_rank_det(rows):
     poly_rows = []
     row_multipliers = []
     for r in rows:
-        rfs = [as_rf(x) for x in r]
-        common = Polynomial(field, [1])
-        for x in rfs:
-            g = common.gcd(x.den)
-            common = common * x.den.exact_div(g) if g.degree > 0 else common * x.den
-        poly_rows.append([(x.num * common.exact_div(x.den)) for x in rfs])
+        common, nums = shared_denominator([as_rf(x) for x in r])
+        poly_rows.append(nums)
         row_multipliers.append(common)
 
     rank, det_poly, sign = _bareiss(poly_rows)
@@ -1267,21 +1285,6 @@ def scalar_in_span(rows, vec):
     """Membership of vec in the row span (rows may be any spanning set)."""
     pivots, ech = scalar_echelon(rows)
     return not any(span_reduce(pivots, ech, vec))
-
-
-def scalar_solve(rows, rhs, field):
-    """One solution x of rows @ x = rhs, or None if inconsistent."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots, ech = scalar_echelon(aug)
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for prow, pc in zip(ech, pivots):
-        x[pc] = prow[-1]
-    return x
 
 
 def scalar_det(rows):

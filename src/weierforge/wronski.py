@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from .exact import (
     INF,
-    Polynomial,
     RationalFunction,
+    _bareiss,
     coprime_refinement,
     fraction_free_rank_det,
     scalar_det,
     scalar_rank,
+    shared_denominator,
 )
 from .padic import OrderSequence, binom_mod_p
 
@@ -26,9 +27,15 @@ class DependentFunctionsError(ValueError):
 
 
 class LinearSystem:
-    """Tuple of linearly independent rational functions over one field."""
+    """Tuple of linearly independent rational functions over one field.
 
-    __slots__ = ("functions", "field", "_orders", "_wronskian")
+    The system is also held as polynomial numerators over one shared
+    denominator, f_j = numerators[j] / denominator; the order sequence and
+    the wronskian are computed from that form.
+    """
+
+    __slots__ = ("functions", "field", "denominator", "numerators",
+                 "_orders", "_wronskian")
 
     def __init__(self, functions):
         functions = tuple(f if isinstance(f, RationalFunction) else RationalFunction(f)
@@ -38,10 +45,13 @@ class LinearSystem:
         field = functions[0].field
         if any(f.field != field for f in functions):
             raise ValueError("mixed coefficient fields")
-        if _constant_rank(functions) < len(functions):
+        denominator, numerators = shared_denominator(functions)
+        if _constant_rank(numerators) < len(functions):
             raise DependentFunctionsError("functions are linearly dependent over the base field")
         self.functions = functions
         self.field = field
+        self.denominator = denominator
+        self.numerators = tuple(numerators)
         self._orders = None
         self._wronskian = None
 
@@ -60,14 +70,8 @@ class LinearSystem:
         return len(self.functions)
 
 
-def _constant_rank(functions):
-    """Rank over the base field: coefficients against a common denominator."""
-    field = functions[0].field
-    common = Polynomial(field, [1])
-    for f in functions:
-        g = common.gcd(f.den)
-        common = common * (f.den.exact_div(g) if g.degree > 0 else f.den)
-    polys = [f.num * common.exact_div(f.den) for f in functions]
+def _constant_rank(polys):
+    """Rank over the base field of the coefficient vectors of polynomials."""
     width = max(p.degree for p in polys) + 1
     rows = [[p.coefficient(i) for i in range(width)] for p in polys]
     return scalar_rank(rows)
@@ -75,20 +79,18 @@ def _constant_rank(functions):
 
 def order_sequence(V):
     """Greedy-minimal (eps_i) with det(D^(eps_i) f_j) != 0, verified by a
-    final determinant evaluation."""
+    final determinant evaluation.
+
+    The order sequence does not change when every f_j is multiplied by the
+    shared denominator D, and at it det(D^(eps_i)(n_j / D)) equals
+    det(D^(eps_i) n_j) / D^s (Stoehr-Voloch), so the search and the
+    wronskian both run on the polynomial rows D^(e) n_j.
+    """
     if V._orders is not None:
         return V._orders
     s = len(V)
     # generous search cap; can never bind for independent functions
     spread = sum(f.num.degree + f.den.degree for f in V.functions) + s + 2
-    derivative_lists = [None] * s
-
-    def derivative_row(e):
-        for j, f in enumerate(V.functions):
-            if derivative_lists[j] is None or len(derivative_lists[j]) <= e:
-                derivative_lists[j] = f.hasse_list(max(e, s + 1))
-        return [derivative_lists[j][e] for j in range(s)]
-
     chosen = []
     accepted = []
     eps = -1
@@ -96,16 +98,16 @@ def order_sequence(V):
         eps += 1
         if chosen and eps > chosen[-1] + spread:
             raise AssertionError("order sequence search exceeded its degree bound")
-        row = derivative_row(eps)
+        row = [n.hasse(eps) for n in V.numerators]
         if _extends_rank(accepted, row, V.field):
             chosen.append(eps)
             accepted.append(row)
     orders = OrderSequence(chosen, V.characteristic)
-    _rank, det = fraction_free_rank_det(accepted)
-    if det.is_zero():
+    rank, det, sign = _bareiss([list(r) for r in accepted])
+    if rank < s:
         raise AssertionError("greedy order sequence failed determinant verification")
     V._orders = orders
-    V._wronskian = det
+    V._wronskian = RationalFunction(det * sign, V.denominator ** s)
     return orders
 
 
@@ -117,38 +119,36 @@ def _evaluation_points(field, count):
 
 
 def _extends_rank(accepted, row, field):
-    """Does the row extend the row span over the function field?
+    """Does the polynomial row extend the row span over the function field?
 
     Scalar evaluation at a point gives a one-sided certificate of
-    independence; exact fraction-free rank decides the remaining cases.
+    independence; fraction-free elimination decides the remaining cases.
     """
-    k = len(accepted)
+    rows = accepted + [row]
     for point in _evaluation_points(field, 6):
-        rows = []
-        ok = True
-        for r in accepted + [row]:
-            vals = []
-            for x in r:
-                if not x.den(point):
-                    ok = False
-                    break
-                vals.append(x(point))
-            if not ok:
-                break
-            rows.append(vals)
-        if ok and scalar_rank(rows) == k + 1:
+        if scalar_rank([[x(point) for x in r] for r in rows]) == len(rows):
             return True
-    rank, _det = fraction_free_rank_det(accepted + [row])
-    return rank == k + 1
+    rank, _det, _sign = _bareiss([list(r) for r in rows])
+    return rank == len(rows)
 
 
 def wronskian(V, eps=None):
     """det(D^(eps_i) f_j); with eps omitted, at the order sequence of V
-    (where it is nonzero)."""
-    if eps is None:
+    (where it is nonzero).
+
+    At the order sequence this is the value order_sequence computed from
+    the numerators; any other eps goes through hasse_wronskian.
+    """
+    if eps is None or order_sequence(V) == tuple(eps):
         order_sequence(V)
         return V._wronskian
-    terms = list(eps)
+    return hasse_wronskian(V, eps)
+
+
+def hasse_wronskian(V, eps):
+    """det(D^(eps_i) f_j) at any eps, computed from the Hasse derivatives
+    of the functions themselves rather than from their numerators."""
+    terms = tuple(eps)
     if len(terms) != len(V):
         raise ValueError("sequence length does not match the system dimension")
     lists = [f.hasse_list(max(terms)) for f in V.functions]

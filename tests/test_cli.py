@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weierforge
 from weierforge.cli import main
 
 
@@ -111,6 +116,13 @@ class TestCurveCommand:
     def test_missing_file(self, capsys):
         assert main(["curve", "/nonexistent/path.json"]) == 2
 
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps([{"kind": "monomial", "location": "0",
+                                     "generators": [3, 4]}]))
+        assert main(["curve", str(path)]) == 2
+        assert "curve file: expected a JSON object" in capsys.readouterr().err
+
 
 class TestTwoBranchCommand:
     def test_ring_file(self, tmp_path, capsys):
@@ -129,6 +141,12 @@ class TestTwoBranchCommand:
         path = tmp_path / "ring.json"
         path.write_text(json.dumps(spec))
         assert main(["two-branch", str(path)]) == 2
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps([[2, 2]]))
+        assert main(["two-branch", str(path)]) == 2
+        assert "ring file: expected a JSON object" in capsys.readouterr().err
 
 
 class TestReproduce:
@@ -161,3 +179,17 @@ class TestReproduce:
                      "tacnode", "example-4.10", "semigroup-4-6-11",
                      "semigroup-3-5", "semigroup-4-5"):
             assert name in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(weierforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weierforge", "semigroup", "--gens", "3,4", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["gaps"] == [1, 2, 5]
+    bad = subprocess.run([sys.executable, "-m", "weierforge", "semigroup", "--gens", "4,6"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == 2

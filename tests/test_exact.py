@@ -158,6 +158,25 @@ class TestPolynomials:
         assert f.reversed_coeffs() == 1 + t ** 2
         assert (t ** 2).reversed_coeffs(3) == t
 
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_root_multiplicity_matches_the_shifted_valuation(self, p):
+        field = GF(p) if p else QQ
+        rng = random.Random(700 + p)
+        t = t_over(field)
+        for _ in range(30):
+            a = field(rng.randrange(p) if p else rng.randint(-3, 3))
+            m = rng.randint(max(p, 1), 3 * max(p, 1))
+            f = (t - a) ** m * random_polynomial(rng, field, 5, zero_ok=False)
+            assert f.root_multiplicity(a) == f.shift(a).valuation_at_zero() >= m
+            g = RationalFunction(f, (t - a) * random_polynomial(rng, field, 3, zero_ok=False))
+            for b in range(p or 4):
+                b = field(b)
+                assert f.root_multiplicity(b) == f.shift(b).valuation_at_zero()
+                num, den = g.num.shift(b), g.den.shift(b)
+                assert g.leading_coefficient_at(b) == (
+                    num.coeffs[num.valuation_at_zero()] / den.coeffs[den.valuation_at_zero()])
+        assert Polynomial(field, []).root_multiplicity(field(1)) == math.inf
+
     def test_squarefree_decomposition(self):
         t = t_over(QQ)
         f = (t ** 2 - 6) * (t - 1) ** 3

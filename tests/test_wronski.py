@@ -4,18 +4,27 @@ from fractions import Fraction
 
 import pytest
 
-from weierforge.exact import GF, INF, QQ, Polynomial, RationalFunction
+from weierforge.exact import (
+    GF,
+    INF,
+    QQ,
+    Polynomial,
+    RationalFunction,
+    fraction_free_rank_det,
+)
 from weierforge.wronski import (
     DependentFunctionsError,
     LinearSystem,
     differential_weight_at,
     global_weight_total,
+    hasse_wronskian,
     order_sequence,
     smooth_weight,
     vq_orders,
     weight_divisor,
     wronskian,
 )
+from conftest import random_polynomial
 
 
 def one(field):
@@ -146,6 +155,89 @@ class TestWronskian:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             wronskian(monomial_system(QQ, [0, 1]), (0, 1, 2))
+
+
+def reference_orders_and_wronskian(V):
+    """Greedy order sequence and its wronskian straight from the Hasse
+    derivatives of the rational functions, with exact fraction-free rank
+    tests: the route wronskian keeps for arbitrary sequences."""
+    chosen, rows = [], []
+    e = -1
+    while len(chosen) < len(V):
+        e += 1
+        row = [f.hasse(e) for f in V.functions]
+        if fraction_free_rank_det(rows + [row])[0] == len(rows) + 1:
+            chosen.append(e)
+            rows.append(row)
+    return tuple(chosen), fraction_free_rank_det(rows)[1]
+
+
+def reference_wronskian(V, eps):
+    return fraction_free_rank_det([[f.hasse(e) for f in V.functions] for e in eps])[1]
+
+
+def seeded_systems(field, seed, count):
+    """Independent systems with a nonconstant shared denominator: monomials
+    times one rational function (non-classical in small characteristic)
+    and monomials over distinct denominators plus polynomial terms."""
+    rng = random.Random(seed)
+    t = Polynomial.variable(field)
+    p = field.characteristic
+    top = 2 * p + 2 if p else 6
+    out = []
+    while len(out) < count:
+        exps = sorted(rng.sample(range(top), rng.randint(2, 4)))
+        if rng.random() < 0.5:
+            h = (random_polynomial(rng, field, 2, zero_ok=False)
+                 / random_polynomial(rng, field, 2, zero_ok=False))
+            fns = [h * t ** a for a in exps]
+        else:
+            fns = [t ** a / random_polynomial(rng, field, 2, zero_ok=False)
+                   + random_polynomial(rng, field, 2) for a in exps]
+        try:
+            V = LinearSystem(fns)
+        except DependentFunctionsError:
+            continue
+        if V.denominator.degree > 0:
+            out.append(V)
+    return out
+
+
+class TestNumeratorRoute:
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_orders_and_wronskian_match_the_reference(self, p):
+        field = GF(p) if p else QQ
+        nonclassical = 0
+        for V in seeded_systems(field, 300 + p, 12):
+            eps, w = reference_orders_and_wronskian(V)
+            assert tuple(order_sequence(V)) == eps
+            assert wronskian(V) == w
+            assert wronskian(V, eps) == w
+            assert hasse_wronskian(V, eps) == w
+            nonclassical += eps != tuple(range(len(V)))
+        if p:
+            assert nonclassical > 0
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_other_sequences_use_the_reference_route(self, p):
+        field = GF(p) if p else QQ
+        differs = 0
+        for V in seeded_systems(field, 400 + p, 8):
+            eps = tuple(order_sequence(V))
+            for other in (eps[:-1] + (eps[-1] + 1,), tuple(range(0, 2 * len(V), 2))):
+                if other == eps:
+                    continue
+                w = wronskian(V, other)
+                assert w == reference_wronskian(V, other)
+                differs += w != wronskian(V)
+        assert differs > 0
+
+    def test_numerators_over_the_shared_denominator(self):
+        for V in seeded_systems(GF(3), 500, 5):
+            for f, n in zip(V.functions, V.numerators):
+                assert f == RationalFunction(n, V.denominator)
+                assert (V.denominator % f.den).is_zero()
+            assert V.denominator.leading_coefficient == GF(3).one
 
 
 class TestVQOrders:
