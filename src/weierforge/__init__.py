@@ -9,8 +9,6 @@ from .exact import (
     TruncatedSeries,
     field_of_characteristic,
     fraction_free_rank_det,
-    hasse_derivative,
-    valuation,
 )
 from .numsg import NumericalSemigroup
 from .padic import (
@@ -35,12 +33,10 @@ __all__ = [
     "binom_mod_p",
     "field_of_characteristic",
     "fraction_free_rank_det",
-    "hasse_derivative",
     "monomial_order_sequence",
     "order_sequence",
     "p_adically_smaller",
     "satisfies_p_adic_criterion",
-    "valuation",
     "wronskian",
     "__version__",
 ]

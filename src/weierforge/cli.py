@@ -141,36 +141,82 @@ def _read_json_object(path, what):
     return data
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_point(v):
+    return _is_int(v) or isinstance(v, str)
+
+
+def _list_of(ok, length=None):
+    return lambda v: isinstance(v, list) and length in (None, len(v)) and all(map(ok, v))
+
+
+_is_series = _list_of(lambda c: isinstance(c, (int, float, str)) and not isinstance(c, bool))
+
+# (check, description) of each kind of field a description file holds
+_INT = (_is_int, "an integer")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_STR = (lambda v: isinstance(v, str), "a string")
+_POINT = (_is_point, "an integer or a string")
+_POINT_PAIR = (_list_of(_is_point, 2), "a list of two integers or strings")
+_INTS = (_list_of(_is_int), "a list of integers")
+_INT_PAIR = (_list_of(_is_int, 2), "a list of two integers")
+_OBJECTS = (_list_of(lambda v: isinstance(v, dict)), "a list of objects")
+_SERIES_LIST = (_list_of(_is_series), "a list of coefficient lists")
+_SERIES_PAIRS = (_list_of(_list_of(_is_series, 2)), "a list of pairs of coefficient lists")
+_REQUIRED = object()
+
+
+def _field(data, path, key, kind, default=_REQUIRED):
+    """data[key] after checking its type; errors name the field's path."""
+    path += key
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError("%s: missing" % path)
+        return default
+    ok, expected = kind
+    if not ok(data[key]):
+        raise ValueError("%s: expected %s" % (path, expected))
+    return data[key]
+
+
 def _load_series(field, data):
     return [field(str(c)) for c in data]
 
 
+def _load_pairs(field, data):
+    return [(_load_series(field, bt), _load_series(field, bu)) for bt, bu in data]
+
+
 def _curve_from_json(data, char_override=None):
-    characteristic = data.get("characteristic", 0)
+    characteristic = _field(data, "", "characteristic", _INT, 0)
     if char_override is not None:
         characteristic = char_override
     field = field_of_characteristic(characteristic)
     singularities = []
-    for item in data["singularities"]:
-        kind = item["kind"]
+    for i, item in enumerate(_field(data, "", "singularities", _OBJECTS)):
+        at = "singularities[%d]." % i
+        kind = _field(item, at, "kind", _STR)
         if kind == "monomial":
-            S = NumericalSemigroup.from_generators(item["generators"])
-            loc = _parse_point(field, item["location"])
+            S = NumericalSemigroup.from_generators(_field(item, at, "generators", _INTS))
+            loc = _parse_point(field, _field(item, at, "location", _POINT))
             singularities.append(MonomialSingularity(field, S, loc))
         elif kind == "unibranch":
-            loc = _parse_point(field, item["location"])
-            basis = [_load_series(field, b) for b in item["basis"]]
-            singularities.append(
-                UnibranchSingularity(field, basis, item["conductor"], loc))
+            loc = _parse_point(field, _field(item, at, "location", _POINT))
+            basis = [_load_series(field, b) for b in _field(item, at, "basis", _SERIES_LIST)]
+            singularities.append(UnibranchSingularity(
+                field, basis, _field(item, at, "conductor", _INT), loc))
         elif kind == "two-branch":
-            locs = tuple(_parse_point(field, q) for q in item["locations"])
-            xi1, xi2 = item["conductor"]
-            pairs = [(_load_series(field, bt), _load_series(field, bu))
-                     for bt, bu in item["basis"]]
+            locs = tuple(_parse_point(field, q)
+                         for q in _field(item, at, "locations", _POINT_PAIR))
+            xi1, xi2 = _field(item, at, "conductor", _INT_PAIR)
+            pairs = _load_pairs(field, _field(item, at, "basis", _SERIES_PAIRS))
             ring = validate_ring(field, pairs, (xi1, xi2))
             singularities.append(TwoBranchSingularity(ring, locs))
         else:
-            raise ValueError("unknown singularity kind %r" % kind)
+            raise ValueError("%skind: unknown singularity kind %r" % (at, kind))
     return RationalCurve(field, singularities)
 
 
@@ -193,11 +239,11 @@ def _cmd_curve(args):
 
 def _cmd_two_branch(args):
     data = _read_json_object(args.file, "ring")
-    field = field_of_characteristic(data.get("characteristic", 0))
-    xi1, xi2 = data["conductor"]
-    pairs = [(_load_series(field, bt), _load_series(field, bu))
-             for bt, bu in data["basis"]]
-    ring = validate_ring(field, pairs, (xi1, xi2), strict=data.get("strict", True))
+    field = field_of_characteristic(_field(data, "", "characteristic", _INT, 0))
+    xi1, xi2 = _field(data, "", "conductor", _INT_PAIR)
+    pairs = _load_pairs(field, _field(data, "", "basis", _SERIES_PAIRS))
+    ring = validate_ring(field, pairs, (xi1, xi2),
+                         strict=_field(data, "", "strict", _BOOL, True))
     S2 = value_semigroup(ring)
     payload = S2.to_json()
     lines = [

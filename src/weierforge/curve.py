@@ -22,9 +22,7 @@ from .exact import (
     RationalFunction,
     TruncatedSeries,
     scalar_echelon,
-    scalar_in_span,
     scalar_nullspace,
-    scalar_rank,
     span_reduce,
 )
 from .numsg import NumericalSemigroup
@@ -174,28 +172,24 @@ class UnibranchSingularity:
                 raise ValueError("basis series not known to the conductor exponent")
             series.append(TruncatedSeries(field, 0, [b.coefficient(i) for i in range(c)], c))
         vectors = [[b.coefficient(i) for i in range(c)] for b in series]
-        if scalar_rank(vectors) != len(vectors):
+        pivots, ech = scalar_echelon(vectors)
+        if len(pivots) != len(vectors):
             raise ValueError("basis is linearly dependent modulo the conductor")
-        one = [field.one] + [field.zero] * (c - 1)
-        if not scalar_in_span(vectors, one):
+
+        def contains(vec):
+            return not any(span_reduce(pivots, ech, vec))
+
+        if not contains([field.one] + [field.zero] * (c - 1)):
             raise ValueError("local ring does not contain 1")
         for i, a in enumerate(series):
             for b in series[i:]:
                 prod = (a * b).truncate(c)
-                vec = [prod.coefficient(k) for k in range(c)]
-                if not scalar_in_span(vectors, vec):
+                if not contains([prod.coefficient(k) for k in range(c)]):
                     raise ValueError("basis span is not closed under multiplication mod C")
-        tail = [field.zero] * (c - 1) + [field.one]
-        if scalar_in_span(vectors, tail):
+        if contains([field.zero] * (c - 1) + [field.one]):
             raise ValueError("declared conductor exponent is not minimal")
-        # value semigroup from the one-branch dimension table
-        values = set(range(c, 2 * c + 2))
-        for x in range(c):
-            cols_rank = scalar_rank([v[:x] for v in vectors]) if x else 0
-            next_rank = scalar_rank([v[:x + 1] for v in vectors])
-            if next_rank > cols_rank:
-                values.add(x)
-        gaps = [n for n in range(1, c) if n not in values]
+        # the values below c are the leading exponents of the span: its pivots
+        gaps = [n for n in range(1, c) if n not in pivots]
         semigroup = NumericalSemigroup(gaps)
         if not semigroup.is_symmetric():
             raise ValueError("value semigroup is not symmetric: the ring is not Gorenstein")
@@ -460,12 +454,6 @@ def _verify_generators(X, basis):
 # ---------------------------------------------------------------------------
 # Weights
 # ---------------------------------------------------------------------------
-
-def order_at_singularity(f, sing):
-    """ord_P of a rational function: the sum of its valuations on the
-    branches of P (dim of the local ring modulo f)."""
-    return sum(f.valuation(br.location) for br in sing.branches())
-
 
 def singular_weight(X, singularity_index, basis, orders=None):
     """Weight of a declared singularity:

@@ -3,7 +3,8 @@
 Coefficient fields (arbitrary-precision rationals and prime fields),
 dense univariate polynomials, rational functions with valuations at
 finite points and at infinity, truncated power/Laurent series, Hasse
-(iterative) derivatives, and fraction-free linear algebra.
+(iterative) derivatives, fraction-free linear algebra over the function
+field, and reduced row echelon forms over the coefficient field.
 
 Everything here is immutable after construction and exact; there is no
 floating point anywhere.
@@ -11,6 +12,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -271,10 +273,6 @@ class Polynomial:
     @classmethod
     def variable(cls, field):
         return cls(field, [0, 1])
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, [c])
 
     @classmethod
     def monomial(cls, field, degree, c=1):
@@ -918,9 +916,6 @@ class TruncatedSeries:
     def zero(cls, field):
         return cls(field, 0, [], None)
 
-    def is_exact(self):
-        return self.truncation is None
-
     def is_zero_window(self):
         return not self.coeffs
 
@@ -1098,25 +1093,6 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Generic operations
-# ---------------------------------------------------------------------------
-
-def hasse_derivative(f, i):
-    """i-th Hasse derivative of a Polynomial, RationalFunction or
-    TruncatedSeries."""
-    if i < 0:
-        raise ValueError("negative Hasse derivative order")
-    return f.hasse(i)
-
-
-def valuation(f, point):
-    """Order of vanishing of a rational function at a finite point or INF."""
-    if isinstance(f, Polynomial):
-        f = RationalFunction(f)
-    return f.valuation(point)
-
-
-# ---------------------------------------------------------------------------
 # Linear algebra
 # ---------------------------------------------------------------------------
 
@@ -1222,35 +1198,39 @@ def scalar_rank(rows):
     return len(scalar_echelon(rows)[0])
 
 
-def scalar_echelon(rows):
-    """Row echelon form over the field; returns (pivot columns, rows).
+def echelon_insert(pivots, rows, vec):
+    """Insert vec into a reduced row echelon form over the field.
 
-    Input rows are not modified.
+    pivots and rows are parallel lists sorted by pivot column; they are
+    updated in place (Gauss-Jordan: the new pivot is normalised to 1 and
+    its column cleared from the other rows).  Returns False, changing
+    nothing, when vec already lies in the span.  vec is not modified.
     """
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    out = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c] ** -1 if isinstance(work[r][c], FpElement) else 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        out.append(work[r])
-        r += 1
-    return pivots, work[:r]
+    v = span_reduce(pivots, rows, vec)
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    inv = 1 / v[c]
+    v = [x * inv for x in v]
+    for i, row in enumerate(rows):
+        if row[c]:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, v)]
+    k = bisect.bisect(pivots, c)
+    pivots.insert(k, c)
+    rows.insert(k, v)
+    return True
+
+
+def scalar_echelon(rows):
+    """Reduced row echelon form over the field; returns (pivot columns,
+    rows).  The pivot columns are the leading positions of the span's
+    nonzero elements.  Input rows are not modified.
+    """
+    pivots, out = [], []
+    for r in rows:
+        echelon_insert(pivots, out, r)
+    return pivots, out
 
 
 def scalar_nullspace(rows, ncols, field):
@@ -1279,12 +1259,6 @@ def span_reduce(pivots, echelon_rows, vec):
             f = v[pc]
             v = [a - f * b for a, b in zip(v, prow)]
     return v
-
-
-def scalar_in_span(rows, vec):
-    """Membership of vec in the row span (rows may be any spanning set)."""
-    pivots, ech = scalar_echelon(rows)
-    return not any(span_reduce(pivots, ech, vec))
 
 
 def scalar_det(rows):

@@ -130,10 +130,10 @@ def monomial_order_sequence(exponents, p):
         if eps > exponents[-1]:
             raise AssertionError("order search exceeded the exponent bound")
         row = [field(binom_mod_p(a, eps, p)) for a in exponents]
-        candidate = echelon_rows + [row]
-        if len(scalar_echelon(candidate)[1]) > len(echelon_rows):
+        _, reduced = scalar_echelon(echelon_rows + [row])
+        if len(reduced) > len(echelon_rows):
             chosen.append(eps)
-            echelon_rows = scalar_echelon(candidate)[1]
+            echelon_rows = reduced
     matrix = [[field(binom_mod_p(a, e, p)) for a in exponents] for e in chosen]
     if not scalar_det(matrix):
         raise AssertionError("greedy order sequence failed determinant verification")

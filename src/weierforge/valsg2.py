@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .exact import (
     TruncatedSeries,
+    echelon_insert,
     scalar_echelon,
-    scalar_rank,
     span_reduce,
 )
 from .numsg import NumericalSemigroup
@@ -35,16 +35,18 @@ class EliminationStuck(RuntimeError):
 class TwoBranchRing:
     """Validated local ring given by basis-mod-conductor series pairs."""
 
-    __slots__ = ("field", "basis", "conductor", "delta", "gorenstein", "_window", "_matrix")
+    __slots__ = ("field", "basis", "conductor", "delta", "gorenstein", "_window", "_echelon")
 
-    def __init__(self, field, basis, conductor, delta, gorenstein, window, matrix):
+    def __init__(self, field, basis, conductor, delta, gorenstein, window, echelon):
         self.field = field
         self.basis = tuple(basis)
         self.conductor = tuple(conductor)
         self.delta = delta
         self.gorenstein = gorenstein
         self._window = window
-        self._matrix = matrix
+        # (pivots, rows): reduced echelon form of the basis and the
+        # conductor tail inside the window
+        self._echelon = echelon
 
     def basis_vectors(self, w1=None, w2=None):
         """Coefficient vectors (t-window then u-window) of the basis."""
@@ -103,13 +105,13 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
         basis.append((bt, bu))
 
     vectors = [_pair_vector(bt, bu, w1, w2) for bt, bu in basis]
-    if scalar_rank(vectors) != len(vectors):
+    pivots, ech = scalar_echelon(vectors)
+    if len(pivots) != len(vectors):
         raise ValueError("basis is linearly dependent modulo the conductor")
 
     # conductor tail inside the window
-    tail = _conductor_vectors(field, xi1, xi2, w1, w2)
-    full = vectors + tail
-    pivots, ech = scalar_echelon(full)
+    for vec in _conductor_vectors(field, xi1, xi2, w1, w2):
+        echelon_insert(pivots, ech, vec)
 
     def contains(vec):
         return not any(span_reduce(pivots, ech, vec))
@@ -142,7 +144,7 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
         raise NotGorenstein(
             "dim(normalization/conductor) = %d differs from 2*delta = %d"
             % (xi1 + xi2, 2 * delta))
-    return TwoBranchRing(field, basis, (xi1, xi2), delta, gorenstein, (w1, w2), full)
+    return TwoBranchRing(field, basis, (xi1, xi2), delta, gorenstein, (w1, w2), (pivots, ech))
 
 
 def _conductor_vectors(field, xi1, xi2, w1, w2):
@@ -251,21 +253,16 @@ def value_semigroup(ring):
     """Compute the value semigroup from the dimension table of the spaces
     V(x,y) = {f in O : v1(f) >= x, v2(f) >= y}."""
     xi1, xi2 = ring.conductor
-    w1, w2 = ring._window
-    rows = ring._matrix
-    total_rank = scalar_rank(rows)
-
-    def restricted_rank(x, y):
-        cols = list(range(x)) + list(range(w1, w1 + y))
-        if not cols:
-            return 0
-        sub = [[r[c] for c in cols] for r in rows]
-        return scalar_rank(sub)
-
+    w1 = ring._window[0]
+    pivots, rows = ring._echelon
+    # V(x,0) is spanned by the echelon rows with pivot >= x; inside it, each
+    # pivot of their u-window echelon below y is one more condition of V(x,y)
     dim = {}
     for x in range(xi1 + 2):
+        u_rows = [r[w1:] for pc, r in zip(pivots, rows) if pc >= x]
+        u_pivots = scalar_echelon(u_rows)[0]
         for y in range(xi2 + 2):
-            dim[(x, y)] = total_rank - restricted_rank(x, y)
+            dim[(x, y)] = len(u_rows) - sum(1 for pc in u_pivots if pc < y)
 
     finite_points = set()
     for x in range(xi1 + 1):
@@ -309,12 +306,6 @@ def value_semigroup(ring):
     return ValueSemigroup2(ring, (xi1, xi2), frozenset(finite_points),
                            frozenset(infinite_vertical), frozenset(infinite_horizontal),
                            tuple(maximals), S1, S2)
-
-
-def maximal_points(S2):
-    """Lexicographically sorted points of S with nothing strictly above or
-    strictly to the right."""
-    return list(S2.maximals)
 
 
 def symmetry_check(S2):
@@ -595,22 +586,17 @@ def ring_from_generators(field, generators, window=16, strict=True):
             gu = TruncatedSeries(field, 0, list(gu), w2)
         gens.append((gt.truncate(w1), gu.truncate(w2)))
     one = (TruncatedSeries(field, 0, [1], None), TruncatedSeries(field, 0, [1], None))
-    elements = [one] + gens
-    vectors = [_pair_vector(et, eu, w1, w2) for et, eu in elements]
-    pivots, echelon = scalar_echelon(vectors)
-    changed = True
-    while changed:
-        changed = False
-        for et, eu in list(elements):
-            for gt, gu in gens:
-                pt = (et * gt).truncate(w1)
-                pu = (eu * gu).truncate(w2)
-                vec = _pair_vector(pt, pu, w1, w2)
-                if any(span_reduce(pivots, echelon, vec)):
-                    elements.append((pt, pu))
-                    vectors.append(vec)
-                    pivots, echelon = scalar_echelon(vectors)
-                    changed = True
+    # worklist closure: every element that enlarges the span is multiplied
+    # by each generator once
+    pivots, echelon = [], []
+    pending = [e for e in [one] + gens
+               if echelon_insert(pivots, echelon, _pair_vector(*e, w1, w2))]
+    while pending:
+        et, eu = pending.pop()
+        for gt, gu in gens:
+            product = ((et * gt).truncate(w1), (eu * gu).truncate(w2))
+            if echelon_insert(pivots, echelon, _pair_vector(*product, w1, w2)):
+                pending.append(product)
 
     def contains(vec):
         return not any(span_reduce(pivots, echelon, vec))
@@ -624,13 +610,12 @@ def ring_from_generators(field, generators, window=16, strict=True):
     if xi1 + 2 > w1 or xi2 + 2 > w2:
         raise ValueError("window too small for the conductor (%d, %d)" % (xi1, xi2))
 
-    # project the span onto the mod-C window and re-echelonize
-    cols = list(range(xi1)) + list(range(w1, w1 + xi2))
-    projected = [[r[c] for c in cols] for r in echelon]
-    _, proj_ech = scalar_echelon(projected)
+    # the rows with pivots past the conductor are the unit vectors of C, so
+    # the other rows, cut to the mod-C window, are its reduced echelon form
     basis_pairs = []
-    for row in proj_ech:
-        bt = TruncatedSeries(field, 0, row[:xi1], xi1 + 2)
-        bu = TruncatedSeries(field, 0, row[xi1:], xi2 + 2)
-        basis_pairs.append((bt, bu))
+    for pc, row in zip(pivots, echelon):
+        if pc < xi1 or w1 <= pc < w1 + xi2:
+            bt = TruncatedSeries(field, 0, row[:xi1], xi1 + 2)
+            bu = TruncatedSeries(field, 0, row[w1:w1 + xi2], xi2 + 2)
+            basis_pairs.append((bt, bu))
     return validate_ring(field, basis_pairs, (xi1, xi2), strict=strict)

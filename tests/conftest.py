@@ -74,14 +74,15 @@ def _branch_series(rng, order, length=10):
     return coeffs[:length]
 
 
-def random_gorenstein_rings(count, max_delta=5, seed=2024):
-    """Deterministic corpus of validated Gorenstein two-branch rings,
-    generated as two-element subrings (plane-curve germs) with rejection."""
+def random_gorenstein_germs(count, max_delta=5, seed=2024):
+    """Deterministic corpus of ([x, y], ring) pairs: validated Gorenstein
+    two-branch rings generated by two series pairs (plane-curve germs) in a
+    window of 14, with rejection."""
     rng = random.Random(seed)
-    rings = []
+    germs = []
     signatures = set()
     attempts = 0
-    while len(rings) < count and attempts < 4000:
+    while len(germs) < count and attempts < 4000:
         attempts += 1
         a1, b1 = rng.choice(_BRANCH_ORDERS)
         a2, b2 = rng.choice(_BRANCH_ORDERS)
@@ -98,10 +99,10 @@ def random_gorenstein_rings(count, max_delta=5, seed=2024):
         if sig in signatures:
             continue
         signatures.add(sig)
-        rings.append(ring)
-    if len(rings) < count:
+        germs.append(([x, y], ring))
+    if len(germs) < count:
         raise RuntimeError("could not build enough random rings")
-    return rings
+    return germs
 
 
 def _maximals_of(ring):
@@ -111,5 +112,10 @@ def _maximals_of(ring):
 
 
 @pytest.fixture(scope="session")
-def ring_corpus():
-    return random_gorenstein_rings(10)
+def germ_corpus():
+    return random_gorenstein_germs(10)
+
+
+@pytest.fixture(scope="session")
+def ring_corpus(germ_corpus):
+    return [ring for _generators, ring in germ_corpus]

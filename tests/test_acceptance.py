@@ -41,7 +41,6 @@ from weierforge.valsg2 import (
 )
 from weierforge.wronski import LinearSystem, differential_weight_at, order_sequence, wronskian
 from conftest import (
-    random_gorenstein_rings,
     random_rational_function,
     random_semigroup,
     symmetric_semigroups,

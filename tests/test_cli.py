@@ -149,6 +149,44 @@ class TestTwoBranchCommand:
         assert "ring file: expected a JSON object" in capsys.readouterr().err
 
 
+_TWO_BRANCH = {"kind": "two-branch", "locations": ["0", "1"], "conductor": [2, 2],
+               "basis": [[["1", "0"], ["1", "0"]], [["0", "1"], ["0", "1"]]]}
+_MONOMIAL = {"kind": "monomial", "location": "0", "generators": [3, 4]}
+
+
+@pytest.mark.parametrize("command, spec, field", [
+    ("curve", {"singularities": 5}, "singularities"),
+    ("curve", {"singularities": [5]}, "singularities"),
+    ("curve", {"characteristic": "2", "singularities": [_MONOMIAL]}, "characteristic"),
+    ("curve", {"singularities": [{}]}, "singularities[0].kind"),
+    ("curve", {"singularities": [dict(_MONOMIAL, generators="3,4")]},
+     "singularities[0].generators"),
+    ("curve", {"singularities": [dict(_MONOMIAL, location=[0])]},
+     "singularities[0].location"),
+    ("curve", {"singularities": [_MONOMIAL, dict(_TWO_BRANCH, conductor=2)]},
+     "singularities[1].conductor"),
+    ("curve", {"singularities": [dict(_TWO_BRANCH, locations="0,1")]},
+     "singularities[0].locations"),
+    ("curve", {"singularities": [dict(_TWO_BRANCH, basis=[[["1"], 1]])]},
+     "singularities[0].basis"),
+    ("curve", {"singularities": [{"kind": "unibranch", "location": "0", "conductor": "6",
+                                  "basis": [["1"]]}]}, "singularities[0].conductor"),
+    ("curve", {"singularities": [{"kind": "unibranch", "location": "0", "conductor": 6,
+                                  "basis": ["1"]}]}, "singularities[0].basis"),
+    ("curve", {"singularities": [{"kind": "cusp"}]}, "singularities[0].kind"),
+    ("two-branch", {"conductor": [2, 2], "basis": 7}, "basis"),
+    ("two-branch", {"conductor": 2, "basis": _TWO_BRANCH["basis"]}, "conductor"),
+    ("two-branch", {"basis": _TWO_BRANCH["basis"]}, "conductor"),
+    ("two-branch", {"conductor": [2, 2], "basis": _TWO_BRANCH["basis"], "strict": "no"},
+     "strict"),
+])
+def test_wrong_field_type_exits_2_naming_the_field(tmp_path, capsys, command, spec, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, str(path)]) == 2
+    assert "error: %s: " % field in capsys.readouterr().err
+
+
 class TestReproduce:
     def test_example_2_1(self, capsys):
         assert main(["reproduce", "example-2.1"]) == 0

@@ -21,7 +21,7 @@ from weierforge.curve import (
     unibranch_weight_formula,
     weight_report,
 )
-from weierforge.exact import GF, INF, QQ, Polynomial, RationalFunction
+from weierforge.exact import GF, INF, QQ, Polynomial, RationalFunction, scalar_det
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import validate_ring
 from weierforge.gallery import (
@@ -124,6 +124,45 @@ class TestDualizingBasis:
         # declared conductor exponent above the true one
         with pytest.raises(ValueError):
             UnibranchSingularity(QQ, [[1], [0, 0, 1], [0, 0, 0, 0, 1]], 5, Fraction(0))
+
+
+def _random_invertible(rng, field, n):
+    while True:
+        mat = [[field(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if scalar_det(mat):
+            return mat
+
+
+class TestUnibranchValues:
+    @pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+    def test_semigroup_read_off_the_basis(self, characteristic):
+        # the values below the conductor are the leading exponents of the
+        # span, whatever basis of it is given
+        field = QQ if characteristic == 0 else GF(characteristic)
+        rng = random.Random(40 + characteristic)
+        for S in symmetric_semigroups(4):
+            c = S.conductor
+            monomials = [[field.zero] * n + [field.one]
+                         for n in range(c) if n not in S.gaps]
+            sing = UnibranchSingularity(field, monomials, c, field(0))
+            assert sing.semigroup.gaps == S.gaps
+            assert (sing.semigroup.gaps
+                    == NumericalSemigroup.from_generators(S.generators).gaps)
+            mat = _random_invertible(rng, field, len(monomials))
+            mixed = [[sum((m[j] * monomials[j][i] for j in range(len(monomials))
+                           if i < len(monomials[j])), field.zero) for i in range(c)]
+                     for m in mat]
+            assert UnibranchSingularity(field, mixed, c, field(0)).semigroup.gaps == S.gaps
+
+    @pytest.mark.parametrize("basis, conductor, message", [
+        ([[1], [0, 0, 1], [2, 0, 2], [0, 0, 0, 1]], 4, "linearly dependent"),
+        ([[1], [0, 1, 1]], 3, "closed under multiplication"),
+        ([[0, 0, 1], [0, 0, 0, 1]], 4, "does not contain 1"),
+        ([[1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]], 5, "not minimal"),
+    ])
+    def test_span_checks(self, basis, conductor, message):
+        with pytest.raises(ValueError, match=message):
+            UnibranchSingularity(QQ, basis, conductor, Fraction(0))
 
 
 class TestSingularWeights:

@@ -14,12 +14,13 @@ from weierforge.exact import (
     TruncatedSeries,
     TruncationError,
     coprime_refinement,
+    echelon_insert,
     fraction_free_rank_det,
-    hasse_derivative,
     scalar_det,
+    scalar_echelon,
     scalar_nullspace,
     scalar_rank,
-    valuation,
+    span_reduce,
 )
 from conftest import random_polynomial, random_rational_function
 
@@ -53,19 +54,21 @@ class TestFields:
 class TestHasseDerivative:
     def test_monomial_rule(self):
         t = t_over(QQ)
-        assert hasse_derivative(t ** 5, 2) == 10 * t ** 3
+        assert (t ** 5).hasse(2) == 10 * t ** 3
 
     def test_char2_example(self):
         t = t_over(GF(2))
-        assert hasse_derivative(t ** 3 + t ** 4, 1) == t ** 2
+        assert (t ** 3 + t ** 4).hasse(1) == t ** 2
 
     def test_identity_case(self):
         f = random_rational_function(random.Random(1), QQ)
-        assert hasse_derivative(f, 0) == f
+        assert f.hasse(0) == f
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            hasse_derivative(t_over(QQ), -1)
+        t = t_over(QQ)
+        for f in (t, RationalFunction(t), TruncatedSeries.from_polynomial(t)):
+            with pytest.raises(ValueError):
+                f.hasse(-1)
 
     @pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
     def test_product_rule(self, characteristic):
@@ -105,19 +108,19 @@ class TestValuation:
     def test_finite_zero(self):
         t = t_over(QQ)
         f = (t ** 3) * (1 - t) / Polynomial(QQ, [1])
-        assert valuation(f, Fraction(0)) == 3
+        assert f.valuation(Fraction(0)) == 3
 
     def test_infinity(self):
         t = t_over(QQ)
-        assert valuation(t ** 4 / (1 - t ** 2), INF) == -2
+        assert (t ** 4 / (1 - t ** 2)).valuation(INF) == -2
 
     def test_simple_root(self):
         t = t_over(QQ)
-        assert valuation((t - 1) / Polynomial(QQ, [1]), Fraction(1)) == 1
+        assert ((t - 1) / Polynomial(QQ, [1])).valuation(Fraction(1)) == 1
 
     def test_zero_function(self):
         z = RationalFunction(Polynomial(QQ, []))
-        assert valuation(z, Fraction(2)) == math.inf
+        assert z.valuation(Fraction(2)) == math.inf
 
     def test_multiplicative(self):
         rng = random.Random(11)
@@ -352,3 +355,56 @@ class TestFractionFreeLinearAlgebra:
         null = scalar_nullspace(rows, 2, QQ)
         assert len(null) == 1 and null[0][0] * 1 + null[0][1] * 2 == 0
         assert scalar_det([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) == 1
+
+
+def _assert_reduced(pivots, rows):
+    assert pivots == sorted(set(pivots)) and len(rows) == len(pivots)
+    for pc, row in zip(pivots, rows):
+        assert row[pc] == 1 and not any(row[:pc])
+        assert all(not other[pc] for other in rows if other is not row)
+
+
+class TestReducedEchelon:
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    def test_scalar_echelon(self, characteristic):
+        field = QQ if characteristic == 0 else GF(characteristic)
+        rng = random.Random(300 + characteristic)
+        for _ in range(40):
+            m, n = rng.randint(0, 5), rng.randint(1, 6)
+            rows = [[field(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+            if m >= 2:
+                rows.append([a - 2 * b for a, b in zip(rows[0], rows[1])])
+            before = [list(r) for r in rows]
+            pivots, ech = scalar_echelon(rows)
+            assert rows == before
+            _assert_reduced(pivots, ech)
+            assert all(not any(span_reduce(pivots, ech, r)) for r in rows)
+            # the reduced echelon form of a span does not depend on the order
+            # or the choice of its spanning rows
+            assert scalar_echelon(rows[::-1]) == (pivots, ech)
+            assert scalar_echelon(ech) == (pivots, ech)
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    def test_echelon_insert(self, characteristic):
+        field = QQ if characteristic == 0 else GF(characteristic)
+        rng = random.Random(400 + characteristic)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            rows = [[field(rng.randint(-2, 2)) for _ in range(n)]
+                    for _ in range(rng.randint(0, 4))]
+            pivots, ech = scalar_echelon(rows)
+            coeffs = [field(rng.randint(-2, 2)) for _ in rows]
+            member = [sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero)
+                      for j in range(n)]
+            snapshot = (list(pivots), [list(r) for r in ech])
+            assert echelon_insert(pivots, ech, member) is False
+            assert (pivots, ech) == snapshot
+            vec = [field(rng.randint(-2, 2)) for _ in range(n)]
+            kept = list(vec)
+            new = any(span_reduce(pivots, ech, vec))
+            assert echelon_insert(pivots, ech, vec) is new
+            assert vec == kept
+            _assert_reduced(pivots, ech)
+            assert len(pivots) == len(snapshot[0]) + new
+            assert all(not any(span_reduce(pivots, ech, r)) for r in rows + [vec])
+            assert (pivots, ech) == scalar_echelon(rows + [vec])

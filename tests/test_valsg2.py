@@ -12,7 +12,6 @@ from weierforge.valsg2 import (
     adapted_basis,
     edge_points,
     expected_smooth_count,
-    maximal_points,
     ring_from_generators,
     symmetry_check,
     two_branch_weight_formula,
@@ -34,7 +33,7 @@ def semigroup_membership_witness(ring, x, y):
     never the union of two proper subspaces)."""
     xi1, xi2 = ring.conductor
     w1, w2 = ring._window
-    rows = ring._matrix
+    rows = ring._echelon[1]
 
     def basis_of(a, b):
         # vectors in the row span vanishing on the first a t-columns and
@@ -344,6 +343,35 @@ class TestRingFromGenerators:
         ring = ring_from_generators(QQ, [([0, 1], [0, 1]), ([0, 0, 1], [0, 0, -1])],
                                     window=10)
         assert ring.conductor == (2, 2) and ring.delta == 2
+
+    def test_closure_spans_every_monomial(self, germ_corpus):
+        # inside the window the closure's span is the span of all truncated
+        # monomials x^a y^b; both generators vanish at the origin, so
+        # a + b < window covers them
+        w = 14
+        for (x, y), ring in germ_corpus:
+            xi1, xi2 = ring.conductor
+            powers = []
+            for side in (0, 1):
+                xs, ys = [TruncatedSeries(QQ, 0, [1], w)], [TruncatedSeries(QQ, 0, [1], w)]
+                for _ in range(w - 1):
+                    xs.append((xs[-1] * TruncatedSeries(QQ, 0, x[side], w)).truncate(w))
+                    ys.append((ys[-1] * TruncatedSeries(QQ, 0, y[side], w)).truncate(w))
+                powers.append((xs, ys))
+            monomials = []
+            for a in range(w):
+                for b in range(w - a):
+                    pair = []
+                    for xs, ys in powers:
+                        m = (xs[a] * ys[b]).truncate(w)
+                        pair.extend(m.coefficient(i) for i in range(w))
+                    monomials.append(pair)
+            closure = [[bt.coefficient(i) if i < xi1 else QQ.zero for i in range(w)]
+                       + [bu.coefficient(i) if i < xi2 else QQ.zero for i in range(w)]
+                       for bt, bu in ring.basis]
+            for j in list(range(xi1, w)) + list(range(w + xi2, 2 * w)):
+                closure.append([QQ.one if i == j else QQ.zero for i in range(2 * w)])
+            assert scalar_echelon(monomials) == scalar_echelon(closure)
 
     def test_same_branch_rejected(self):
         with pytest.raises(ValueError):
