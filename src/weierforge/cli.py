@@ -182,12 +182,26 @@ def _field(data, path, key, kind, default=_REQUIRED):
     return data[key]
 
 
-def _load_series(field, data):
-    return [field(str(c)) for c in data]
+def _read(convert, path, value):
+    """convert(value); a value it rejects is reported with the field's path."""
+    try:
+        return convert(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("%s: invalid value %r (%s)" % (path, value, exc)) from None
 
 
-def _load_pairs(field, data):
-    return [(_load_series(field, bt), _load_series(field, bu)) for bt, bu in data]
+def _load_point(field, path, value):
+    return _read(lambda v: _parse_point(field, v), path, value)
+
+
+def _load_series(field, path, data):
+    return [_read(field, "%s[%d]" % (path, k), str(c)) for k, c in enumerate(data)]
+
+
+def _load_pairs(field, path, data):
+    return [(_load_series(field, "%s[%d][0]" % (path, j), bt),
+             _load_series(field, "%s[%d][1]" % (path, j), bu))
+            for j, (bt, bu) in enumerate(data)]
 
 
 def _curve_from_json(data, char_override=None):
@@ -201,18 +215,19 @@ def _curve_from_json(data, char_override=None):
         kind = _field(item, at, "kind", _STR)
         if kind == "monomial":
             S = NumericalSemigroup.from_generators(_field(item, at, "generators", _INTS))
-            loc = _parse_point(field, _field(item, at, "location", _POINT))
+            loc = _load_point(field, at + "location", _field(item, at, "location", _POINT))
             singularities.append(MonomialSingularity(field, S, loc))
         elif kind == "unibranch":
-            loc = _parse_point(field, _field(item, at, "location", _POINT))
-            basis = [_load_series(field, b) for b in _field(item, at, "basis", _SERIES_LIST)]
+            loc = _load_point(field, at + "location", _field(item, at, "location", _POINT))
+            basis = [_load_series(field, "%sbasis[%d]" % (at, j), b)
+                     for j, b in enumerate(_field(item, at, "basis", _SERIES_LIST))]
             singularities.append(UnibranchSingularity(
                 field, basis, _field(item, at, "conductor", _INT), loc))
         elif kind == "two-branch":
-            locs = tuple(_parse_point(field, q)
-                         for q in _field(item, at, "locations", _POINT_PAIR))
+            locs = tuple(_load_point(field, "%slocations[%d]" % (at, k), q)
+                         for k, q in enumerate(_field(item, at, "locations", _POINT_PAIR)))
             xi1, xi2 = _field(item, at, "conductor", _INT_PAIR)
-            pairs = _load_pairs(field, _field(item, at, "basis", _SERIES_PAIRS))
+            pairs = _load_pairs(field, at + "basis", _field(item, at, "basis", _SERIES_PAIRS))
             ring = validate_ring(field, pairs, (xi1, xi2))
             singularities.append(TwoBranchSingularity(ring, locs))
         else:
@@ -241,7 +256,7 @@ def _cmd_two_branch(args):
     data = _read_json_object(args.file, "ring")
     field = field_of_characteristic(_field(data, "", "characteristic", _INT, 0))
     xi1, xi2 = _field(data, "", "conductor", _INT_PAIR)
-    pairs = _load_pairs(field, _field(data, "", "basis", _SERIES_PAIRS))
+    pairs = _load_pairs(field, "basis", _field(data, "", "basis", _SERIES_PAIRS))
     ring = validate_ring(field, pairs, (xi1, xi2),
                          strict=_field(data, "", "strict", _BOOL, True))
     S2 = value_semigroup(ring)

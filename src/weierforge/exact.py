@@ -25,18 +25,38 @@ class TruncationError(ValueError):
 # Coefficient fields
 # ---------------------------------------------------------------------------
 
+# The least strong pseudoprime to all of the first 13 primes is _MR_LIMIT
+# (Sorenson & Webster 2017), so Miller-Rabin on them is exact below it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin on the prime bases 2..41; an n of
+    _MR_LIMIT (about 3.3 * 10^24) or more raises ValueError rather than
+    answer without proof."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError("characteristic %d is too large: primality is decided "
+                         "only below %d" % (n, _MR_LIMIT))
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -558,34 +578,24 @@ class Polynomial:
         return out
 
     def rational_roots(self):
-        """All roots in the coefficient field, with multiplicity 1 each
-        (call on a squarefree polynomial for full information)."""
+        """The distinct roots in the coefficient field, each once, also when
+        the polynomial is not squarefree.
+
+        Over GF(p) they come in ascending order of residue, over QQ in
+        ascending order of value.  The cost is polynomial in the degree,
+        in log p and in the coefficient size: over GF(p) a Frobenius gcd
+        and equal-degree splitting, over QQ roots modulo a small prime
+        lifted by Newton-Hensel iteration.  Every root is checked by
+        exact evaluation.
+        """
         if self.is_zero():
             raise ValueError("zero polynomial")
-        roots = []
         p = self.field.characteristic
-        if p > 0:
-            for a in range(p):
-                if not self(FpElement(a, p)):
-                    roots.append(FpElement(a, p))
-            return roots
-        # rational root theorem on the primitive integer form
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        v = 0
-        while ints[v] == 0:
-            v += 1
-        if v > 0:
-            roots.append(Fraction(0))
-        lead = ints[-1]
-        const = ints[v]
-        for r in _divisors(abs(const)):
-            for s in _divisors(abs(lead)):
-                for cand in (Fraction(r, s), Fraction(-r, s)):
-                    if cand not in roots and not self(cand):
-                        roots.append(cand)
+        if p == 0:
+            return _rational_roots_qq(self)
+        roots = [FpElement(r, p) for r in _roots_mod_p([c.value for c in self.coeffs], p)]
+        if any(self(r) for r in roots):
+            raise AssertionError("a root found over GF(%d) does not vanish" % p)
         return roots
 
     def __str__(self):
@@ -622,18 +632,155 @@ class Polynomial:
         return "Polynomial(%r, %r)" % (self.field, list(self.coeffs))
 
 
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+# ---------------------------------------------------------------------------
+# Root finding behind Polynomial.rational_roots.  Polynomials over GF(p) are
+# lists of ints in [0, p), lowest degree first, without trailing zeros.
+# ---------------------------------------------------------------------------
+
+def _mod_p(a, p):
+    out = [c % p for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _monic_mod_p(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _sub_mod_p(a, b, p):
+    return _mod_p([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                   for i in range(max(len(a), len(b)))], p)
+
+
+def _divmod_mod_p(a, b, p):
+    """(quotient, remainder) of a by the monic b over GF(p)."""
+    rem = list(a)
+    db = len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem[k + db] % p
+        quo[k] = c
+        if c:
+            for j in range(db):
+                rem[k + j] = (rem[k + j] - c * b[j]) % p
+    return quo, _mod_p(rem[:db], p)
+
+
+def _gcd_mod_p(a, b, p):
+    """Monic gcd over GF(p) of a and b, not both zero."""
+    while b:
+        b = _monic_mod_p(b, p)
+        a, b = b, _divmod_mod_p(a, b, p)[1]
+    return _monic_mod_p(a, p)
+
+
+def _powmod_mod_p(a, e, f, p):
+    """a^e mod the monic f over GF(p), by repeated squaring."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _divmod_mod_p(_mul_mod_p(result, result, p), f, p)[1]
+        if bit == "1":
+            result = _divmod_mod_p(_mul_mod_p(result, a, p), f, p)[1]
+    return result
+
+
+def _mul_mod_p(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _mod_p(out, p)
+
+
+def _roots_mod_p(f, p):
+    """Distinct roots in GF(p) of the nonzero f, ascending.
+
+    g = gcd(f, t^p - t) is the product of the distinct linear factors of f;
+    t^p mod f takes O(log p) squarings.
+    """
+    if len(f) < 2:
+        return []
+    f = _monic_mod_p(f, p)
+    t = [0, 1]
+    g = _gcd_mod_p(f, _sub_mod_p(_powmod_mod_p(t, p, f, p), t, p), p)
+    return sorted(_split_linear(g, p, 0))
+
+
+def _split_linear(g, p, shift):
+    """Roots of g, a monic product of distinct linear factors over GF(p).
+
+    Equal-degree splitting: gcd(g, (t + a)^((p-1)/2) - 1) collects the roots
+    r with r + a a nonzero square.  The shifts a = shift, shift + 1, ... are
+    tried in order, so the result and the run time repeat; for two distinct
+    roots, (p - 1)/2 of any p consecutive shifts separate them.
+    """
+    d = len(g) - 1
+    if d == 0:
+        return []
+    if d == 1:
+        return [-g[0] % p]
+    if p == 2:
+        return [0, 1]    # g = t(t + 1)
+    for a in range(shift, shift + p):
+        h = _powmod_mod_p([a % p, 1], (p - 1) // 2, g, p)
+        h = _gcd_mod_p(g, _sub_mod_p(h, [1], p), p)
+        if 0 < len(h) - 1 < d:
+            return (_split_linear(h, p, a + 1)
+                    + _split_linear(_divmod_mod_p(g, h, p)[0], p, a + 1))
+    raise AssertionError("no shift split a product of distinct linear factors")
+
+
+def _rational_roots_qq(f):
+    """Distinct rational roots of the nonzero f over QQ, ascending.
+
+    The squarefree part is cleared to integers c_0..c_n; each root mod the
+    least odd prime p with p not dividing c_n and f mod p squarefree is
+    Newton-Hensel lifted to p^k > 2|c_n c_0|.  A rational root z/w has
+    w | c_n and z | c_0, so c_n times it is the symmetric residue of
+    c_n r mod p^k; each such candidate is kept only if it is a root.
+    """
+    f = f.exact_div(f.gcd(f.derivative()))
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    c = [int(x * den) for x in f.coeffs]
+    content = math.gcd(*c)
+    c = [x // content for x in c]
+    roots = []
+    if c[0] == 0:
+        roots.append(Fraction(0))
+        c = c[1:]
+    if len(c) < 2:
+        return roots
+    dc = [i * x for i, x in enumerate(c)][1:]
+    p = 3
+    while not c[-1] % p or len(_gcd_mod_p(_mod_p(c, p), _mod_p(dc, p), p)) > 1:
+        p += 2
+        while not _is_prime(p):
+            p += 2
+    lead, bound = c[-1], 2 * abs(c[-1] * c[0])
+    for r in _roots_mod_p(_mod_p(c, p), p):
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(c, r, m) * pow(_horner(dc, r, m), -1, m)) % m
+        z = lead * r % m
+        if z > m // 2:
+            z -= m
+        # exact test of f(z/lead) = 0, scaled by lead^n
+        if not sum(x * z ** i * lead ** (len(c) - 1 - i) for i, x in enumerate(c)):
+            roots.append(Fraction(z, lead))
+    return sorted(roots)
+
+
+def _horner(c, x, m):
+    acc = 0
+    for a in reversed(c):
+        acc = (acc * x + a) % m
+    return acc
 
 
 # ---------------------------------------------------------------------------

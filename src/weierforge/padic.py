@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import GF, _is_prime, scalar_det, scalar_echelon
+from .exact import GF, scalar_det, scalar_echelon
 
 
 class OrderSequence:
@@ -61,8 +61,7 @@ class OrderSequence:
 
 def binom_mod_p(n, k, p):
     """C(n, k) mod p by the base-p digit product (Lucas)."""
-    if not _is_prime(p):
-        raise ValueError("%r is not prime" % (p,))
+    GF(p)    # rejects a p that is not prime; cached, so p is tested once
     if k < 0 or n < 0:
         raise ValueError("arguments must be nonnegative")
     if k > n:
@@ -80,8 +79,7 @@ def binom_mod_p(n, k, p):
 def p_adically_smaller(mu, eps, p):
     """True when every base-p digit of mu is at most the matching digit of
     eps (and mu >= 0); equivalent to binom_mod_p(eps, mu, p) != 0."""
-    if not _is_prime(p):
-        raise ValueError("%r is not prime" % (p,))
+    GF(p)
     if mu < 0:
         return False
     while mu or eps:

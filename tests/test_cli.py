@@ -61,6 +61,10 @@ class TestPadicAndOrders:
                                        "--p", "2", "--format", "json"])
         assert code == 0 and data["orders"] == [0, 1, 4]
 
+    def test_characteristic_beyond_the_primality_range(self, capsys):
+        assert main(["orders", "--exponents", "0,3,4", "--p", str(10 ** 25 + 13)]) == 2
+        assert "error: characteristic" in capsys.readouterr().err
+
 
 class TestCurveCommand:
     def test_monomial_file(self, tmp_path, capsys):
@@ -179,6 +183,15 @@ _MONOMIAL = {"kind": "monomial", "location": "0", "generators": [3, 4]}
     ("two-branch", {"basis": _TWO_BRANCH["basis"]}, "conductor"),
     ("two-branch", {"conductor": [2, 2], "basis": _TWO_BRANCH["basis"], "strict": "no"},
      "strict"),
+    ("curve", {"singularities": [dict(_MONOMIAL, location="x")]},
+     "singularities[0].location"),
+    ("curve", {"singularities": [{"kind": "unibranch", "location": "0", "conductor": 6,
+                                  "basis": [["1"], ["0", "0", "0", "1/0"]]}]},
+     "singularities[0].basis[1][3]"),
+    ("curve", {"characteristic": 7, "singularities": [dict(_TWO_BRANCH, locations=["0", "1/7"])]},
+     "singularities[0].locations[1]"),
+    ("two-branch", {"conductor": [2, 2], "basis": [[["1", "x"], ["1", "0"]]]},
+     "basis[0][0][1]"),
 ])
 def test_wrong_field_type_exits_2_naming_the_field(tmp_path, capsys, command, spec, field):
     path = tmp_path / "input.json"

@@ -1,9 +1,12 @@
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from weierforge.cli import main
 from weierforge.exact import (
     GF,
     INF,
@@ -13,6 +16,7 @@ from weierforge.exact import (
     RationalFunction,
     TruncatedSeries,
     TruncationError,
+    _is_prime,
     coprime_refinement,
     echelon_insert,
     fraction_free_rank_det,
@@ -211,6 +215,144 @@ class TestPolynomials:
             for p in basis:
                 rebuilt = rebuilt * p ** f.multiplicity_of_factor(p)
             assert rebuilt == f
+
+
+def _nonresidue_quadratic(field):
+    """A monic quadratic without roots in GF(p)."""
+    p = field.characteristic
+    if p == 2:
+        return Polynomial(field, [1, 1, 1])
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    return Polynomial(field, [-n, 0, 1])
+
+
+def _random_root(rng, field):
+    p = field.characteristic
+    if p:
+        return field(rng.randrange(p))
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 9))
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _planted(rng, field, cofactor):
+    """(f, roots): a random scalar times cofactor times planted linear
+    factors, some repeated and sometimes the root 0."""
+    t = t_over(field)
+    roots = {_random_root(rng, field) for _ in range(rng.randint(0, 4))}
+    if rng.random() < 0.3:
+        roots.add(field(0))
+    f = cofactor * rng.choice([c for c in map(field, (1, 2, 3, 7)) if c])
+    for r in roots:
+        f = f * (t - r) ** rng.randint(1, 3)
+    return f, roots
+
+
+_ROOT_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(100003)]
+
+
+class TestRootFinding:
+    @pytest.mark.parametrize("field", _ROOT_FIELDS, ids=repr)
+    def test_planted_roots_come_back_once_in_order(self, field):
+        # the cofactor has no roots in the field, so the planted ones are all
+        rng = random.Random(900 + field.characteristic)
+        t = t_over(field)
+        for _ in range(25):
+            cofactor = (t ** 2 + rng.randint(1, 10 ** 6) if field is QQ
+                        else _nonresidue_quadratic(field))
+            f, roots = _planted(rng, field, cofactor)
+            key = (lambda r: r) if field is QQ else (lambda r: r.value)
+            assert f.rational_roots() == sorted(roots, key=key)
+
+    @pytest.mark.parametrize("field", _ROOT_FIELDS, ids=repr)
+    def test_against_sympy(self, field):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        p = field.characteristic
+        rng = random.Random(950 + p)
+        for _ in range(25):
+            f, _roots = _planted(rng, field, random_polynomial(rng, field, 4, zero_ok=False))
+            if p:
+                poly = sympy.Poly([c.value for c in reversed(f.coeffs)], x, modulus=p)
+                expected = sorted(int(r) % p for r in poly.ground_roots())
+                assert [r.value for r in f.rational_roots()] == expected
+            else:
+                poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                   for c in reversed(f.coeffs)], x, domain="QQ")
+                expected = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+                assert f.rational_roots() == expected
+
+    def test_roots_mod_p_that_do_not_lift_are_dropped(self):
+        # t^2 - 7 has roots mod 3, the prime the lifting uses; neither lifts
+        t = t_over(QQ)
+        assert (t ** 2 - 7).rational_roots() == []
+        assert ((t ** 2 - 7) * (3 * t + 1)).rational_roots() == [Fraction(-1, 3)]
+
+    def test_constants_have_no_roots(self):
+        for field in _ROOT_FIELDS:
+            assert Polynomial(field, [-1]).rational_roots() == []
+        with pytest.raises(ValueError):
+            Polynomial(QQ, []).rational_roots()
+
+    def test_large_prime(self):
+        p = 2 ** 61 - 1
+        field = GF(p)
+        t = t_over(field)
+        roots = [field(r) for r in (0, 5, 2 ** 40 + 3, p - 1)]
+        f = _nonresidue_quadratic(field)
+        for r in roots:
+            f = f * (t - r)
+        assert f.rational_roots() == roots
+
+
+def _curve_total(tmp_path, capsys, spec):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code = main(["curve", str(path), "--format", "json"])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    return code, out["total"], out["expected"], elapsed
+
+
+class TestRootFindingFinishes:
+    """Inputs on which scanning residues or divisors took seconds or did not finish."""
+
+    def test_large_characteristic(self, tmp_path, capsys):
+        spec = {"characteristic": 1000003, "singularities": [
+            {"kind": "monomial", "location": "123457", "generators": [3, 4]}]}
+        code, total, expected, elapsed = _curve_total(tmp_path, capsys, spec)
+        assert code == 0 and total == expected == 24
+        assert elapsed < 2.0
+
+    def test_large_rational_location(self, tmp_path, capsys):
+        spec = {"characteristic": 0, "singularities": [
+            {"kind": "monomial", "location": "0", "generators": [3, 4]},
+            {"kind": "monomial", "location": "982451653/7919", "generators": [3, 4]}]}
+        code, total, expected, elapsed = _curve_total(tmp_path, capsys, spec)
+        assert code == 0 and total == expected == 6 ** 3 - 6
+        assert elapsed < 20.0
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+
+    @pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+    def test_pseudoprimes_rejected(self, n):
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n", [2 ** 31 - 1, 2 ** 61 - 1])
+    def test_mersenne_primes_accepted_fast(self, n):
+        start = time.perf_counter()
+        assert _is_prime(n)
+        assert time.perf_counter() - start < 0.5
+
+    def test_beyond_the_proven_range_raises(self):
+        with pytest.raises(ValueError, match="characteristic"):
+            GF(10 ** 25 + 13)
 
 
 class TestTruncatedSeries:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from weierforge import exact, padic
 from weierforge.exact import GF, scalar_det
 from weierforge.numsg import NumericalSemigroup
 from weierforge.padic import (
@@ -101,6 +102,26 @@ class TestMonomialOrderSequence:
     def test_shift_invariance(self):
         assert (monomial_order_sequence((2, 5, 6), 2)
                 == monomial_order_sequence((0, 3, 4), 2))
+
+    def test_primality_is_tested_once_per_sequence(self, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return real_is_prime(n)
+
+        real_is_prime = exact._is_prime
+        for module in (exact, padic):    # every module that may bind the test
+            if hasattr(module, "_is_prime"):
+                monkeypatch.setattr(module, "_is_prime", counting_is_prime)
+        monkeypatch.setattr(exact, "_gf_cache", {})
+        for p in (2, 199999):
+            calls.clear()
+            monomial_order_sequence([0, 4, 5, 8, 9, 10, 12], p)
+            assert calls == [p]
+            calls.clear()
+            satisfies_p_adic_criterion((0, 1, 2, 4), p)
+            assert calls == []
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_against_brute_force(self, p):
