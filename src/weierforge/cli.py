@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid input, 3 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -91,8 +92,8 @@ def _emit(args, payload, text_lines):
 
 
 def _cmd_semigroup(args):
-    S = (NumericalSemigroup.from_generators(args.gens) if args.gens
-         else NumericalSemigroup.from_gaps(args.gaps))
+    S = (_read(NumericalSemigroup.from_generators, "--gens", args.gens) if args.gens
+         else _read(NumericalSemigroup.from_gaps, "--gaps", args.gaps))
     data = S.to_json()
     lines = [
         "semigroup %s" % S,
@@ -133,9 +134,10 @@ def _cmd_orders(args):
 
 
 def _read_json_object(path, what):
-    """The top-level JSON object of a description file."""
+    """The top-level JSON object of a description file.  Non-integer
+    numbers are read as exact decimals, not rounded through floats."""
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_float=decimal.Decimal)
     if not isinstance(data, dict):
         raise ValueError("%s file: expected a JSON object" % what)
     return data
@@ -153,7 +155,8 @@ def _list_of(ok, length=None):
     return lambda v: isinstance(v, list) and length in (None, len(v)) and all(map(ok, v))
 
 
-_is_series = _list_of(lambda c: isinstance(c, (int, float, str)) and not isinstance(c, bool))
+_is_series = _list_of(lambda c: isinstance(c, (int, decimal.Decimal, str))
+                      and not isinstance(c, bool))
 
 # (check, description) of each kind of field a description file holds
 _INT = (_is_int, "an integer")
@@ -186,7 +189,7 @@ def _read(convert, path, value):
     """convert(value); a value it rejects is reported with the field's path."""
     try:
         return convert(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError("%s: invalid value %r (%s)" % (path, value, exc)) from None
 
 
@@ -214,7 +217,8 @@ def _curve_from_json(data, char_override=None):
         at = "singularities[%d]." % i
         kind = _field(item, at, "kind", _STR)
         if kind == "monomial":
-            S = NumericalSemigroup.from_generators(_field(item, at, "generators", _INTS))
+            S = _read(NumericalSemigroup.from_generators, at + "generators",
+                      _field(item, at, "generators", _INTS))
             loc = _load_point(field, at + "location", _field(item, at, "location", _POINT))
             singularities.append(MonomialSingularity(field, S, loc))
         elif kind == "unibranch":
@@ -324,7 +328,7 @@ def main(argv=None):
     except (TotalMismatch, ScenarioMismatch, AssertionError) as exc:
         print("internal invariant failure: %s" % exc, file=sys.stderr)
         return INTERNAL_ERROR
-    except (ValueError, KeyError, OSError, ZeroDivisionError,
+    except (ValueError, KeyError, OSError, ZeroDivisionError, OverflowError,
             NotClosed, NotGorenstein, SolutionDimensionMismatch,
             json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

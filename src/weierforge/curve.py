@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .exact import (
     INF,
-    FpElement,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
@@ -71,48 +70,35 @@ def _check_uniformizer(u, location):
         raise ValueError("uniformizer must vanish to order one at the location")
 
 
-def evaluate_at(f, point):
-    """Value of a rational function at a finite point or at INF (which must
-    not be a pole)."""
-    v = f.valuation(point)
-    if v < 0:
-        raise ZeroDivisionError("evaluation at a pole")
-    if v > 0:
-        return f.field.zero
-    return f.leading_coefficient_at(point)
-
-
-def uniformizer_expansion(f, location, uniformizer, nterms):
-    """First nterms coefficients of f in powers of the uniformizer at the
-    location, or None when f has a pole there."""
-    coeffs = []
-    cur = f
-    for _ in range(nterms):
-        if cur.is_zero():
-            coeffs.append(f.field.zero)
-            continue
-        if cur.valuation(location) < 0:
-            return None
-        c = evaluate_at(cur, location)
-        coeffs.append(c)
-        cur = (cur - c) / uniformizer
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # Singularity descriptors
 # ---------------------------------------------------------------------------
 
 class _Branch:
-    """One analytic branch: a point of the line, a uniformizer vanishing
-    there, and the conductor exponent bounding dualizing pole orders."""
+    """One analytic branch: a point of the line, a uniformizer s vanishing
+    there, and the conductor exponent bounding dualizing pole orders.
 
-    __slots__ = ("location", "uniformizer", "conductor_exponent")
+    The chart is the inverse of the uniformizer, t as a degree-one function
+    of s; every local computation substitutes it and expands at s = 0.
+    """
+
+    __slots__ = ("location", "uniformizer", "conductor_exponent", "chart", "dt")
 
     def __init__(self, location, uniformizer, conductor_exponent):
         self.location = location
         self.uniformizer = uniformizer
         self.conductor_exponent = conductor_exponent
+        field = uniformizer.field
+        a, b = uniformizer.num.coefficient(1), uniformizer.num.coefficient(0)
+        c, d = uniformizer.den.coefficient(1), uniformizer.den.coefficient(0)
+        # s = (a t + b) / (c t + d)  gives  t = (d s - b) / (a - c s)
+        self.chart = RationalFunction(Polynomial(field, [-b, d]), Polynomial(field, [a, -c]))
+        # dt = (dt/ds) ds with dt/ds = 1/s'(t), written in t
+        self.dt = 1 / uniformizer.derivative()
+
+    def series(self, f, upto):
+        """Laurent expansion of f(chart(s)) at s = 0, valid below s^upto."""
+        return f.compose(self.chart).laurent_at(self.chart.field.zero, upto)
 
 
 class MonomialSingularity:
@@ -133,13 +119,14 @@ class MonomialSingularity:
         self.location = location
         self.uniformizer = uniformizer
         self.delta = semigroup.genus
+        self._branches = [_Branch(location, uniformizer, 2 * self.delta)]
 
     @property
     def locations(self):
         return (self.location,)
 
     def branches(self):
-        return [_Branch(self.location, self.uniformizer, 2 * self.delta)]
+        return self._branches
 
     def local_basis(self):
         """Series tuples (one per branch) spanning the local ring mod C."""
@@ -201,13 +188,14 @@ class UnibranchSingularity:
         self.semigroup = semigroup
         self.delta = c - len(series)
         assert self.delta == semigroup.genus
+        self._branches = [_Branch(location, uniformizer, c)]
 
     @property
     def locations(self):
         return (self.location,)
 
     def branches(self):
-        return [_Branch(self.location, self.uniformizer, self.conductor_exponent)]
+        return self._branches
 
     def local_basis(self):
         return [(b,) for b in self.basis]
@@ -242,11 +230,11 @@ class TwoBranchSingularity:
         self.locations = (q1, q2)
         self.uniformizers = tuple(us)
         self.delta = ring.delta
+        self._branches = [_Branch(q, u, xi)
+                          for q, u, xi in zip(self.locations, us, ring.conductor)]
 
     def branches(self):
-        xi1, xi2 = self.ring.conductor
-        return [_Branch(self.locations[0], self.uniformizers[0], xi1),
-                _Branch(self.locations[1], self.uniformizers[1], xi2)]
+        return self._branches
 
     def local_basis(self):
         return list(self.ring.basis)
@@ -319,27 +307,6 @@ def differential_order_at(r, point):
     return v - 2 if point is INF else v
 
 
-def _residue_of_differential(f, r, location):
-    """Res at the location of f * r dt, for rational f and r."""
-    if location is INF:
-        g = (f * r).infinity_chart_differential()
-        zero = g.field.zero if g.field.characteristic == 0 else FpElement(0, g.field.characteristic)
-        return g.residue_at(zero)
-    return (f * r).residue_at(location)
-
-
-def _series_to_function(series, uniformizer, bound):
-    """Polynomial in the uniformizer with the series coefficients below the
-    bound, as a rational function on the line."""
-    field = uniformizer.field
-    acc = RationalFunction(Polynomial(field, []))
-    for i in range(series.offset, min(bound, series.offset + len(series.coeffs))):
-        c = series.coefficient(i)
-        if c:
-            acc = acc + c * uniformizer ** i
-    return acc
-
-
 def dualizing_basis(X):
     """Solve the residue conditions for the space of global dualizing
     differentials; its dimension must equal the arithmetic genus.
@@ -366,21 +333,20 @@ def dualizing_basis(X):
     ansatz = [RationalFunction(Polynomial.monomial(field, k), denominator)
               for k in range(max_deg + 1)]
 
+    # sum over branches of Res(f r dt) = sum_i f_i [s^(-1-i)] g_r, where
+    # r dt = g_r(s) ds; each g_r is expanded once per branch
     rows = []
     for sing in X.singularities:
         branches = sing.branches()
+        expansions = [[br.series(r * br.dt, 0) for r in ansatz] for br in branches]
         for element in sing.local_basis():
-            row = []
-            branch_functions = [
-                _series_to_function(series, br.uniformizer, br.conductor_exponent)
-                for series, br in zip(element, branches)]
-            for r in ansatz:
-                total = field.zero
-                for fb, br in zip(branch_functions, branches):
-                    if fb.is_zero():
-                        continue
-                    total = total + _residue_of_differential(fb, r, br.location)
-                row.append(total)
+            row = [field.zero] * len(ansatz)
+            for series, br, gs in zip(element, branches, expansions):
+                for i in range(br.conductor_exponent):
+                    fi = series.coefficient(i)
+                    if fi:
+                        for k, g in enumerate(gs):
+                            row[k] = row[k] + fi * g.coefficient(-1 - i)
             rows.append(row)
 
     null = scalar_nullspace(rows, len(ansatz), field)
@@ -422,8 +388,8 @@ def _find_generator(sing, differentials):
 
 def _verify_generators(X, basis):
     """Every ratio tau_j / tau_generator must lie in the local ring: its
-    uniformizer expansion on each branch must be a span member modulo the
-    conductor."""
+    expansion in the uniformizer of each branch must have no pole, and be a
+    span member modulo the conductor."""
     for si, sing in enumerate(X.singularities):
         gen = basis.differentials[basis.generator_index[si]]
         branches = sing.branches()
@@ -436,16 +402,11 @@ def _verify_generators(X, basis):
         pivots, ech = scalar_echelon(ring_vectors)
         for r in basis.differentials:
             f = r / gen
-            vec = []
-            ok = True
-            for br in branches:
-                exp = uniformizer_expansion(f, br.location, br.uniformizer,
-                                            br.conductor_exponent)
-                if exp is None:
-                    ok = False
-                    break
-                vec.extend(exp)
-            if not ok or any(span_reduce(pivots, ech, vec)):
+            expansions = [br.series(f, br.conductor_exponent) for br in branches]
+            vec = [e.coefficient(i) for e, br in zip(expansions, branches)
+                   for i in range(br.conductor_exponent)]
+            # a negative valuation is a pole: f leaves the local ring
+            if any(e.offset < 0 for e in expansions) or any(span_reduce(pivots, ech, vec)):
                 raise GeneratorNotFound(
                     "ratio to the chosen generator leaves the local ring at %s"
                     % sing.describe())
@@ -502,12 +463,6 @@ class WeightReport:
         self.smooth_divisor = smooth_divisor
         self.total = total
         self.expected = expected
-
-    def weight_at(self, singularity_index):
-        return self.singular_weights[singularity_index]
-
-    def smooth_count(self):
-        return self.smooth_divisor.degree
 
     def to_json(self):
         curve = self.curve

@@ -948,28 +948,25 @@ class RationalFunction:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den)
 
-    def substitute_inverse(self):
-        """f(1/u) as a rational function of u."""
-        if self.is_zero():
-            return self
-        n = max(self.num.degree, self.den.degree)
-        return RationalFunction(self.num.reversed_coeffs(n), self.den.reversed_coeffs(n))
+    def compose(self, g):
+        """f(g(t)) for a degree-one map g = (a t + b) / (c t + d).
 
-    def infinity_chart_differential(self):
-        """s(u) with f(t) dt = s(u) du under u = 1/t, i.e. -f(1/u)/u^2."""
-        u2 = Polynomial(self.field, [0, 0, 1])
-        return -self.substitute_inverse() / u2
-
-    def compose(self, other):
-        """f(g(t)) for a rational function g."""
-        other = self._lift(other)
-        num = RationalFunction(Polynomial(self.field, []))
-        for c in reversed(self.num.coeffs):
-            num = num * other + c
-        den = RationalFunction(Polynomial(self.field, []))
-        for c in reversed(self.den.coeffs):
-            den = den * other + c
-        return num / den
+        With k = max(deg num, deg den), each of num and den is homogenised
+        as sum_i c_i (a t + b)^i (c t + d)^(k - i), by Horner's rule in
+        a t + b with a running power of c t + d.
+        """
+        g = self._lift(g)
+        if max(g.num.degree, g.den.degree) != 1:
+            raise ValueError("compose takes a degree-one map (a t + b)/(c t + d)")
+        k = max(self.num.degree, self.den.degree)
+        num = Polynomial(self.field, [self.num.coefficient(k)])
+        den = Polynomial(self.field, [self.den.coefficient(k)])
+        power = Polynomial(self.field, [1])
+        for i in range(k - 1, -1, -1):
+            power = power * g.den
+            num = num * g.num + power * self.num.coefficient(i)
+            den = den * g.num + power * self.den.coefficient(i)
+        return RationalFunction(num, den)
 
     def leading_coefficient_at(self, point):
         """First nonzero Laurent coefficient at the point (finite or INF)."""
@@ -981,36 +978,29 @@ class RationalFunction:
 
     def laurent_at(self, point, upto):
         """Laurent expansion at the point as a TruncatedSeries valid on
-        exponents [valuation, upto)."""
+        exponents [valuation, upto): in powers of t - point, or of 1/t at
+        INF.  The chart t + point (or 1/t) moves the point to 0."""
+        t = Polynomial.variable(self.field)
         if point is INF:
-            f = self.substitute_inverse()
-            return f.laurent_at(self.field.zero if self.field.characteristic == 0
-                                else FpElement(0, self.field.characteristic), upto)
-        if self.is_zero():
+            f = self.compose(RationalFunction(Polynomial(self.field, [1]), t))
+        elif point:
+            f = self.compose(t + point)
+        else:
+            f = self
+        if f.is_zero():
             return TruncatedSeries(self.field, 0, [], None)
-        num = self.num.shift(point)
-        den = self.den.shift(point)
-        vn = num.valuation_at_zero()
-        vd = den.valuation_at_zero()
+        vn = f.num.valuation_at_zero()
+        vd = f.den.valuation_at_zero()
         v = vn - vd
         if upto <= v:
             return TruncatedSeries(self.field, v, [], upto)
         k = upto - v
-        nuni = Polynomial(self.field, num.coeffs[vn:])
-        duni = Polynomial(self.field, den.coeffs[vd:])
+        nuni = Polynomial(self.field, f.num.coeffs[vn:])
+        duni = Polynomial(self.field, f.den.coeffs[vd:])
         inv = TruncatedSeries.from_polynomial(duni, k).inverse(k)
         prod = TruncatedSeries.from_polynomial(nuni, k) * inv
         coeffs = [prod.coefficient(i) for i in range(k)]
         return TruncatedSeries(self.field, v, coeffs, upto)
-
-    def residue_at(self, point):
-        """Coefficient of (t - point)^(-1) (or of u^(-1) at INF, of f itself,
-        not of f dt)."""
-        v = self.valuation(point)
-        if v >= 0:
-            return self.field.zero
-        series = self.laurent_at(point, 0)
-        return series.coefficient(-1)
 
     def __str__(self):
         if self.is_polynomial():

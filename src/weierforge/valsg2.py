@@ -48,12 +48,6 @@ class TwoBranchRing:
         # conductor tail inside the window
         self._echelon = echelon
 
-    def basis_vectors(self, w1=None, w2=None):
-        """Coefficient vectors (t-window then u-window) of the basis."""
-        if w1 is None:
-            w1, w2 = self._window
-        return [_pair_vector(bt, bu, w1, w2) for bt, bu in self.basis]
-
     def to_json(self):
         return {
             "characteristic": self.field.characteristic,

@@ -16,6 +16,7 @@ from .exact import (
     coprime_refinement,
     fraction_free_rank_det,
     scalar_det,
+    scalar_echelon,
     scalar_rank,
     shared_denominator,
 )
@@ -159,23 +160,16 @@ def hasse_wronskian(V, eps):
 
 def vq_orders(V, q):
     """The s distinct orders at q of elements of the system, shifted so the
-    least is 0, by valuation-echelon elimination."""
-    funcs = list(V.functions)
-    orders = []
-    while funcs:
-        vals = [f.valuation(q) for f in funcs]
-        vmin = min(vals)
-        k = vals.index(vmin)
-        lead = funcs.pop(k)
-        orders.append(vmin)
-        lc = lead.leading_coefficient_at(q)
-        for i, f in enumerate(funcs):
-            if vals[i + (i >= k)] == vmin:
-                funcs[i] = f - (f.leading_coefficient_at(q) / lc) * lead
-                if funcs[i].is_zero():
-                    raise DependentFunctionsError("functions are linearly dependent")
-    base = min(orders)
-    return tuple(sorted(o - base for o in orders))
+    least is 0.
+
+    They are the orders of the span of the numerators: the pivot columns of
+    their coefficient vectors in powers of t - q, or, at INF, of 1/t (the
+    reversed vectors).
+    """
+    n = max(f.degree for f in V.numerators)
+    local = [f.reversed_coeffs(n) if q is INF else f.shift(q) for f in V.numerators]
+    pivots, _rows = scalar_echelon([[f.coefficient(i) for i in range(n + 1)] for f in local])
+    return tuple(c - pivots[0] for c in pivots)
 
 
 def differential_weight_at(V, q):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -192,12 +193,48 @@ _MONOMIAL = {"kind": "monomial", "location": "0", "generators": [3, 4]}
      "singularities[0].locations[1]"),
     ("two-branch", {"conductor": [2, 2], "basis": [[["1", "x"], ["1", "0"]]]},
      "basis[0][0][1]"),
+    ("curve", {"singularities": [dict(_MONOMIAL, generators=[2, 10 ** 30 + 1])]},
+     "singularities[0].generators"),
+    ("semigroup", ["--gens", "2,%d" % (10 ** 30 + 1)], "--gens"),
 ])
 def test_wrong_field_type_exits_2_naming_the_field(tmp_path, capsys, command, spec, field):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(spec))
-    assert main([command, str(path)]) == 2
+    if isinstance(spec, list):
+        argv = [command] + spec
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(spec))
+        argv = [command, str(path)]
+    assert main(argv) == 2
     assert "error: %s: " % field in capsys.readouterr().err
+
+
+def _unibranch_with(characteristic, value):
+    """A curve file whose basis series t^3 + c t^5 has the coefficient c
+    written as the given JSON number text."""
+    return ('{"characteristic": %d, "singularities": [{"kind": "unibranch", '
+            '"location": "0", "conductor": 6, "basis": [[1], [0, 0, 0, 1, 0, %s], '
+            '[0, 0, 0, 0, 1]]}]}' % (characteristic, value))
+
+
+@pytest.mark.parametrize("text, c", [
+    ("0.10000000000000000001", Fraction(10 ** 19 + 1, 10 ** 20)),
+    ("1e-400", Fraction(1, 10 ** 400)),
+])
+def test_json_numbers_reach_the_field_exactly(tmp_path, capsys, text, c):
+    # the smooth Weierstrass points of t^3 + c t^5 are the roots of t^2 - 6/c
+    path = tmp_path / "curve.json"
+    path.write_text(_unibranch_with(0, text))
+    code, data = run_json(capsys, ["curve", str(path), "--format", "json"])
+    assert code == 0
+    assert data["smooth"] == [{"factor": "t^2 - %s" % (6 / c), "multiplicity": 1,
+                               "degree": 2}]
+
+
+def test_json_number_outside_the_prime_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(_unibranch_with(5, "1e-400"))
+    assert main(["curve", str(path)]) == 2
+    assert "error: singularities[0].basis[1][5]: " in capsys.readouterr().err
 
 
 class TestReproduce:
@@ -219,6 +256,12 @@ class TestReproduce:
                                        "--format", "json"])
         assert code == 0
         assert data["runs"][0]["report"]["weights"][0]["weight"] == 24
+
+    def test_all_json_matches_the_committed_output(self, capsys):
+        # tests/data/reproduce_all.json pins the gallery output byte for byte
+        expected = (Path(__file__).parent / "data" / "reproduce_all.json").read_bytes()
+        assert main(["reproduce", "all", "--format", "json"]) == 0
+        assert capsys.readouterr().out.encode() == expected
 
     def test_unknown_scenario(self, capsys):
         assert main(["reproduce", "example-9.9"]) == 2

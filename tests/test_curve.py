@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weierforge.curve import (
+    DualizingBasis,
     GeneratorNotFound,
     MonomialSingularity,
     RationalCurve,
@@ -66,23 +67,57 @@ class TestDualizingBasis:
 
     def test_residue_conditions_hold(self):
         # every basis differential annihilates every local basis element
-        # under the residue sum, re-checked after echelonization
-        from weierforge.curve import _residue_of_differential, _series_to_function
+        # under the residue sum, re-checked after echelonization with a
+        # reference built in the global coordinate: f = sum_i f_i u^i as a
+        # rational function, and Res(f r dt) read in t - a, or at INF from
+        # -h(1/t)/t^2 for h = f r (reversed coefficients, no branch chart)
+        def residue(h, location):
+            if location is INF:
+                n = max(h.num.degree, h.den.degree)
+                t = Polynomial.variable(h.field)
+                h = -RationalFunction(h.num.reversed_coeffs(n),
+                                      h.den.reversed_coeffs(n)) / t ** 2
+                location = h.field.zero
+            return h.laurent_at(location, 0).coefficient(-1)
 
-        for X in (quartic_cusp_curve(2), perturbed_cusp_curve(0),
-                  tacnode_curve(), double_cusp_curve()):
+        t = Polynomial.variable(QQ)
+        curves = (quartic_cusp_curve(2), perturbed_cusp_curve(0), tacnode_curve(),
+                  double_cusp_curve(),
+                  RationalCurve(QQ, [MonomialSingularity(QQ, S34, Fraction(0)),
+                                     MonomialSingularity(QQ, S34, INF)]),
+                  RationalCurve(QQ, [MonomialSingularity(QQ, S34, Fraction(0)),
+                                     MonomialSingularity(QQ, S34, Fraction(1),
+                                                         uniformizer=(t - 1) / t)]),
+                  RationalCurve(QQ, [UnibranchSingularity(
+                      QQ, [[1], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1]], 6, INF)]))
+        for X in curves:
             basis = dualizing_basis(X)
             for sing in X.singularities:
                 branches = sing.branches()
                 for element in sing.local_basis():
-                    fns = [_series_to_function(s, br.uniformizer, br.conductor_exponent)
+                    fns = [sum((s.coefficient(i) * br.uniformizer ** i
+                                for i in range(br.conductor_exponent)),
+                               RationalFunction(Polynomial(X.field, [])))
                            for s, br in zip(element, branches)]
                     for r in basis.differentials:
                         total = X.field.zero
                         for fb, br in zip(fns, branches):
-                            if not fb.is_zero():
-                                total = total + _residue_of_differential(fb, r, br.location)
+                            total = total + residue(fb * r, br.location)
                         assert not total
+
+    def test_ratio_with_a_pole_leaves_the_local_ring(self):
+        # with a generator of less than the conductor's pole order, the
+        # ratio of the deepest-pole differential to it has a pole there
+        from weierforge.curve import _verify_generators
+
+        for X in (perturbed_cusp_curve(0), RationalCurve(QQ, [UnibranchSingularity(
+                QQ, [[1], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1]], 6, INF)])):
+            basis = dualizing_basis(X)
+            q = X.singularities[0].location
+            shallow = max(range(len(basis.differentials)),
+                          key=lambda i: differential_order_at(basis.differentials[i], q))
+            with pytest.raises(GeneratorNotFound):
+                _verify_generators(X, DualizingBasis(X, basis.differentials, {0: shallow}))
 
     def test_non_gorenstein_ring_has_no_generator(self):
         # Rosenlicht duality still produces g differentials, but no single

@@ -385,19 +385,61 @@ class TestTruncatedSeries:
     def test_laurent_and_residue(self):
         t = t_over(QQ)
         f = (1 + t) / t ** 3
-        assert f.residue_at(Fraction(0)) == 0
+        assert f.laurent_at(Fraction(0), 0).coefficient(-1) == 0
         g = (1 + t) / t
-        assert g.residue_at(Fraction(0)) == 1
+        assert g.laurent_at(Fraction(0), 0).coefficient(-1) == 1
         h = 1 / (t - 2)
         ser = h.laurent_at(Fraction(2), 3)
         assert ser.offset == -1 and ser.coefficient(-1) == 1
 
     def test_residue_at_infinity_chart(self):
         t = t_over(QQ)
-        # f dt with f = 1/t has residue 1 at 0 and -1 at infinity
-        s = (1 / t).infinity_chart_differential()
-        assert s.residue_at(Fraction(0)) == -1
+        # f dt with f = 1/t has residue 1 at 0 and -1 at infinity, where
+        # the chart t = 1/u carries dt = -du/u^2, so f dt = (-t^2 f)(1/u) du
+        f = 1 / t
+        assert (-t ** 2 * f).laurent_at(INF, 0).coefficient(-1) == -1
+        # the same residue from the explicit chart differential -f(1/u)/u^2
+        s = -f.compose(1 / t) / t ** 2
+        assert s.laurent_at(Fraction(0), 0).coefficient(-1) == -1
 
+
+class TestCompose:
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+    def test_degree_one_maps(self, field):
+        rng = random.Random(29)
+        t = t_over(field)
+        checked = 0
+        for _ in range(30):
+            f = random_rational_function(rng, field, max_degree=4)
+            while True:
+                a, b, c, d = (field(rng.randint(-4, 4)) for _ in range(4))
+                if a * d - b * c:
+                    break
+            g = (a * t + b) / (c * t + d)
+            g_inv = (d * t - b) / (a - c * t)
+            fg = f.compose(g)
+            for k in range(-3, 4):
+                x = field(k)
+                try:
+                    expected = f(g(x))
+                except ZeroDivisionError:
+                    continue
+                try:
+                    value = fg(x)
+                except ZeroDivisionError:
+                    continue
+                assert value == expected
+                checked += 1
+            assert fg.compose(g_inv) == f
+        assert checked >= 60
+
+    def test_rejects_maps_not_of_degree_one(self):
+        t = t_over(QQ)
+        f = (1 + t) / (t ** 2 - 3)
+        for g in ((t ** 2 + 1) / (t - 1), t ** 2 + t, 1 / (t ** 2 - 2),
+                  RationalFunction(Polynomial(QQ, [3]))):
+            with pytest.raises(ValueError):
+                f.compose(g)
 
 class TestFractionFreeLinearAlgebra:
     def test_identity(self):

@@ -260,6 +260,27 @@ class TestVQOrders:
     def test_perturbed_at_infinity(self):
         assert vq_orders(perturbed_system(), INF) == (0, 1, 2)
 
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_orders_of_random_combinations(self, p):
+        # every order at q of an element of the span, less the least order
+        # of the system there, is one of the listed orders
+        field = GF(p) if p else QQ
+        rng = random.Random(41 + p)
+        t = Polynomial.variable(field)
+        D = (t - 1) ** 2 * (t ** 2 + 2)
+        V = LinearSystem([one(field) / D, t ** 3 / D, (t ** 5 - t ** 2) / D,
+                          (t ** 4 + 2 * t) / one(field)])
+        for q in (field(0), field(1), field(2), INF):
+            orders = vq_orders(V, q)
+            assert orders[0] == 0 and len(set(orders)) == len(V)
+            base = min(f.valuation(q) for f in V.functions)
+            for _ in range(40):
+                coeffs = [field(rng.choice([0, 0, 1, -1, 2])) for _ in V.functions]
+                h = sum((c * f for c, f in zip(coeffs, V.functions)),
+                        RationalFunction(Polynomial(field, [])))
+                if not h.is_zero():
+                    assert h.valuation(q) - base in orders
+
 
 class TestSmoothWeight:
     def test_generic_zero(self):
