@@ -323,6 +323,10 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # print exact integers in full whatever Python's int-to-str digit limit
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except (TotalMismatch, ScenarioMismatch, AssertionError) as exc:
@@ -333,6 +337,9 @@ def main(argv=None):
             json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USER_ERROR
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

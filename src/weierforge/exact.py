@@ -152,6 +152,10 @@ class FpElement:
         return str(self.value)
 
 
+# Bounds decimal exponents: Fraction("1e-999999999") builds 10^999999999.
+MAX_DECIMAL_EXPONENT = 100000
+
+
 class RationalField:
     """The field of rational numbers; elements are `fractions.Fraction`."""
 
@@ -163,6 +167,9 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
+            digits = value.lower().partition("e")[2].strip().lstrip("+-0_")
+            if len(digits) > 20 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise ValueError("decimal exponent beyond %d" % MAX_DECIMAL_EXPONENT)
             return Fraction(value)
         raise TypeError("cannot coerce %r into QQ" % (value,))
 
@@ -205,7 +212,7 @@ class PrimeField:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
             return FpElement(value.numerator, self.p) / FpElement(value.denominator, self.p)
         if isinstance(value, str):
-            return self(Fraction(value))
+            return self(QQ(value))
         raise TypeError("cannot coerce %r into GF(%d)" % (value, self.p))
 
     @property
@@ -316,6 +323,13 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def _ints(self):
+        """(c, d) with self = c / d for integers c (residues over GF(p)), d > 0."""
+        if self.field.characteristic:
+            return [x.value for x in self.coeffs], 1
+        d = math.lcm(*(x.denominator for x in self.coeffs))
+        return [x.numerator * (d // x.denominator) for x in self.coeffs], d
+
     def _lift(self, other):
         if isinstance(other, Polynomial):
             if other.field != self.field:
@@ -355,15 +369,8 @@ class Polynomial:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        (a, da), (b, db) = self._ints(), other._ints()
+        return _from_ints(self.field, _mul_mod_p(a, b, self.field.characteristic), da * db)
 
     __rmul__ = __mul__
 
@@ -383,19 +390,13 @@ class Polynomial:
         other = self._lift(other)
         if other is None or other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(self.field, []), self
-        quo = [self.field.zero] * (dq + 1)
-        inv_lead = self.field.one / other.leading_coefficient
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Polynomial(self.field, quo), Polynomial(self.field, rem[:other.degree])
+        p = self.field.characteristic
+        (a, da), (b, db) = self._ints(), other._ints()
+        # over QQ, pseudo-division in ZZ[t]: lc(b)^e a = q b + r
+        s = 1 if p else b[-1] ** max(len(a) - len(b) + 1, 0)
+        q, r = _divmod_mod_p([c * s for c in a], b, p)
+        return (_from_ints(self.field, [c * db for c in q], s * da),
+                _from_ints(self.field, r, s * da))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -404,11 +405,15 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def exact_div(self, other):
-        """Quotient that is required to be exact (used by Bareiss elimination)."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
+        """Quotient that is required to be exact; ArithmeticError otherwise."""
+        other = self._lift(other)
+        if other is None or other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        p = self.field.characteristic
+        (a, da), (b, db) = self._ints(), other._ints()
+        g = 1 if p else math.gcd(*b)    # b / g is primitive: the quotient lies in ZZ[t]
+        q = _exact_div_mod_p(a, [c // g for c in b], p)
+        return _from_ints(self.field, [c * db for c in q], g * da)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, FpElement)):
@@ -526,12 +531,10 @@ class Polynomial:
             h = q
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-            if not b.is_zero():
-                b = b.monic()
-        return a.monic() if not a.is_zero() else a
+        if self.is_zero() and other.is_zero():
+            return self
+        g = _gcd_mod_p(self._ints()[0], other._ints()[0], self.field.characteristic)
+        return _from_ints(self.field, g, g[-1])
 
     def squarefree_decomposition(self):
         """List of (monic squarefree factor, multiplicity); product recovers
@@ -593,7 +596,7 @@ class Polynomial:
         p = self.field.characteristic
         if p == 0:
             return _rational_roots_qq(self)
-        roots = [FpElement(r, p) for r in _roots_mod_p([c.value for c in self.coeffs], p)]
+        roots = [FpElement(r, p) for r in _roots_mod_p(self._ints()[0], p)]
         if any(self(r) for r in roots):
             raise AssertionError("a root found over GF(%d) does not vanish" % p)
         return roots
@@ -633,15 +636,27 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Root finding behind Polynomial.rational_roots.  Polynomials over GF(p) are
-# lists of ints in [0, p), lowest degree first, without trailing zeros.
+# Polynomial arithmetic on ints behind Polynomial.  A polynomial is a list of
+# ints, lowest degree first, without trailing zeros: residues in [0, p) over
+# GF(p), or integers over ZZ, which the helpers take as p = 0.
 # ---------------------------------------------------------------------------
 
+def _from_ints(field, c, d=1):
+    """The Polynomial c / d over the field; over GF(p) d is 1."""
+    p = field.characteristic
+    return Polynomial(field, [FpElement(x, p) if p else Fraction(x, d) for x in c])
+
+
 def _mod_p(a, p):
-    out = [c % p for c in a]
+    out = [c % p for c in a] if p else list(a)
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _primitive(a):
+    g = math.gcd(*a) or 1
+    return [c // g for c in a]
 
 
 def _monic_mod_p(a, p):
@@ -654,26 +669,50 @@ def _sub_mod_p(a, b, p):
                    for i in range(max(len(a), len(b)))], p)
 
 
+def _mul_mod_p(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _mod_p(out, p)
+
+
 def _divmod_mod_p(a, b, p):
-    """(quotient, remainder) of a by the monic b over GF(p)."""
-    rem = list(a)
+    """(quotient, remainder) of a by the nonzero b.  Over ZZ every quotient
+    coefficient must come out an integer; ArithmeticError otherwise."""
     db = len(b) - 1
+    inv = pow(b[-1], -1, p) if p else None
+    rem = list(a)
     quo = [0] * max(len(a) - db, 0)
     for k in range(len(a) - 1 - db, -1, -1):
-        c = rem[k + db] % p
+        c, left = (rem[k + db] * inv % p, 0) if p else divmod(rem[k + db], b[-1])
+        if left:
+            raise ArithmeticError("inexact polynomial division")
         quo[k] = c
         if c:
             for j in range(db):
-                rem[k + j] = (rem[k + j] - c * b[j]) % p
+                rem[k + j] -= c * b[j]
     return quo, _mod_p(rem[:db], p)
 
 
+def _exact_div_mod_p(a, b, p):
+    q, r = _divmod_mod_p(a, b, p)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
 def _gcd_mod_p(a, b, p):
-    """Monic gcd over GF(p) of a and b, not both zero."""
+    """gcd of a and b, not both zero: monic over GF(p); over ZZ primitive,
+    by the primitive pseudo-remainder sequence."""
     while b:
-        b = _monic_mod_p(b, p)
-        a, b = b, _divmod_mod_p(a, b, p)[1]
-    return _monic_mod_p(a, p)
+        s = 1 if p else b[-1] ** max(len(a) - len(b) + 1, 0)
+        r = _divmod_mod_p([c * s for c in a], b, p)[1]
+        a, b = b, r if p else _primitive(r)
+    return _monic_mod_p(a, p) if p else _primitive(a)
 
 
 def _powmod_mod_p(a, e, f, p):
@@ -684,17 +723,6 @@ def _powmod_mod_p(a, e, f, p):
         if bit == "1":
             result = _divmod_mod_p(_mul_mod_p(result, a, p), f, p)[1]
     return result
-
-
-def _mul_mod_p(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _mod_p(out, p)
 
 
 def _roots_mod_p(f, p):
@@ -731,36 +759,35 @@ def _split_linear(g, p, shift):
         h = _gcd_mod_p(g, _sub_mod_p(h, [1], p), p)
         if 0 < len(h) - 1 < d:
             return (_split_linear(h, p, a + 1)
-                    + _split_linear(_divmod_mod_p(g, h, p)[0], p, a + 1))
+                    + _split_linear(_exact_div_mod_p(g, h, p), p, a + 1))
     raise AssertionError("no shift split a product of distinct linear factors")
 
 
 def _rational_roots_qq(f):
     """Distinct rational roots of the nonzero f over QQ, ascending.
 
-    The squarefree part is cleared to integers c_0..c_n; each root mod the
-    least odd prime p with p not dividing c_n and f mod p squarefree is
+    f is cleared to primitive integers c_0..c_n, and replaced by its
+    squarefree part unless f mod the least odd prime p not dividing c_n is
+    squarefree.  Each root mod the least such p with f mod p squarefree is
     Newton-Hensel lifted to p^k > 2|c_n c_0|.  A rational root z/w has
     w | c_n and z | c_0, so c_n times it is the symmetric residue of
     c_n r mod p^k; each such candidate is kept only if it is a root.
     """
-    f = f.exact_div(f.gcd(f.derivative()))
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    c = [int(x * den) for x in f.coeffs]
-    content = math.gcd(*c)
-    c = [x // content for x in c]
+    c = _primitive(f._ints()[0])
+    p = 3
+    while not c[-1] % p:
+        p = _next_odd_prime(p)
+    if not _squarefree_mod_p(c, p):
+        c = _primitive(_exact_div_mod_p(c, _gcd_mod_p(c, _derivative(c), 0), 0))
+        while not (c[-1] % p and _squarefree_mod_p(c, p)):
+            p = _next_odd_prime(p)
     roots = []
     if c[0] == 0:
         roots.append(Fraction(0))
         c = c[1:]
     if len(c) < 2:
         return roots
-    dc = [i * x for i, x in enumerate(c)][1:]
-    p = 3
-    while not c[-1] % p or len(_gcd_mod_p(_mod_p(c, p), _mod_p(dc, p), p)) > 1:
-        p += 2
-        while not _is_prime(p):
-            p += 2
+    dc = _derivative(c)
     lead, bound = c[-1], 2 * abs(c[-1] * c[0])
     for r in _roots_mod_p(_mod_p(c, p), p):
         m = p
@@ -774,6 +801,21 @@ def _rational_roots_qq(f):
         if not sum(x * z ** i * lead ** (len(c) - 1 - i) for i, x in enumerate(c)):
             roots.append(Fraction(z, lead))
     return sorted(roots)
+
+
+def _derivative(c):
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def _squarefree_mod_p(c, p):
+    return len(_gcd_mod_p(_mod_p(c, p), _mod_p(_derivative(c), p), p)) == 1
+
+
+def _next_odd_prime(p):
+    p += 2
+    while not _is_prime(p):
+        p += 2
+    return p
 
 
 def _horner(c, x, m):
@@ -1289,45 +1331,46 @@ def fraction_free_rank_det(rows):
         if rank < ncols:
             det = RationalFunction(Polynomial(field, []))
         else:
-            denom = Polynomial(field, [1])
-            for m in row_multipliers:
-                denom = denom * m
-            det = RationalFunction(det_poly * sign, denom)
+            det = RationalFunction(det_poly * sign, math.prod(row_multipliers))
     return rank, det
 
 
 def _bareiss(rows):
     """Fraction-free elimination on a polynomial matrix; returns
-    (rank, last pivot, sign).  The matrix is modified in place."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    field = rows[0][0].field if m else None
-    one = Polynomial(field, [1])
-    prev = one
-    sign = 1
-    r = 0
-    last_pivot = one
+    (rank, last pivot, sign).  Each row is scaled once to integers (over
+    GF(p), residues), so the elimination runs in ZZ[t] or GF(p)[t], where
+    each division is exact (Sylvester's identity) and checked; the last
+    pivot, a minor on the pivot rows, is divided by their scales."""
+    field = rows[0][0].field
+    p = field.characteristic
+    work, scales = [], []
+    for row in rows:
+        cleared = [x._ints() for x in row]
+        d = math.lcm(*(den for _c, den in cleared))
+        work.append([[x * (d // den) for x in c] for c, den in cleared])
+        scales.append(d)
+    m, n = len(work), len(work[0])
+    prev, sign, r = [1], 1, 0
     for c in range(n):
         if r >= m:
             break
-        pivot_row = None
-        for i in range(r, m):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m) if work[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
             sign = -sign
-        for i in range(r + 1, m):
+        top = work[r]
+        for row in work[r + 1:]:
             for j in range(c + 1, n):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]).exact_div(prev)
-            rows[i][c] = Polynomial(field, [])
-        prev = rows[r][c]
-        last_pivot = prev
+                row[j] = _exact_div_mod_p(_sub_mod_p(_mul_mod_p(top[c], row[j], p),
+                                                     _mul_mod_p(row[c], top[j], p), p),
+                                          prev, p)
+            row[c] = []
+        prev = top[c]
         r += 1
-    return r, last_pivot, sign
+    return r, _from_ints(field, prev, math.prod(scales[:r])), sign
 
 
 def scalar_rank(rows):
@@ -1399,31 +1442,13 @@ def span_reduce(pivots, echelon_rows, vec):
 
 
 def scalar_det(rows):
-    """Determinant of a square matrix of field scalars."""
-    n = len(rows)
-    if n == 0:
+    """Determinant of a square matrix of field scalars, by the fraction-free
+    elimination of constant polynomials."""
+    if not rows:
         raise ValueError("empty matrix")
-    work = [list(r) for r in rows]
-    det = None
-    sign = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return work[0][0] - work[0][0]  # zero of the right field
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            sign = -sign
-        det = work[c][c] if det is None else det * work[c][c]
-        inv = work[c][c] ** -1 if isinstance(work[c][c], FpElement) else 1 / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c]:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return det if sign == 1 else -det
+    field = GF(rows[0][0].p) if isinstance(rows[0][0], FpElement) else QQ
+    rank, pivot, sign = _bareiss([[Polynomial(field, [x]) for x in r] for r in rows])
+    return pivot.coefficient(0) * sign if rank == len(rows) else field.zero
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,12 +209,12 @@ def test_wrong_field_type_exits_2_naming_the_field(tmp_path, capsys, command, sp
     assert "error: %s: " % field in capsys.readouterr().err
 
 
-def _unibranch_with(characteristic, value):
+def _unibranch_with(characteristic, value, location='"0"'):
     """A curve file whose basis series t^3 + c t^5 has the coefficient c
-    written as the given JSON number text."""
+    and the location written as the given JSON texts."""
     return ('{"characteristic": %d, "singularities": [{"kind": "unibranch", '
-            '"location": "0", "conductor": 6, "basis": [[1], [0, 0, 0, 1, 0, %s], '
-            '[0, 0, 0, 0, 1]]}]}' % (characteristic, value))
+            '"location": %s, "conductor": 6, "basis": [[1], [0, 0, 0, 1, 0, %s], '
+            '[0, 0, 0, 0, 1]]}]}' % (characteristic, location, value))
 
 
 @pytest.mark.parametrize("text, c", [
@@ -235,6 +236,35 @@ def test_json_number_outside_the_prime_field_exits_2(tmp_path, capsys):
     path.write_text(_unibranch_with(5, "1e-400"))
     assert main(["curve", str(path)]) == 2
     assert "error: singularities[0].basis[1][5]: " in capsys.readouterr().err
+
+
+def test_exact_integers_past_the_str_digit_limit_print_in_full(tmp_path, capsys):
+    # the smooth points of t^3 + 10^-8000 t^5 are the roots of t^2 - 6*10^8000,
+    # a constant with more digits than Python converts to text by default
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "curve.json"
+    path.write_text(_unibranch_with(0, '"1e-8000"'))
+    code, data = run_json(capsys, ["curve", str(path), "--format", "json"])
+    assert code == 0 and data["total"] == 24
+    assert data["smooth"] == [{"factor": "t^2 - 6" + "0" * 8000, "multiplicity": 1,
+                               "degree": 2}]
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("characteristic, value, location, field", [
+    (0, "1e-999999999", '"0"', "singularities[0].basis[1][5]"),
+    (5, '"1E+999999999"', '"0"', "singularities[0].basis[1][5]"),
+    (0, "1", '"1e-999999999"', "singularities[0].location"),
+])
+def test_decimal_exponent_past_the_bound_exits_2_at_once(tmp_path, capsys, characteristic,
+                                                          value, location, field):
+    path = tmp_path / "curve.json"
+    path.write_text(_unibranch_with(characteristic, value, location))
+    start = time.perf_counter()
+    assert main(["curve", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "error: %s: " % field in err and "exponent" in err
 
 
 class TestReproduce:

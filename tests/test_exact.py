@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -6,16 +7,19 @@ from fractions import Fraction
 
 import pytest
 
+from weierforge import exact
 from weierforge.cli import main
 from weierforge.exact import (
     GF,
     INF,
+    MAX_DECIMAL_EXPONENT,
     QQ,
     FpElement,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
     TruncationError,
+    _bareiss,
     _is_prime,
     coprime_refinement,
     echelon_insert,
@@ -53,6 +57,17 @@ class TestFields:
 
     def test_qq_parse(self):
         assert QQ("-2/3") == Fraction(-2, 3)
+
+    def test_decimal_exponent_bound(self):
+        assert QQ("1e-8000") == Fraction(1, 10 ** 8000)
+        assert QQ("-2.5E+%d" % MAX_DECIMAL_EXPONENT) == -25 * 10 ** (MAX_DECIMAL_EXPONENT - 1)
+        F7 = GF(7)
+        assert F7("3e-0%d" % MAX_DECIMAL_EXPONENT) == F7(3) / F7(10) ** MAX_DECIMAL_EXPONENT
+        for text in ("1e-%d" % (MAX_DECIMAL_EXPONENT + 1), "1E+999999999",
+                     "1e-" + "9" * 5000, "7.5e-0_999_999"):
+            for field in (QQ, GF(5)):
+                with pytest.raises(ValueError, match="exponent"):
+                    field(text)
 
 
 class TestHasseDerivative:
@@ -287,6 +302,27 @@ class TestRootFinding:
         t = t_over(QQ)
         assert (t ** 2 - 7).rational_roots() == []
         assert ((t ** 2 - 7) * (3 * t + 1)).rational_roots() == [Fraction(-1, 3)]
+
+    def test_repeated_roots_over_qq(self, monkeypatch):
+        # the integer gcd with f' runs only when f mod the first prime not
+        # dividing the leading coefficient is not squarefree
+        gcd, calls = exact._gcd_mod_p, []
+        monkeypatch.setattr(exact, "_gcd_mod_p",
+                            lambda a, b, p: calls.append(p) or gcd(a, b, p))
+        t = t_over(QQ)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [
+            ((t - 1) * (t + 1) * (t ** 2 + 1), [-1, 1], 0),   # squarefree mod 3
+            ((t - 1) * (t - 4), [1, 4], 1),                   # (t - 1)^2 mod 3
+            ((t - 1) ** 3 * (t + half) ** 2 * t ** 2 * (t ** 2 + 5), [-half, 0, 1], 1),
+            (3 * (t - 2) ** 2 * (t - third) ** 4, [third, 2], 1),      # lifted mod 5
+            (-(t - 7) ** 5 * (15 * t + 2) * (t - 2) ** 6, [Fraction(-2, 15), 2, 7], 1),
+            (Fraction(2, 7) * t ** 6 * (t ** 2 - 2) ** 3, [0], 1),
+        ]
+        for f, roots, integer_gcds in cases:
+            calls.clear()
+            assert f.rational_roots() == roots
+            assert calls.count(0) == integer_gcds
 
     def test_constants_have_no_roots(self):
         for field in _ROOT_FIELDS:
@@ -539,6 +575,183 @@ class TestFractionFreeLinearAlgebra:
         null = scalar_nullspace(rows, 2, QQ)
         assert len(null) == 1 and null[0][0] * 1 + null[0][1] * 2 == 0
         assert scalar_det([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) == 1
+
+
+# Schoolbook polynomial arithmetic on field elements, as the kernel did it
+# before it ran on ints: the reference for the integer kernel.
+
+def _ref_mul(f, g):
+    field = f.field
+    if f.is_zero() or g.is_zero():
+        return Polynomial(field, [])
+    out = [field.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Polynomial(field, out)
+
+
+def _ref_divmod(f, g):
+    field = f.field
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return Polynomial(field, []), f
+    quo = [field.zero] * (dq + 1)
+    inv_lead = field.one / g.leading_coefficient
+    for k in range(dq, -1, -1):
+        c = rem[k + g.degree] * inv_lead
+        quo[k] = c
+        for j, b in enumerate(g.coeffs):
+            rem[k + j] = rem[k + j] - c * b
+    return Polynomial(field, quo), Polynomial(field, rem[:g.degree])
+
+
+def _ref_gcd(f, g):
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, _ref_divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    return Polynomial(a.field, [c / a.leading_coefficient for c in a.coeffs])
+
+
+def _ref_bareiss(rows):
+    rows = [list(r) for r in rows]
+    m, n = len(rows), len(rows[0])
+    field = rows[0][0].field
+    prev = Polynomial(field, [1])
+    sign, r = 1, 0
+    for c in range(n):
+        if r >= m:
+            break
+        pivot_row = next((i for i in range(r, m) if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        for i in range(r + 1, m):
+            for j in range(c + 1, n):
+                q, rem = _ref_divmod(_ref_mul(rows[r][c], rows[i][j])
+                                     - _ref_mul(rows[i][c], rows[r][j]), prev)
+                assert rem.is_zero()
+                rows[i][j] = q
+            rows[i][c] = Polynomial(field, [])
+        prev = rows[r][c]
+        r += 1
+    return r, prev, sign
+
+
+_KERNEL_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(100003)]
+
+
+def _kernel_polynomial(rng, field, max_degree=5):
+    """Zero one time in eight; over QQ with non-integer coefficients, a
+    common content and a leading coefficient of either sign."""
+    if rng.random() < 0.125:
+        return Polynomial(field, [])
+    deg = rng.randint(0, max_degree)
+    if field.characteristic:
+        return Polynomial(field, [field(rng.randrange(field.characteristic))
+                                  for _ in range(deg)] + [field(rng.randrange(1, 10 ** 6))])
+    content = Fraction(rng.choice([1, 6, -35, 2 ** 70]), rng.choice([1, 4, 9]))
+    coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(deg)]
+    lead = rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), rng.randint(1, 5))
+    return Polynomial(field, [content * c for c in coeffs + [lead]])
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_mul_divmod_gcd_match_schoolbook(self, field):
+        rng = random.Random(1100 + field.characteristic)
+        for _ in range(80):
+            f, g = _kernel_polynomial(rng, field), _kernel_polynomial(rng, field)
+            h = _kernel_polynomial(rng, field, 3)
+            assert f * g == _ref_mul(f, g)
+            assert f.gcd(g) == _ref_gcd(f, g)
+            # a planted common factor survives, made monic
+            assert (f * h).gcd(g * h) == _ref_gcd(_ref_mul(f, h), _ref_mul(g, h))
+            if g.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    divmod(f, g)
+                continue
+            assert divmod(f, g) == _ref_divmod(f, g)
+            assert (f * g).exact_div(g) == f
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_bareiss_matches_schoolbook(self, field):
+        rng = random.Random(1200 + field.characteristic)
+        shapes = 0
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[_kernel_polynomial(rng, field, 2) for _ in range(n)] for _ in range(m)]
+            if m >= 3:
+                # a rank-deficient matrix: one row a combination of two others
+                u, v = _kernel_polynomial(rng, field, 1), _kernel_polynomial(rng, field, 0)
+                rows[2] = [u * a + v * b for a, b in zip(rows[0], rows[1])]
+            shapes += m != n
+            rank, pivot, sign = _bareiss([list(r) for r in rows])
+            assert (rank, pivot, sign) == _ref_bareiss(rows)
+            if m == n:
+                det = fraction_free_rank_det(rows)[1]
+                assert det == RationalFunction(pivot * sign if rank == n
+                                               else Polynomial(field, []))
+        assert shapes > 10
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_scalar_det_matches_the_leibniz_formula(self, field):
+        rng = random.Random(1250 + field.characteristic)
+        singular = 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = [[field(rng.randint(-3, 3)) if field is QQ
+                     else field(rng.randrange(field.characteristic)) for _ in range(n)]
+                    for _ in range(n)]
+            if n >= 2 and rng.random() < 0.3:
+                rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+            expected = field.zero
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(perm[j] > perm[i] for i in range(n) for j in range(i))
+                term = field.one
+                for i in range(n):
+                    term = term * rows[i][perm[i]]
+                expected = expected + (-term if inversions % 2 else term)
+            assert scalar_det(rows) == expected
+            singular += not expected
+        assert singular > 5
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_inexact_division_raises(self, field):
+        rng = random.Random(1300 + field.characteristic)
+        t = t_over(field)
+        for _ in range(30):
+            g = _kernel_polynomial(rng, field, 3)
+            if g.degree < 1:
+                continue
+            f = _kernel_polynomial(rng, field, 4)
+            with pytest.raises(ArithmeticError):
+                (f * g + 1).exact_div(g)
+        # every quotient digit divides exactly; only the remainder is left
+        with pytest.raises(ArithmeticError):
+            (t ** 2 + 1).exact_div(t)
+        # the same on the int lists that Bareiss divides, and over ZZ a
+        # quotient digit that is not an integer
+        p = field.characteristic
+        with pytest.raises(ArithmeticError):
+            exact._exact_div_mod_p([1, 0, 1], [0, 1], p)
+        with pytest.raises(ArithmeticError):
+            exact._exact_div_mod_p([0, 0, 3], [0, 2], 0)
+        with pytest.raises(ZeroDivisionError):
+            t.exact_div(Polynomial(field, []))
+
+    def test_exact_division_over_qq_keeps_the_scales(self):
+        t = t_over(QQ)
+        assert (t ** 2).exact_div(2 * t) == t / 2
+        assert (Fraction(3, 4) * t ** 3 - Fraction(3, 4)).exact_div(6 * t - 6) == (
+            t ** 2 + t + 1) / 8
+        with pytest.raises(ArithmeticError):
+            (3 * t ** 2 + 1).exact_div(2 * t)
 
 
 def _assert_reduced(pivots, rows):
