@@ -20,13 +20,14 @@ from .exact import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
-    scalar_echelon,
+    int_echelon,
     scalar_nullspace,
     span_reduce,
+    window_ints,
 )
 from .numsg import NumericalSemigroup
 from .padic import monomial_order_sequence
-from .valsg2 import TwoBranchRing
+from .valsg2 import TwoBranchRing, closed_span
 from . import wronski
 from .wronski import LinearSystem, order_sequence, wronskian
 
@@ -151,6 +152,8 @@ class UnibranchSingularity:
             uniformizer = _default_uniformizer(field, location)
         _check_uniformizer(uniformizer, location)
         c = conductor_exponent
+        if c < 1:
+            raise ValueError("conductor exponent must be positive")
         series = []
         for b in basis:
             if not isinstance(b, TruncatedSeries):
@@ -158,23 +161,8 @@ class UnibranchSingularity:
             if b.truncation is not None and b.truncation < c:
                 raise ValueError("basis series not known to the conductor exponent")
             series.append(TruncatedSeries(field, 0, [b.coefficient(i) for i in range(c)], c))
-        vectors = [[b.coefficient(i) for i in range(c)] for b in series]
-        pivots, ech = scalar_echelon(vectors)
-        if len(pivots) != len(vectors):
-            raise ValueError("basis is linearly dependent modulo the conductor")
-
-        def contains(vec):
-            return not any(span_reduce(pivots, ech, vec))
-
-        if not contains([field.one] + [field.zero] * (c - 1)):
-            raise ValueError("local ring does not contain 1")
-        for i, a in enumerate(series):
-            for b in series[i:]:
-                prod = (a * b).truncate(c)
-                if not contains([prod.coefficient(k) for k in range(c)]):
-                    raise ValueError("basis span is not closed under multiplication mod C")
-        if contains([field.zero] * (c - 1) + [field.one]):
-            raise ValueError("declared conductor exponent is not minimal")
+        pivots, _rows = closed_span([window_ints((b,), (c,), field.characteristic)
+                                     for b in series], (c,), (c,), field.characteristic)
         # the values below c are the leading exponents of the span: its pivots
         gaps = [n for n in range(1, c) if n not in pivots]
         semigroup = NumericalSemigroup(gaps)
@@ -390,23 +378,18 @@ def _verify_generators(X, basis):
     """Every ratio tau_j / tau_generator must lie in the local ring: its
     expansion in the uniformizer of each branch must have no pole, and be a
     span member modulo the conductor."""
+    p = X.field.characteristic
     for si, sing in enumerate(X.singularities):
         gen = basis.differentials[basis.generator_index[si]]
         branches = sing.branches()
-        ring_vectors = []
-        for element in sing.local_basis():
-            vec = []
-            for series, br in zip(element, branches):
-                vec.extend(series.coefficient(i) for i in range(br.conductor_exponent))
-            ring_vectors.append(vec)
-        pivots, ech = scalar_echelon(ring_vectors)
+        windows = [br.conductor_exponent for br in branches]
+        pivots, ech = int_echelon([window_ints(e, windows, p) for e in sing.local_basis()], p)
         for r in basis.differentials:
             f = r / gen
             expansions = [br.series(f, br.conductor_exponent) for br in branches]
-            vec = [e.coefficient(i) for e, br in zip(expansions, branches)
-                   for i in range(br.conductor_exponent)]
             # a negative valuation is a pole: f leaves the local ring
-            if any(e.offset < 0 for e in expansions) or any(span_reduce(pivots, ech, vec)):
+            if (any(e.offset < 0 for e in expansions)
+                    or any(span_reduce(pivots, ech, window_ints(expansions, windows, p), p))):
                 raise GeneratorNotFound(
                     "ratio to the chosen generator leaves the local ring at %s"
                     % sing.describe())

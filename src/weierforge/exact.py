@@ -4,7 +4,7 @@ Coefficient fields (arbitrary-precision rationals and prime fields),
 dense univariate polynomials, rational functions with valuations at
 finite points and at infinity, truncated power/Laurent series, Hasse
 (iterative) derivatives, fraction-free linear algebra over the function
-field, and reduced row echelon forms over the coefficient field.
+field, and reduced row echelon forms on int rows, p = 0 standing for ZZ.
 
 Everything here is immutable after construction and exact; there is no
 floating point anywhere.
@@ -324,11 +324,7 @@ class Polynomial:
         return self.coeffs[-1]
 
     def _ints(self):
-        """(c, d) with self = c / d for integers c (residues over GF(p)), d > 0."""
-        if self.field.characteristic:
-            return [x.value for x in self.coeffs], 1
-        d = math.lcm(*(x.denominator for x in self.coeffs))
-        return [x.numerator * (d // x.denominator) for x in self.coeffs], d
+        return scalar_ints(self.coeffs, self.field.characteristic)
 
     def _lift(self, other):
         if isinstance(other, Polynomial):
@@ -640,6 +636,21 @@ class Polynomial:
 # ints, lowest degree first, without trailing zeros: residues in [0, p) over
 # GF(p), or integers over ZZ, which the helpers take as p = 0.
 # ---------------------------------------------------------------------------
+
+def scalar_ints(xs, p):
+    """(c, d) with xs = c / d for ints c (residues over GF(p)) and d > 0."""
+    if p:
+        return [x.value for x in xs], 1
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def window_ints(series, windows, p):
+    """The coefficients of each series below its window, concatenated and
+    cleared to one int vector (residues over GF(p))."""
+    return scalar_ints([s.coefficient(i) for s, w in zip(series, windows)
+                        for i in range(w)], p)[0]
+
 
 def _from_ints(field, c, d=1):
     """The Polynomial c / d over the field; over GF(p) d is 1."""
@@ -1378,39 +1389,75 @@ def scalar_rank(rows):
     return len(scalar_echelon(rows)[0])
 
 
-def echelon_insert(pivots, rows, vec):
-    """Insert vec into a reduced row echelon form over the field.
+def int_echelon(rows, p):
+    """(pivots, rows): the reduced echelon form of the span of int rows over
+    GF(p), or over ZZ for p = 0."""
+    pivots, out = [], []
+    for r in rows:
+        echelon_insert(pivots, out, r, p)
+    return pivots, out
 
-    pivots and rows are parallel lists sorted by pivot column; they are
-    updated in place (Gauss-Jordan: the new pivot is normalised to 1 and
-    its column cleared from the other rows).  Returns False, changing
-    nothing, when vec already lies in the span.  vec is not modified.
-    """
-    v = span_reduce(pivots, rows, vec)
+
+def echelon_insert(pivots, rows, vec, p):
+    """Insert the int vector vec into a reduced echelon form on int rows:
+    residues with pivot entry 1 over GF(p), primitive rows with a positive
+    pivot entry over ZZ (p = 0), each zero at the other pivot columns, so a
+    unit multiple of the row of the field's unique reduced echelon form.
+    pivots and rows are parallel lists sorted by pivot column, updated in
+    place.  Returns False, changing nothing, when vec already lies in the
+    span.  vec is not modified."""
+    v = span_reduce(pivots, rows, vec, p)
     c = next((i for i, x in enumerate(v) if x), None)
     if c is None:
         return False
-    inv = 1 / v[c]
-    v = [x * inv for x in v]
+    if p:
+        inv = pow(v[c], -1, p)
+        v = [x * inv % p for x in v]
+    else:
+        g = math.gcd(*v) if v[c] > 0 else -math.gcd(*v)
+        v = [x // g for x in v]
     for i, row in enumerate(rows):
         if row[c]:
-            f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, v)]
+            rows[i] = span_reduce([c], [v], row, p)
     k = bisect.bisect(pivots, c)
     pivots.insert(k, c)
     rows.insert(k, v)
     return True
 
 
+def span_reduce(pivots, rows, vec, p):
+    """Reduce an int vector against a reduced echelon form on int rows: by
+    v - f row over GF(p), by a v - f row made primitive over ZZ.  A zero
+    result means the vector lies in their span."""
+    v = list(vec)
+    for pc, row in zip(pivots, rows):
+        f = v[pc]
+        if f and p:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+        elif f:
+            g = math.gcd(row[pc], f)
+            v = _primitive([row[pc] // g * x - f // g * y for x, y in zip(v, row)])
+    return v
+
+
+def field_rows(pivots, rows, p):
+    """The int rows of a reduced echelon form as field scalars, each divided
+    by its pivot entry."""
+    if p:
+        return [[FpElement(x, p) for x in row] for row in rows]
+    return [[Fraction(x, row[pc]) for x in row] for pc, row in zip(pivots, rows)]
+
+
 def scalar_echelon(rows):
     """Reduced row echelon form over the field; returns (pivot columns,
     rows).  The pivot columns are the leading positions of the span's
-    nonzero elements.  Input rows are not modified.
+    nonzero elements.  Input rows are not modified: each is cleared to ints
+    once, and the int rows are divided by their pivot entries on the way out.
     """
-    pivots, out = [], []
-    for r in rows:
-        echelon_insert(pivots, out, r)
-    return pivots, out
+    x = next((x for r in rows for x in r), None)
+    p = x.p if isinstance(x, FpElement) else 0
+    pivots, out = int_echelon([scalar_ints(r, p)[0] for r in rows], p)
+    return pivots, field_rows(pivots, out, p)
 
 
 def scalar_nullspace(rows, ncols, field):
@@ -1428,17 +1475,6 @@ def scalar_nullspace(rows, ncols, field):
             vec[pc] = -prow[fc]
         basis.append(vec)
     return basis
-
-
-def span_reduce(pivots, echelon_rows, vec):
-    """Reduce a vector against echelonized rows; a zero result means the
-    vector lies in their span."""
-    v = list(vec)
-    for prow, pc in zip(echelon_rows, pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, prow)]
-    return v
 
 
 def scalar_det(rows):

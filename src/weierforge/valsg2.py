@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from .exact import (
     TruncatedSeries,
+    _mul_mod_p,
+    _primitive,
     echelon_insert,
+    field_rows,
+    int_echelon,
     scalar_echelon,
     span_reduce,
+    window_ints,
 )
 from .numsg import NumericalSemigroup
 
@@ -60,11 +65,6 @@ class TwoBranchRing:
         }
 
 
-def _pair_vector(bt, bu, w1, w2):
-    return ([bt.coefficient(i) for i in range(w1)]
-            + [bu.coefficient(i) for i in range(w2)])
-
-
 def _series_coeff_strings(s, upto):
     return [str(s.coefficient(i)) for i in range(min(upto, s.truncation if s.truncation is not None else upto))]
 
@@ -83,53 +83,22 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
     w1, w2 = xi1 + 2, xi2 + 2
     basis = []
     for bt, bu in basis_pairs:
-        if not isinstance(bt, TruncatedSeries):
-            bt = TruncatedSeries(field, 0, list(bt), None)
-        if not isinstance(bu, TruncatedSeries):
-            bu = TruncatedSeries(field, 0, list(bu), None)
-        if bt.truncation is not None and bt.truncation < xi1:
-            raise ValueError("first-branch series not known to order %d" % xi1)
-        if bu.truncation is not None and bu.truncation < xi2:
-            raise ValueError("second-branch series not known to order %d" % xi2)
-        # canonical representative mod C: drop everything past the conductor
-        bt = TruncatedSeries(field, 0, [bt.coefficient(i) for i in range(xi1)], w1)
-        bu = TruncatedSeries(field, 0, [bu.coefficient(i) for i in range(xi2)], w2)
-        if bt.coefficient(0) != bu.coefficient(0):
+        canonical = []
+        for s, xi, side in zip((bt, bu), conductor, ("first", "second")):
+            if not isinstance(s, TruncatedSeries):
+                s = TruncatedSeries(field, 0, list(s), None)
+            if s.truncation is not None and s.truncation < xi:
+                raise ValueError("%s-branch series not known to order %d" % (side, xi))
+            # canonical representative mod C: drop everything past the conductor
+            canonical.append(TruncatedSeries(field, 0, [s.coefficient(i) for i in range(xi)],
+                                             xi + 2))
+        if canonical[0].coefficient(0) != canonical[1].coefficient(0):
             raise ValueError("branch constant terms differ: the ring would not be local")
-        basis.append((bt, bu))
+        basis.append(tuple(canonical))
 
-    vectors = [_pair_vector(bt, bu, w1, w2) for bt, bu in basis]
-    pivots, ech = scalar_echelon(vectors)
-    if len(pivots) != len(vectors):
-        raise ValueError("basis is linearly dependent modulo the conductor")
-
-    # conductor tail inside the window
-    for vec in _conductor_vectors(field, xi1, xi2, w1, w2):
-        echelon_insert(pivots, ech, vec)
-
-    def contains(vec):
-        return not any(span_reduce(pivots, ech, vec))
-
-    one = [field.zero] * (w1 + w2)
-    one[0] = field.one
-    one[w1] = field.one
-    if not contains(one):
-        raise ValueError("ring does not contain (1,1)")
-
-    # closure under multiplication, checked pairwise on the basis
-    for i, (at, au) in enumerate(basis):
-        for bt, bu in basis[i:]:
-            pt = (at * bt).truncate(w1)
-            pu = (au * bu).truncate(w2)
-            if not contains(_pair_vector(pt, pu, w1, w2)):
-                raise NotClosed("product of basis elements escapes the span mod C")
-
-    # declared conductor must be the true conductor ideal
-    for vec, label in ((_unit_pair(field, 0, xi1 - 1, w1, w2), "first"),
-                       (_unit_pair(field, 1, xi2 - 1, w1, w2), "second")):
-        if contains(vec):
-            raise ValueError("declared conductor exponent on the %s branch is not minimal" % label)
-
+    p = field.characteristic
+    vectors = [window_ints(pair, (w1, w2), p) for pair in basis]
+    pivots, ech = closed_span(vectors, (xi1, xi2), (w1, w2), p)
     delta = (xi1 + xi2) - len(basis)
     if delta < 1:
         raise ValueError("delta invariant must be at least 1")
@@ -138,22 +107,52 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
         raise NotGorenstein(
             "dim(normalization/conductor) = %d differs from 2*delta = %d"
             % (xi1 + xi2, 2 * delta))
-    return TwoBranchRing(field, basis, (xi1, xi2), delta, gorenstein, (w1, w2), (pivots, ech))
+    return TwoBranchRing(field, basis, (xi1, xi2), delta, gorenstein, (w1, w2),
+                         (pivots, field_rows(pivots, ech, p)))
 
 
-def _conductor_vectors(field, xi1, xi2, w1, w2):
-    out = []
-    for j in range(xi1, w1):
-        out.append(_unit_pair(field, 0, j, w1, w2))
-    for j in range(xi2, w2):
-        out.append(_unit_pair(field, 1, j, w1, w2))
-    return out
+def closed_span(vectors, conductor, windows, p):
+    """Check a basis of a local ring modulo its conductor ideal C, given as
+    int vectors over GF(p) (ZZ for p = 0) with one block of windows[k]
+    coordinates per branch: it must be independent, hold 1 and be closed
+    under multiplication mod C, and no branch's conductor exponent may be
+    smaller than declared.  Returns the reduced echelon form (pivots, int
+    rows) of its span and the conductor tail inside the windows.
+    """
+    n = sum(windows)
+    starts = [sum(windows[:k]) for k in range(len(windows))]
+    pivots, ech = int_echelon(vectors, p)
+    if len(pivots) != len(vectors):
+        raise ValueError("basis is linearly dependent modulo the conductor")
+    for s, xi, w in zip(starts, conductor, windows):
+        for j in range(s + xi, s + w):
+            echelon_insert(pivots, ech, [int(i == j) for i in range(n)], p)
+
+    def contains(vec):
+        return not any(span_reduce(pivots, ech, vec, p))
+
+    if not contains([int(j in starts) for j in range(n)]):
+        raise ValueError("ring does not contain 1")
+    for i, a in enumerate(vectors):
+        for b in vectors[i:]:
+            if not contains(_product(a, b, windows, p)):
+                raise NotClosed("basis span is not closed under multiplication mod C")
+    for k, (s, xi) in enumerate(zip(starts, conductor)):
+        if contains([int(i == s + xi - 1) for i in range(n)]):
+            raise ValueError("declared conductor exponent on branch %d is not minimal" % (k + 1))
+    return pivots, ech
 
 
-def _unit_pair(field, side, exponent, w1, w2):
-    vec = [field.zero] * (w1 + w2)
-    vec[exponent if side == 0 else w1 + exponent] = field.one
-    return vec
+def _product(a, b, windows, p):
+    """Product of two int vectors block by block, each an integer truncated
+    convolution cut to its window; over ZZ divided by its content, which
+    leaves span membership unchanged."""
+    v, s = [], 0
+    for w in windows:
+        c = _mul_mod_p(a[s:s + w], b[s:s + w], p)[:w]
+        v += c + [0] * (w - len(c))
+        s += w
+    return v if p else _primitive(v)
 
 
 class ValueSemigroup2:
@@ -258,44 +257,24 @@ def value_semigroup(ring):
         for y in range(xi2 + 2):
             dim[(x, y)] = len(u_rows) - sum(1 for pc in u_pivots if pc < y)
 
-    finite_points = set()
-    for x in range(xi1 + 1):
-        for y in range(xi2 + 1):
-            if dim[(x, y)] > dim[(x + 1, y)] and dim[(x, y)] > dim[(x, y + 1)]:
-                finite_points.add((x, y))
-
-    infinite_vertical = set()
-    for x in range(xi1 + 1):
-        if dim[(x, xi2)] > dim[(x + 1, xi2)]:
-            infinite_vertical.add(x)
-    infinite_horizontal = set()
-    for y in range(xi2 + 1):
-        if dim[(xi1, y)] > dim[(xi1, y + 1)]:
-            infinite_horizontal.add(y)
+    finite_points = {(x, y) for x in range(xi1 + 1) for y in range(xi2 + 1)
+                     if dim[(x, y)] > dim[(x + 1, y)] and dim[(x, y)] > dim[(x, y + 1)]}
+    infinite_vertical = {x for x in range(xi1 + 1) if dim[(x, xi2)] > dim[(x + 1, xi2)]}
+    infinite_horizontal = {y for y in range(xi2 + 1) if dim[(xi1, y)] > dim[(xi1, y + 1)]}
 
     # declared conductor is minimal (cross-check with validate_ring)
     assert (xi1 - 1) not in infinite_vertical or xi1 == 0
     assert (xi2 - 1) not in infinite_horizontal or xi2 == 0
 
-    maximals = []
-    for (x, y) in sorted(finite_points):
-        if x in infinite_vertical:
-            continue
-        if any((x, y2) in finite_points and y2 > y for y2 in range(y + 1, xi2 + 1)):
-            continue
-        if y in infinite_horizontal:
-            continue
-        if any((x2, y) in finite_points and x2 > x for x2 in range(x + 1, xi1 + 1)):
-            continue
-        maximals.append((x, y))
+    maximals = [(x, y) for (x, y) in sorted(finite_points)
+                if x not in infinite_vertical and y not in infinite_horizontal
+                and not any((x, y2) in finite_points for y2 in range(y + 1, xi2 + 1))
+                and not any((x2, y) in finite_points for x2 in range(x + 1, xi1 + 1))]
 
-    s1_vals = {x for (x, _y) in finite_points} | {x for x in range(xi1 + 1)
-                                                  if x in infinite_vertical}
-    gaps1 = [n for n in range(1, xi1) if n not in s1_vals]
-    s2_vals = {y for (_x, y) in finite_points} | set(infinite_horizontal)
-    gaps2 = [n for n in range(1, xi2) if n not in s2_vals]
-    S1 = NumericalSemigroup(gaps1)
-    S2 = NumericalSemigroup(gaps2)
+    s1_vals = {x for (x, _y) in finite_points} | infinite_vertical
+    s2_vals = {y for (_x, y) in finite_points} | infinite_horizontal
+    S1 = NumericalSemigroup([n for n in range(1, xi1) if n not in s1_vals])
+    S2 = NumericalSemigroup([n for n in range(1, xi2) if n not in s2_vals])
 
     return ValueSemigroup2(ring, (xi1, xi2), frozenset(finite_points),
                            frozenset(infinite_vertical), frozenset(infinite_horizontal),
@@ -568,48 +547,50 @@ def ring_from_generators(field, generators, window=16, strict=True):
     validate the resulting ring.
 
     Rings generated by two elements are plane-curve germs, hence always pass
-    the Gorenstein check.  Raises ValueError when no conductor lies safely
-    inside the window (non-finite delta or window too small).
+    the Gorenstein check.  Raises ValueError when a generator is known to
+    fewer terms than the window or its branches' constant terms differ, and
+    when no conductor lies safely inside the window (non-finite delta or
+    window too small).
     """
     w1 = w2 = window
+    p = field.characteristic
     gens = []
-    for gt, gu in generators:
-        if not isinstance(gt, TruncatedSeries):
-            gt = TruncatedSeries(field, 0, list(gt), w1)
-        if not isinstance(gu, TruncatedSeries):
-            gu = TruncatedSeries(field, 0, list(gu), w2)
-        gens.append((gt.truncate(w1), gu.truncate(w2)))
-    one = (TruncatedSeries(field, 0, [1], None), TruncatedSeries(field, 0, [1], None))
-    # worklist closure: every element that enlarges the span is multiplied
-    # by each generator once
+    for k, pair in enumerate(generators):
+        gt, gu = (s if isinstance(s, TruncatedSeries) else TruncatedSeries(field, 0, list(s), None)
+                  for s in pair)
+        known = min(window if s.truncation is None else s.truncation for s in (gt, gu))
+        if known < window:
+            raise ValueError("generator %d is known only to order %d, inside the window %d"
+                             % (k, known, window))
+        if gt.coefficient(0) != gu.coefficient(0):
+            raise ValueError("branch constant terms differ: the ring would not be local")
+        gens.append(window_ints((gt, gu), (w1, w2), p))
+    one = [int(j in (0, w1)) for j in range(w1 + w2)]
+    # worklist closure on int rows: every element that enlarges the span is
+    # multiplied by each generator once
     pivots, echelon = [], []
-    pending = [e for e in [one] + gens
-               if echelon_insert(pivots, echelon, _pair_vector(*e, w1, w2))]
+    pending = [e for e in [one] + gens if echelon_insert(pivots, echelon, e, p)]
     while pending:
-        et, eu = pending.pop()
-        for gt, gu in gens:
-            product = ((et * gt).truncate(w1), (eu * gu).truncate(w2))
-            if echelon_insert(pivots, echelon, _pair_vector(*product, w1, w2)):
+        e = pending.pop()
+        for g in gens:
+            product = _product(e, g, (w1, w2), p)
+            if echelon_insert(pivots, echelon, product, p):
                 pending.append(product)
 
-    def contains(vec):
-        return not any(span_reduce(pivots, echelon, vec))
-
-    xi1 = next((m for m in range(w1)
-                if all(contains(_unit_pair(field, 0, j, w1, w2)) for j in range(m, w1))), None)
-    xi2 = next((m for m in range(w2)
-                if all(contains(_unit_pair(field, 1, j, w1, w2)) for j in range(m, w2))), None)
-    if xi1 is None or xi2 is None or xi1 == 0 or xi2 == 0:
+    # a side's conductor exponent is the least m with every unit vector from
+    # m to the window's end in the span; in a reduced echelon form e_j lies
+    # in the span iff j is a pivot whose row has no other nonzero entry
+    units = {pc for pc, row in zip(pivots, echelon) if sum(map(bool, row)) == 1}
+    xi1 = next((m for m in range(w1, 0, -1) if m - 1 not in units), 0)
+    xi2 = next((m for m in range(w2, 0, -1) if w1 + m - 1 not in units), 0)
+    if xi1 in (0, w1) or xi2 in (0, w2):
         raise ValueError("no conductor found inside the window")
     if xi1 + 2 > w1 or xi2 + 2 > w2:
         raise ValueError("window too small for the conductor (%d, %d)" % (xi1, xi2))
 
     # the rows with pivots past the conductor are the unit vectors of C, so
     # the other rows, cut to the mod-C window, are its reduced echelon form
-    basis_pairs = []
-    for pc, row in zip(pivots, echelon):
-        if pc < xi1 or w1 <= pc < w1 + xi2:
-            bt = TruncatedSeries(field, 0, row[:xi1], xi1 + 2)
-            bu = TruncatedSeries(field, 0, row[w1:w1 + xi2], xi2 + 2)
-            basis_pairs.append((bt, bu))
+    kept = [k for k, pc in enumerate(pivots) if pc < xi1 or w1 <= pc < w1 + xi2]
+    rows = field_rows([pivots[k] for k in kept], [echelon[k] for k in kept], p)
+    basis_pairs = [(row[:xi1], row[w1:w1 + xi2]) for row in rows]
     return validate_ring(field, basis_pairs, (xi1, xi2), strict=strict)

@@ -194,6 +194,7 @@ class TestUnibranchValues:
         ([[1], [0, 1, 1]], 3, "closed under multiplication"),
         ([[0, 0, 1], [0, 0, 0, 1]], 4, "does not contain 1"),
         ([[1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]], 5, "not minimal"),
+        ([[1]], 0, "conductor exponent must be positive"),
     ])
     def test_span_checks(self, basis, conductor, message):
         with pytest.raises(ValueError, match=message):

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import math
@@ -23,9 +24,12 @@ from weierforge.exact import (
     _is_prime,
     coprime_refinement,
     echelon_insert,
+    field_rows,
     fraction_free_rank_det,
+    int_echelon,
     scalar_det,
     scalar_echelon,
+    scalar_ints,
     scalar_nullspace,
     scalar_rank,
     span_reduce,
@@ -761,6 +765,73 @@ def _assert_reduced(pivots, rows):
         assert all(not other[pc] for other in rows if other is not row)
 
 
+def _assert_int_reduced(pivots, rows, p):
+    """Residues with pivot entry 1 over GF(p); primitive rows with a
+    positive pivot entry over ZZ; each row zero at the other pivots."""
+    assert pivots == sorted(set(pivots)) and len(rows) == len(pivots)
+    for pc, row in zip(pivots, rows):
+        assert all(type(x) is int for x in row) and not any(row[:pc])
+        if p:
+            assert row[pc] == 1 and all(0 <= x < p for x in row)
+        else:
+            assert row[pc] > 0 and math.gcd(*row) == 1
+        assert all(not other[pc] for other in rows if other is not row)
+
+
+# The field-scalar reduced echelon insertion the int routine replaced, kept
+# as a reference: Gauss-Jordan with the new pivot normalised to 1.
+def _ref_echelon_insert(pivots, rows, vec):
+    v = _ref_span_reduce(pivots, rows, vec)
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    inv = 1 / v[c]
+    v = [x * inv for x in v]
+    for i, row in enumerate(rows):
+        if row[c]:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, v)]
+    k = bisect.bisect(pivots, c)
+    pivots.insert(k, c)
+    rows.insert(k, v)
+    return True
+
+
+def _ref_span_reduce(pivots, echelon_rows, vec):
+    v = list(vec)
+    for prow, pc in zip(echelon_rows, pivots):
+        if v[pc]:
+            f = v[pc]
+            v = [a - f * b for a, b in zip(v, prow)]
+    return v
+
+
+def _echelon_matrix(rng, field, m, n):
+    """m rows of width n: over QQ with non-integer entries, contents up to
+    2^70 and leading entries of either sign; some rows zero, repeated or
+    a combination of two earlier rows."""
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([field.zero] * n)
+        elif kind < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.4 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            c = field(rng.choice([-3, -1, 2, 5]))
+            rows.append([x + c * y for x, y in zip(a, b)])
+        elif field.characteristic:
+            rows.append([field(rng.randrange(field.characteristic)) if rng.random() < 0.7
+                         else field.zero for _ in range(n)])
+        else:
+            content = Fraction(rng.choice([1, -1, 6, -35, 2 ** 70, -2 ** 70]),
+                               rng.choice([1, 4, 9, 3 ** 20]))
+            rows.append([content * Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                         if rng.random() < 0.7 else field.zero for _ in range(n)])
+    return rows
+
+
 class TestReducedEchelon:
     @pytest.mark.parametrize("characteristic", [0, 2, 3])
     def test_scalar_echelon(self, characteristic):
@@ -775,7 +846,9 @@ class TestReducedEchelon:
             pivots, ech = scalar_echelon(rows)
             assert rows == before
             _assert_reduced(pivots, ech)
-            assert all(not any(span_reduce(pivots, ech, r)) for r in rows)
+            ints = [scalar_ints(r, characteristic)[0] for r in ech]
+            assert all(not any(span_reduce(pivots, ints, scalar_ints(r, characteristic)[0],
+                                           characteristic)) for r in rows)
             # the reduced echelon form of a span does not depend on the order
             # or the choice of its spanning rows
             assert scalar_echelon(rows[::-1]) == (pivots, ech)
@@ -783,25 +856,73 @@ class TestReducedEchelon:
 
     @pytest.mark.parametrize("characteristic", [0, 2, 3])
     def test_echelon_insert(self, characteristic):
-        field = QQ if characteristic == 0 else GF(characteristic)
+        p = characteristic
         rng = random.Random(400 + characteristic)
+
+        def entry():
+            x = rng.randint(-2, 2)
+            return x % p if p else x
+
         for _ in range(40):
             n = rng.randint(1, 6)
-            rows = [[field(rng.randint(-2, 2)) for _ in range(n)]
-                    for _ in range(rng.randint(0, 4))]
-            pivots, ech = scalar_echelon(rows)
-            coeffs = [field(rng.randint(-2, 2)) for _ in rows]
-            member = [sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero)
-                      for j in range(n)]
+            rows = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 4))]
+            pivots, ech = int_echelon(rows, p)
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+            member = [x % p for x in member] if p else member
             snapshot = (list(pivots), [list(r) for r in ech])
-            assert echelon_insert(pivots, ech, member) is False
+            assert echelon_insert(pivots, ech, member, p) is False
             assert (pivots, ech) == snapshot
-            vec = [field(rng.randint(-2, 2)) for _ in range(n)]
+            vec = [entry() for _ in range(n)]
             kept = list(vec)
-            new = any(span_reduce(pivots, ech, vec))
-            assert echelon_insert(pivots, ech, vec) is new
+            new = any(span_reduce(pivots, ech, vec, p))
+            assert echelon_insert(pivots, ech, vec, p) is new
             assert vec == kept
-            _assert_reduced(pivots, ech)
+            _assert_int_reduced(pivots, ech, p)
             assert len(pivots) == len(snapshot[0]) + new
-            assert all(not any(span_reduce(pivots, ech, r)) for r in rows + [vec])
-            assert (pivots, ech) == scalar_echelon(rows + [vec])
+            assert all(not any(span_reduce(pivots, ech, r, p)) for r in rows + [vec])
+            assert (pivots, ech) == int_echelon(rows + [vec], p)
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_int_rows_match_the_field_scalar_echelon(self, field):
+        p = field.characteristic
+        rng = random.Random(450 + p)
+        for _ in range(60):
+            m, n = rng.randint(0, 7), rng.randint(1, 7)
+            rows = _echelon_matrix(rng, field, m, n)
+            ref_pivots, ref_rows, pivots, ints = [], [], [], []
+            for r in rows:
+                cleared = scalar_ints(r, p)[0]
+                assert echelon_insert(pivots, ints, cleared, p) is _ref_echelon_insert(
+                    ref_pivots, ref_rows, r)
+                _assert_int_reduced(pivots, ints, p)
+                assert pivots == ref_pivots
+                assert field_rows(pivots, ints, p) == ref_rows
+            assert scalar_echelon(rows) == (ref_pivots, ref_rows)
+            assert scalar_rank(rows) == len(ref_pivots)
+            for probe in _echelon_matrix(rng, field, 4, n) + rows:
+                assert (not any(span_reduce(pivots, ints, scalar_ints(probe, p)[0], p))) is (
+                    not any(_ref_span_reduce(ref_pivots, ref_rows, probe)))
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_unit_vector_lies_in_the_span_iff_its_pivot_row_is_a_single_entry(self, field):
+        p = field.characteristic
+        rng = random.Random(470 + p)
+        inside = outside = 0
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            rows = _echelon_matrix(rng, field, rng.randint(0, 5), n)
+            # unit vectors planted in the span, some hidden in a combination
+            for j in rng.sample(range(n), rng.randint(0, n)):
+                unit = [field.one if i == j else field.zero for i in range(n)]
+                rows.append([a + b for a, b in zip(unit, rows[-1])] if rows else unit)
+                rows.append(unit if rng.random() < 0.5 else [field(2) * x for x in unit])
+            pivots, ints = int_echelon([scalar_ints(r, p)[0] for r in rows], p)
+            for j in range(n):
+                unit = [1 if i == j else 0 for i in range(n)]
+                member = not any(span_reduce(pivots, ints, unit, p))
+                k = pivots.index(j) if j in pivots else None
+                assert member is (k is not None and sum(1 for x in ints[k] if x) == 1)
+                inside += member
+                outside += not member
+        assert inside > 20 and outside > 20

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weierforge.exact import GF, QQ, TruncatedSeries, scalar_echelon, span_reduce
+from weierforge.exact import GF, QQ, TruncatedSeries, scalar_echelon
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import (
     EliminationStuck,
@@ -21,6 +21,8 @@ from weierforge.valsg2 import (
 )
 from weierforge.curve import RationalCurve, TwoBranchSingularity, weight_report
 from weierforge.gallery import node_ring, asymmetric_branch_ring, tacnode_ring
+from conftest import _BRANCH_ORDERS, _branch_series
+from test_exact import _ref_echelon_insert, _ref_span_reduce
 
 
 def curve_of(ring):
@@ -377,3 +379,87 @@ class TestRingFromGenerators:
         with pytest.raises(ValueError):
             ring_from_generators(QQ, [([0, 1], [0, 1]), ([0, 0, 1], [0, 0, 1])],
                                  window=8)
+
+    def test_differing_constant_terms_are_not_local(self):
+        for field in (QQ, GF(5)):
+            with pytest.raises(ValueError, match="^branch constant terms differ: the ring "
+                                                 "would not be local$"):
+                ring_from_generators(field, [([0, 1], [0, 1]), ([1, 0, 1], [2, 0, -1])],
+                                     window=8)
+        # equal constant terms on both branches are fine
+        ring = ring_from_generators(QQ, [([3, 1], [3]), ([0], [0, 1])], window=8)
+        assert ring.conductor == (1, 1)
+
+    def test_generator_short_of_the_window_is_named(self):
+        short = TruncatedSeries(QQ, 0, [0, 0, 1], 5)
+        with pytest.raises(ValueError, match="^generator 1 is known only to order 5, "
+                                             "inside the window 8$"):
+            ring_from_generators(QQ, [([0, 1], [0, 1]), ([0, 0, 1], short)], window=8)
+        # a series known to the window is accepted, as is an exact one
+        ring = ring_from_generators(QQ, [(TruncatedSeries(QQ, 0, [0, 1], 8), [0]),
+                                         ([0], TruncatedSeries(QQ, 0, [0, 1], None))],
+                                    window=8)
+        assert ring.conductor == (1, 1)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(101)], ids=repr)
+    def test_closure_matches_the_field_scalar_reference(self, field):
+        rng = random.Random(900 + field.characteristic)
+        closed = rejected = 0
+        for _ in range(16):
+            (a1, b1), (a2, b2) = rng.choice(_BRANCH_ORDERS), rng.choice(_BRANCH_ORDERS)
+            x = (_branch_series(rng, a1, 8), _branch_series(rng, a2, 8))
+            y = (_branch_series(rng, b1, 8), _branch_series(rng, b2, 8))
+            if rng.random() < 0.25:
+                c = rng.randint(1, 5)
+                x = tuple([c + x0[0]] + x0[1:] for x0 in x)
+            window = rng.choice([5, 7, 9, 11])
+            outcomes = []
+            for build in (ring_from_generators, _ref_ring_from_generators):
+                try:
+                    outcomes.append(build(field, [x, y], window=window).to_json())
+                except ValueError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (x, y, window)
+            closed += isinstance(outcomes[0], dict)
+            rejected += not isinstance(outcomes[0], dict)
+        assert closed >= 3 and rejected >= 3
+
+
+def _ref_ring_from_generators(field, generators, window):
+    """The closure as it ran on field scalars: products of truncated series,
+    the field-scalar reduced echelon insertion, and the conductor found by
+    reducing each unit vector."""
+    w1 = w2 = window
+    gens = [(TruncatedSeries(field, 0, list(gt), w1), TruncatedSeries(field, 0, list(gu), w2))
+            for gt, gu in generators]
+
+    def vector(bt, bu):
+        return [bt.coefficient(i) for i in range(w1)] + [bu.coefficient(i) for i in range(w2)]
+
+    one = (TruncatedSeries(field, 0, [1], None), TruncatedSeries(field, 0, [1], None))
+    pivots, echelon = [], []
+    pending = [e for e in [one] + gens if _ref_echelon_insert(pivots, echelon, vector(*e))]
+    while pending:
+        et, eu = pending.pop()
+        for gt, gu in gens:
+            product = ((et * gt).truncate(w1), (eu * gu).truncate(w2))
+            if _ref_echelon_insert(pivots, echelon, vector(*product)):
+                pending.append(product)
+
+    def unit(j):
+        return [field.one if i == j else field.zero for i in range(w1 + w2)]
+
+    def contains(vec):
+        return not any(_ref_span_reduce(pivots, echelon, vec))
+
+    xi1 = next((m for m in range(w1)
+                if all(contains(unit(j)) for j in range(m, w1))), None)
+    xi2 = next((m for m in range(w2)
+                if all(contains(unit(w1 + j)) for j in range(m, w2))), None)
+    if xi1 is None or xi2 is None or xi1 == 0 or xi2 == 0:
+        raise ValueError("no conductor found inside the window")
+    if xi1 + 2 > w1 or xi2 + 2 > w2:
+        raise ValueError("window too small for the conductor (%d, %d)" % (xi1, xi2))
+    basis_pairs = [(row[:xi1], row[w1:w1 + xi2]) for pc, row in zip(pivots, echelon)
+                   if pc < xi1 or w1 <= pc < w1 + xi2]
+    return validate_ring(field, basis_pairs, (xi1, xi2))
