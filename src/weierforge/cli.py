@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid input, 3 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import json
 import sys
@@ -207,6 +208,15 @@ def _load_pairs(field, path, data):
             for j, (bt, bu) in enumerate(data)]
 
 
+@contextlib.contextmanager
+def _named(at):
+    """Prefix a ValueError raised inside with the path at, minus its final dot."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (at[:-1], exc)) from None
+
+
 def _curve_from_json(data, char_override=None):
     characteristic = _field(data, "", "characteristic", _INT, 0)
     if char_override is not None:
@@ -220,20 +230,23 @@ def _curve_from_json(data, char_override=None):
             S = _read(NumericalSemigroup.from_generators, at + "generators",
                       _field(item, at, "generators", _INTS))
             loc = _load_point(field, at + "location", _field(item, at, "location", _POINT))
-            singularities.append(MonomialSingularity(field, S, loc))
+            with _named(at):
+                singularities.append(MonomialSingularity(field, S, loc))
         elif kind == "unibranch":
             loc = _load_point(field, at + "location", _field(item, at, "location", _POINT))
             basis = [_load_series(field, "%sbasis[%d]" % (at, j), b)
                      for j, b in enumerate(_field(item, at, "basis", _SERIES_LIST))]
-            singularities.append(UnibranchSingularity(
-                field, basis, _field(item, at, "conductor", _INT), loc))
+            conductor = _field(item, at, "conductor", _INT)
+            with _named(at):
+                singularities.append(UnibranchSingularity(field, basis, conductor, loc))
         elif kind == "two-branch":
             locs = tuple(_load_point(field, "%slocations[%d]" % (at, k), q)
                          for k, q in enumerate(_field(item, at, "locations", _POINT_PAIR)))
             xi1, xi2 = _field(item, at, "conductor", _INT_PAIR)
             pairs = _load_pairs(field, at + "basis", _field(item, at, "basis", _SERIES_PAIRS))
-            ring = validate_ring(field, pairs, (xi1, xi2))
-            singularities.append(TwoBranchSingularity(ring, locs))
+            with _named(at):
+                ring = validate_ring(field, pairs, (xi1, xi2))
+                singularities.append(TwoBranchSingularity(ring, locs))
         else:
             raise ValueError("%skind: unknown singularity kind %r" % (at, kind))
     return RationalCurve(field, singularities)

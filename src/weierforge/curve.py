@@ -15,19 +15,24 @@ semigroup invariants.
 
 from __future__ import annotations
 
+import math
+
 from .exact import (
     INF,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    TruncationError,
+    _mul_mod_p,
     int_echelon,
+    scalar_ints,
     scalar_nullspace,
     span_reduce,
     window_ints,
 )
 from .numsg import NumericalSemigroup
 from .padic import monomial_order_sequence
-from .valsg2 import TwoBranchRing, closed_span
+from .valsg2 import TwoBranchRing, _product, closed_span
 from . import wronski
 from .wronski import LinearSystem, order_sequence, wronskian
 
@@ -83,7 +88,7 @@ class _Branch:
     of s; every local computation substitutes it and expands at s = 0.
     """
 
-    __slots__ = ("location", "uniformizer", "conductor_exponent", "chart", "dt")
+    __slots__ = ("location", "uniformizer", "conductor_exponent", "chart")
 
     def __init__(self, location, uniformizer, conductor_exponent):
         self.location = location
@@ -94,12 +99,6 @@ class _Branch:
         c, d = uniformizer.den.coefficient(1), uniformizer.den.coefficient(0)
         # s = (a t + b) / (c t + d)  gives  t = (d s - b) / (a - c s)
         self.chart = RationalFunction(Polynomial(field, [-b, d]), Polynomial(field, [a, -c]))
-        # dt = (dt/ds) ds with dt/ds = 1/s'(t), written in t
-        self.dt = 1 / uniformizer.derivative()
-
-    def series(self, f, upto):
-        """Laurent expansion of f(chart(s)) at s = 0, valid below s^upto."""
-        return f.compose(self.chart).laurent_at(self.chart.field.zero, upto)
 
 
 class MonomialSingularity:
@@ -249,24 +248,20 @@ class RationalCurve:
         singularities = tuple(singularities)
         if not singularities:
             raise ValueError("a rational Gorenstein curve of positive genus needs a singularity")
-        locations = []
-        for s in singularities:
-            locations.extend(s.locations)
-        if len(set(point_str(q) for q in locations)) != len(locations):
-            raise ValueError("singularity locations must be pairwise distinct")
         self.field = field
         self.singularities = singularities
+        locations = self.singular_locations()
+        if len(set(point_str(q) for q in locations)) != len(locations):
+            raise ValueError("singularity locations must be pairwise distinct")
         self.genus = sum(s.delta for s in singularities)
+        self._dualizing_basis = None    # set by dualizing_basis
 
     @property
     def characteristic(self):
         return self.field.characteristic
 
     def singular_locations(self):
-        out = []
-        for s in self.singularities:
-            out.extend(s.locations)
-        return out
+        return [q for s in self.singularities for q in s.locations]
 
 
 # ---------------------------------------------------------------------------
@@ -302,97 +297,137 @@ def dualizing_basis(X):
     The ansatz allows pole order up to the conductor exponent at each
     singular branch and regularity elsewhere (including the chart at
     infinity); each element of a basis of every local ring mod its
-    conductor imposes one linear residue condition.
+    conductor imposes one linear residue condition.  Built once per curve,
+    the basis is stored on X after every check has passed.
     """
-    field = X.field
-    one = Polynomial(field, [1])
-    t = Polynomial.variable(field)
-    denominator = one
-    inf_exponent = 0
-    for sing in X.singularities:
-        for br in sing.branches():
-            if br.location is INF:
-                inf_exponent = br.conductor_exponent
-            else:
-                denominator = denominator * (t - br.location) ** br.conductor_exponent
-    max_deg = denominator.degree - 2 + inf_exponent
-    if max_deg < 0:
-        raise SolutionDimensionMismatch("empty differential ansatz")
-    ansatz = [RationalFunction(Polynomial.monomial(field, k), denominator)
-              for k in range(max_deg + 1)]
-
-    # sum over branches of Res(f r dt) = sum_i f_i [s^(-1-i)] g_r, where
-    # r dt = g_r(s) ds; each g_r is expanded once per branch
+    if X._dualizing_basis is not None:
+        return X._dualizing_basis
+    field, p = X.field, X.characteristic
+    denominator, windows = _ansatz(X)
+    # sum over branches of Res(f t^k dt / D) = sum_i f_i [s^(-1-i)] of the
+    # expansion: an int dot product with the window read backwards
     rows = []
-    for sing in X.singularities:
-        branches = sing.branches()
-        expansions = [[br.series(r * br.dt, 0) for r in ansatz] for br in branches]
+    for sing, ws in zip(X.singularities, windows):
         for element in sing.local_basis():
-            row = [field.zero] * len(ansatz)
-            for series, br, gs in zip(element, branches, expansions):
-                for i in range(br.conductor_exponent):
-                    fi = series.coefficient(i)
-                    if fi:
-                        for k, g in enumerate(gs):
-                            row[k] = row[k] + fi * g.coefficient(-1 - i)
-            rows.append(row)
+            f = scalar_ints([s.coefficient(c - 1 - i) for s, (_j, c) in zip(element, _blocks(sing))
+                             for i in range(c)], p)[0]
+            rows.append([field(sum(a * b for a, b in zip(f, w))) for w in ws])
 
-    null = scalar_nullspace(rows, len(ansatz), field)
+    null = scalar_nullspace(rows, len(windows[0]), field)
     if len(null) != X.genus:
-        raise SolutionDimensionMismatch(
-            "residue conditions cut dimension %d, expected genus %d"
-            % (len(null), X.genus))
-    differentials = []
-    for vec in null:
-        num = Polynomial(field, vec)
-        differentials.append(RationalFunction(num, denominator))
-
-    generator_index = {}
-    for si, sing in enumerate(X.singularities):
-        gi = _find_generator(sing, differentials)
-        generator_index[si] = gi
+        raise SolutionDimensionMismatch("residue conditions cut dimension %d, expected genus %d"
+                                        % (len(null), X.genus))
+    differentials = [RationalFunction(Polynomial(field, vec), denominator) for vec in null]
+    local = _local_windows(windows, [scalar_ints(vec, p)[0] for vec in null], p)
+    generator_index = {si: _find_generator(sing, local[si])
+                       for si, sing in enumerate(X.singularities)}
     # order the basis by pole order at the first singularity, deepest first
     first = X.singularities[0].branches()[0]
-    order = sorted(range(len(differentials)),
+    order = sorted(range(len(null)),
                    key=lambda i: differential_order_at(differentials[i], first.location))
-    differentials = [differentials[i] for i in order]
-    remap = {old: new for new, old in enumerate(order)}
-    generator_index = {si: remap[gi] for si, gi in generator_index.items()}
-    basis = DualizingBasis(X, differentials, generator_index)
-    _verify_generators(X, basis)
+    basis = DualizingBasis(X, [differentials[i] for i in order],
+                           {si: order.index(gi) for si, gi in generator_index.items()})
+    _verify_generators(X, basis, [[vs[i] for i in order] for vs in local])
+    X._dualizing_basis = basis
     return basis
 
 
-def _find_generator(sing, differentials):
+def _ansatz(X):
+    """(D, windows): the ansatz is t^k dt / D, k < n; windows[si][k] holds
+    its Laurent coefficients on [-c, 0) at the branches of singularity si
+    (entry j of a block: s^(j - c)), one int vector over a denominator
+    shared by the singularity (residues over GF(p)).  Each branch composes
+    once, for dt / D and t as series in s to c terms past their leading
+    exponents; t^(k+1) dt / D is the truncated product of t^k dt / D and t.
+    """
+    field, p = X.field, X.characteristic
+    t = Polynomial.variable(field)
+    denominator, inf_exponent = Polynomial(field, [1]), 0
+    for br in (br for sing in X.singularities for br in sing.branches()):
+        if br.location is INF:
+            inf_exponent = br.conductor_exponent
+        else:
+            denominator = denominator * (t - br.location) ** br.conductor_exponent
+    n = denominator.degree - 1 + inf_exponent
+    if n < 1:
+        raise SolutionDimensionMismatch("empty differential ansatz")
+    windows = []
+    for sing in X.singularities:
+        parts = []
+        for br in sing.branches():
+            c = br.conductor_exponent
+            (v, e, de), (vt, ts, dt) = (_head(f, c, p) for f in (
+                (1 / denominator).compose(br.chart) * br.chart.derivative(), br.chart))
+            block = []
+            for k in range(n):
+                if v < -c:    # e holds s^v .. s^(v+c-1), short of s^-1
+                    raise TruncationError("ansatz expansion known only below s^%d" % (v + c))
+                block.append([e[j - v] * dt ** (n - 1 - k) if j >= v else 0 for j in range(-c, 0)])
+                e, v = (_mul_mod_p(ts, e, p) + [0] * c)[:c], v + vt
+            parts.append((block, de * dt ** (n - 1)))
+        d = math.lcm(*(dk for _block, dk in parts))
+        windows.append([[x * (d // dk) for block, dk in parts for x in block[k]]
+                        for k in range(n)])
+    return denominator, windows
+
+
+def _head(f, terms, p):
+    """(v, c, d): f = s^v (c[0] + c[1] s + ...) / d at s = 0, c the first terms as ints."""
+    v = f.valuation(f.field.zero)
+    e = f.laurent_at(f.field.zero, v + terms)
+    return (v, *scalar_ints([e.coefficient(v + i) for i in range(terms)], p))
+
+
+def _local_windows(windows, numerators, p):
+    """Per singularity, the window vectors of (sum_k y_k t^k) dt / D, y in numerators."""
+    out = []
+    for ws in windows:
+        vs = [[sum(a * b for a, b in zip(y, col)) for col in zip(*ws)] for y in numerators]
+        out.append([[x % p for x in v] for v in vs] if p else vs)
+    return out
+
+
+def _blocks(sing):
+    """(start, c) of each branch's block in a window vector."""
+    cs = [br.conductor_exponent for br in sing.branches()]
+    return [(sum(cs[:k]), c) for k, c in enumerate(cs)]
+
+
+def _find_generator(sing, vectors):
     """Index of a differential with pole order exactly the conductor
-    exponent on every branch of the singularity."""
-    for i, r in enumerate(differentials):
-        if all(differential_order_at(r, br.location) == -br.conductor_exponent
-               for br in sing.branches()):
+    exponent on every branch: its window vector is nonzero at each s^-c."""
+    for i, v in enumerate(vectors):
+        if all(v[s] for s, _c in _blocks(sing)):
             return i
     raise GeneratorNotFound(
         "no basis differential generates the dualizing stalk at %s" % sing.describe())
 
 
-def _verify_generators(X, basis):
-    """Every ratio tau_j / tau_generator must lie in the local ring: its
-    expansion in the uniformizer of each branch must have no pole, and be a
-    span member modulo the conductor."""
-    p = X.field.characteristic
+def _verify_generators(X, basis, local=None):
+    """The chosen generator tau must have a pole of order c, the deepest the
+    ansatz allows, on every branch, and every ratio tau_j / tau must lie in
+    the local ring.  local holds each singularity's window vectors in basis
+    order (computed again when not given).  With that pole no ratio has
+    one, and the windows fix the ratios below s^c; multiplying by tau maps
+    the local ring mod s^c onto the windows, so tau_j / tau lies in it iff
+    tau_j lies in the span of the local basis times tau."""
+    p = X.characteristic
+    if local is None:
+        D, windows = _ansatz(X)
+        local = _local_windows(windows, [scalar_ints((r.num * D.exact_div(r.den)).coeffs, p)[0]
+                                         for r in basis.differentials], p)
     for si, sing in enumerate(X.singularities):
-        gen = basis.differentials[basis.generator_index[si]]
-        branches = sing.branches()
-        windows = [br.conductor_exponent for br in branches]
-        pivots, ech = int_echelon([window_ints(e, windows, p) for e in sing.local_basis()], p)
-        for r in basis.differentials:
-            f = r / gen
-            expansions = [br.series(f, br.conductor_exponent) for br in branches]
-            # a negative valuation is a pole: f leaves the local ring
-            if (any(e.offset < 0 for e in expansions)
-                    or any(span_reduce(pivots, ech, window_ints(expansions, windows, p), p))):
-                raise GeneratorNotFound(
-                    "ratio to the chosen generator leaves the local ring at %s"
-                    % sing.describe())
+        vectors, blocks = local[si], _blocks(sing)
+        gen = vectors[basis.generator_index[si]]
+        cs = [c for _s, c in blocks]
+        if all(gen[s] for s, _c in blocks):
+            pivots, ech = int_echelon([_product(window_ints(e, cs, p), gen, cs, p)
+                                       for e in sing.local_basis()], p)
+            if not any(any(span_reduce(pivots, ech, v, p)) for v in vectors):
+                continue
+        raise GeneratorNotFound(
+            "the chosen differential does not generate the dualizing stalk at %s"
+            % sing.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +534,11 @@ def weight_report(X):
     return WeightReport(X, eps, N, singular_weights, divisor, total, expected)
 
 
-def smooth_weight_at(X, q, basis=None):
+def smooth_weight_at(X, q):
     """Weight of a specific non-singular point of the curve."""
-    for sing in X.singularities:
-        if any(point_str(q) == point_str(loc) for loc in sing.locations):
-            raise ValueError("point lies over a declared singularity; "
-                             "use singular_weight instead")
-    if basis is None:
-        basis = dualizing_basis(X)
-    V = LinearSystem(basis.differentials)
+    if point_str(q) in map(point_str, X.singular_locations()):
+        raise ValueError("point lies over a declared singularity; use singular_weight instead")
+    V = LinearSystem(dualizing_basis(X).differentials)
     return wronski.differential_weight_at(V, q)
 
 

@@ -487,23 +487,23 @@ class Polynomial:
         return v
 
     def _taylor_lead(self, a):
-        """(m, c) with p(t) = c (t - a)^m + higher powers of (t - a), c != 0,
-        by synthetic division by (t - a) until the remainder is nonzero."""
+        """(m, c) with p(t) = c (t - a)^m + higher powers of (t - a), c != 0:
+        on ints q = d p, a = u / w, divide q by w t - u (exact in ZZ[t] by
+        Gauss's lemma) while w^n q(a) = 0; then q = d h / w^m, c = h(a)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no Taylor lead")
-        a = self.field(a) if isinstance(a, (int, str)) else a
-        coeffs = self.coeffs[::-1]    # high degree first
+        a = self.field(a)
+        p = self.field.characteristic
+        q, d = self._ints()
+        u, w = (a.value, 1) if p else (a.numerator, a.denominator)
         m = 0
         while True:
-            acc = self.field.zero
-            values = []
-            for c in coeffs:
-                acc = acc * a + c
-                values.append(acc)
+            n = len(q) - 1
+            acc = _horner(q, u, p) if p else sum(x * u ** i * w ** (n - i) for i, x in enumerate(q))
             if acc:
-                return m, acc
+                return m, FpElement(acc, p) if p else Fraction(acc * w ** m, w ** n * d)
+            q = _exact_div_mod_p(q, _mod_p([-u, w], p), p)
             m += 1
-            coeffs = values[:-1]    # the quotient by (t - a), high degree first
 
     def root_multiplicity(self, a):
         """Multiplicity of t = a as a root."""

@@ -400,6 +400,14 @@ def adapted_basis(X):
     def nu(f):
         return (f.valuation(q1), f.valuation(q2))
 
+    def cancel(item, other, q):
+        """Subtract the multiple of other sharing item's leading term at q."""
+        c = item[0].leading_coefficient_at(q) / other[0].leading_coefficient_at(q)
+        item[0] = item[0] - c * other[0]
+        if item[0].is_zero():
+            raise EliminationStuck("dependent differentials in value elimination")
+        item[1] = nu(item[0])
+
     work = [[f, nu(f)] for f in funcs]
 
     # echelonize first-branch values below xi1
@@ -412,12 +420,7 @@ def adapted_basis(X):
             if v1 >= xi1:
                 continue
             if v1 in by_v1:
-                other = by_v1[v1]
-                c = item[0].leading_coefficient_at(q1) / other[0].leading_coefficient_at(q1)
-                item[0] = item[0] - c * other[0]
-                if item[0].is_zero():
-                    raise EliminationStuck("dependent differentials in value elimination")
-                item[1] = nu(item[0])
+                cancel(item, by_v1[v1], q1)
                 changed = True
                 break
             by_v1[v1] = item
@@ -434,12 +437,7 @@ def adapted_basis(X):
                 raise EliminationStuck(
                     "differential with values beyond the conductor on both branches")
             if v2 in by_v2:
-                other = by_v2[v2]
-                c = item[0].leading_coefficient_at(q2) / other[0].leading_coefficient_at(q2)
-                item[0] = item[0] - c * other[0]
-                if item[0].is_zero():
-                    raise EliminationStuck("dependent differentials in value elimination")
-                item[1] = nu(item[0])
+                cancel(item, by_v2[v2], q2)
                 changed = True
                 break
             by_v2[v2] = item
@@ -469,9 +467,7 @@ def adapted_basis(X):
             if partner is None:
                 raise EliminationStuck(
                     "no partner to raise the second-branch value past %d" % v2)
-            c = item[0].leading_coefficient_at(q2) / partner[0].leading_coefficient_at(q2)
-            item[0] = item[0] - c * partner[0]
-            item[1] = nu(item[0])
+            cancel(item, partner, q2)
         if exact and item[1][1] != target:
             raise EliminationStuck(
                 "second-branch value overshot the maximal point (%d, %d)" % (v1, target))

@@ -317,3 +317,23 @@ def test_python_dash_m_runs_the_cli():
     bad = subprocess.run([sys.executable, "-m", "weierforge", "semigroup", "--gens", "4,6"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert bad.returncode == 2
+
+
+@pytest.mark.parametrize("singularity, message", [
+    ({"kind": "monomial", "generators": [1], "location": 0},
+     "semigroup of a singular point must have a gap"),
+    ({"kind": "unibranch", "conductor": 0, "basis": [[1]], "location": 0},
+     "conductor exponent must be positive"),
+    ({"kind": "unibranch", "conductor": 4, "basis": [], "location": 0},
+     "ring does not contain 1"),
+    ({"kind": "two-branch", "conductor": [1, 1], "basis": [], "locations": [0, 1]},
+     "ring does not contain 1"),
+], ids=["monomial-without-gap", "unibranch-conductor-0", "unibranch-empty-basis",
+        "two-branch-empty-basis"])
+def test_constructor_errors_name_the_singularity(tmp_path, capsys, singularity, message):
+    # the second singularity is the bad one: its index is named
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"singularities": [
+        {"kind": "monomial", "generators": [2, 3], "location": 5}, singularity]}))
+    assert main(["curve", str(path)]) == 2
+    assert capsys.readouterr().err == "error: singularities[1]: %s\n" % message

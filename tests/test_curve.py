@@ -22,9 +22,25 @@ from weierforge.curve import (
     unibranch_weight_formula,
     weight_report,
 )
-from weierforge.exact import GF, INF, QQ, Polynomial, RationalFunction, scalar_det
+from weierforge import curve as curve_module
+from weierforge.exact import (
+    GF,
+    INF,
+    QQ,
+    Polynomial,
+    RationalFunction,
+    scalar_det,
+    scalar_ints,
+    scalar_nullspace,
+)
 from weierforge.numsg import NumericalSemigroup
-from weierforge.valsg2 import validate_ring
+from weierforge.valsg2 import (
+    adapted_basis,
+    two_branch_weight_formula,
+    v_systems_weights,
+    validate_ring,
+    value_semigroup,
+)
 from weierforge.gallery import (
     double_cusp_curve,
     node_curve,
@@ -35,6 +51,64 @@ from weierforge.gallery import (
 from conftest import symmetric_semigroups
 
 S34 = NumericalSemigroup.from_generators([3, 4])
+S23 = NumericalSemigroup.from_generators([2, 3])
+
+
+def _lying_curve():
+    """A descriptor lying about its local ring: too few residue conditions."""
+    sing = MonomialSingularity(QQ, S34, Fraction(0))
+    original = sing.local_basis
+
+    class Lying:
+        field = sing.field
+        delta = sing.delta
+        locations = sing.locations
+        semigroup = sing.semigroup
+
+        def branches(self):
+            return sing.branches()
+
+        def local_basis(self):
+            return original()[:-1]
+
+        def describe(self):
+            return sing.describe()
+
+    return RationalCurve(QQ, [Lying()])
+
+
+def _non_gorenstein_curve():
+    ring = validate_ring(QQ, [([1, 0], [1, 0])], (2, 2), strict=False)
+    return RationalCurve(QQ, [TwoBranchSingularity(ring, (Fraction(0), Fraction(1)))])
+
+
+def _assert_scaled(ints, ref, field):
+    """ints are the field elements ref over one positive integer denominator,
+    residues over GF(p)."""
+    assert len(ints) == len(ref)
+    if field.characteristic:
+        assert ints == [x.value for x in ref]
+        return
+    j = next((i for i, x in enumerate(ref) if x), None)
+    if j is None:
+        assert not any(ints)
+        return
+    scale = ints[j] / ref[j]
+    assert scale > 0 and scale.denominator == 1
+    assert [field(x) for x in ints] == [scale * x for x in ref]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts dualizing basis builds: each solves the residue conditions once."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return scalar_nullspace(*args)
+
+    monkeypatch.setattr(curve_module, "scalar_nullspace", counting)
+    return calls
 
 
 class TestDualizingBasis:
@@ -122,35 +196,108 @@ class TestDualizingBasis:
     def test_non_gorenstein_ring_has_no_generator(self):
         # Rosenlicht duality still produces g differentials, but no single
         # one generates the dualizing stalk of a non-Gorenstein point
-        ring = validate_ring(QQ, [([1, 0], [1, 0])], (2, 2), strict=False)
-        X = RationalCurve(QQ, [TwoBranchSingularity(ring, (Fraction(0), Fraction(1)))])
         with pytest.raises(GeneratorNotFound):
-            dualizing_basis(X)
+            dualizing_basis(_non_gorenstein_curve())
 
     def test_dimension_mismatch_detected(self):
         # a descriptor lying about its local ring (too few residue
         # conditions) inflates the solution space past the genus
-        sing = MonomialSingularity(QQ, S34, Fraction(0))
-        original = sing.local_basis
-
-        class Lying:
-            field = sing.field
-            delta = sing.delta
-            locations = sing.locations
-            semigroup = sing.semigroup
-
-            def branches(self):
-                return sing.branches()
-
-            def local_basis(self):
-                return original()[:-1]
-
-            def describe(self):
-                return sing.describe()
-
-        X = RationalCurve(QQ, [Lying()])
         with pytest.raises(SolutionDimensionMismatch):
-            dualizing_basis(X)
+            dualizing_basis(_lying_curve())
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 100003])
+    def test_ansatz_windows_match_per_element_expansions(self, p):
+        # reference: compose each t^k dt / D with the branch chart and
+        # expand it on its own; the int windows hold the same coefficients
+        # over one positive denominator per singularity (none over GF(p)).
+        # Branches at 0, at nonzero points, at INF, under (t - 1)/t and
+        # on both sides of two-branch points
+        field = QQ if p == 0 else GF(p)
+        t = Polynomial.variable(field)
+        node = validate_ring(field, [([1], [1])], (1, 1))
+        tacnode = validate_ring(field, [([1, 0], [1, 0]), ([0, 1], [0, 1])], (2, 2))
+        far = field(Fraction(982451653, 7919)) if p in (0, 100003) else field(0)
+        curves = [
+            RationalCurve(field, [MonomialSingularity(field, S34, field(0)),
+                                  MonomialSingularity(field, S34, INF)]),
+            RationalCurve(field, [MonomialSingularity(field, S34, field(0)),
+                                  MonomialSingularity(field, S23, field(1),
+                                                      uniformizer=(t - 1) / t)]),
+            RationalCurve(field, [MonomialSingularity(field, S23, field(0)),
+                                  TwoBranchSingularity(tacnode, (field(1), INF))]),
+            RationalCurve(field, [TwoBranchSingularity(node, (field(-1), INF)),
+                                  MonomialSingularity(field, S23, far)]),
+        ]
+        for X in curves:
+            D, windows = curve_module._ansatz(X)
+            assert len(windows) == len(X.singularities)
+            for sing, ws in zip(X.singularities, windows):
+                ref = []
+                for k in range(len(ws)):
+                    for br in sing.branches():
+                        e = (RationalFunction(t ** k, D).compose(br.chart)
+                             * br.chart.derivative()).laurent_at(field(0), 0)
+                        ref += [e.coefficient(j) for j in range(-br.conductor_exponent, 0)]
+                _assert_scaled([x for w in ws for x in w], ref, field)
+            # each basis differential's window vector is its numerator over D
+            # times the ansatz windows
+            differentials = dualizing_basis(X).differentials
+            numerators = [scalar_ints((r.num * D.exact_div(r.den)).coeffs, p)[0]
+                          for r in differentials]
+            local = curve_module._local_windows(windows, numerators, p)
+            for sing, vectors in zip(X.singularities, local):
+                for r, v in zip(differentials, vectors):
+                    ref = []
+                    for br in sing.branches():
+                        e = (r.compose(br.chart) * br.chart.derivative()).laurent_at(field(0), 0)
+                        ref += [e.coefficient(j) for j in range(-br.conductor_exponent, 0)]
+                    _assert_scaled(v, ref, field)
+
+    def test_generator_is_found_on_every_branch(self):
+        sing = tacnode_curve().singularities[0]
+        vectors = [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0], [2, 0, 3, 0]]
+        assert curve_module._find_generator(sing, vectors) == 3
+        with pytest.raises(GeneratorNotFound):
+            curve_module._find_generator(sing, vectors[:3])
+
+    def test_generator_needs_the_full_pole_order(self):
+        # alone, a differential with a shallower pole than the conductor's
+        # has ratio 1 to itself, yet generates nothing
+        from weierforge.curve import _verify_generators
+
+        X = perturbed_cusp_curve(0)
+        q = X.singularities[0].location
+        shallow = max(dualizing_basis(X).differentials,
+                      key=lambda r: differential_order_at(r, q))
+        with pytest.raises(GeneratorNotFound):
+            _verify_generators(X, DualizingBasis(X, [shallow], {0: 0}))
+
+    def test_basis_is_built_once_per_curve(self, builds):
+        X = tacnode_curve()
+        rep = weight_report(X)
+        basis = dualizing_basis(X)
+        assert dualizing_basis(X) is basis and len(builds) == 1
+        # the two-branch path and smooth weights reuse it
+        S2 = value_semigroup(X.singularities[0].ring)
+        assert (two_branch_weight_formula(S2, X.genus, *v_systems_weights(X))
+                == rep.singular_weights[0])
+        assert adapted_basis(X).generator_index is not None
+        smooth_weight_at(X, Fraction(5))
+        assert len(builds) == 1
+        # a fresh curve builds its own, equal basis
+        Y = tacnode_curve()
+        assert dualizing_basis(Y) is not basis
+        assert dualizing_basis(Y).differentials == basis.differentials
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("make, error", [(_lying_curve, SolutionDimensionMismatch),
+                                             (_non_gorenstein_curve, GeneratorNotFound)])
+    def test_a_failed_build_stores_nothing(self, builds, make, error):
+        X = make()
+        for attempt in (1, 2):
+            with pytest.raises(error):
+                dualizing_basis(X)
+            assert len(builds) == attempt and X._dualizing_basis is None
 
     def test_bad_unibranch_rejected(self):
         # gaps {1, 2} make a non-symmetric value semigroup: not Gorenstein

@@ -757,6 +757,59 @@ class TestIntegerKernel:
         with pytest.raises(ArithmeticError):
             (3 * t ** 2 + 1).exact_div(2 * t)
 
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(100003)], ids=repr)
+    def test_taylor_lead_matches_the_field_element_version(self, field):
+        # planted roots of multiplicity 0..4 at zero, a negative, a
+        # non-integer and a large-denominator point, with contents up to 2^70
+        rng = random.Random(1300 + field.characteristic)
+        p = field.characteristic
+        if p:
+            points = [field(0), field(1), field(-1), field(rng.randrange(p))]
+            scales = [field(1), field(rng.randrange(1, p))]
+        else:
+            points = [Fraction(0), Fraction(-3), Fraction(-7, 5), Fraction(982451653, 7919)]
+            scales = [Fraction(1), Fraction(2 ** 70), Fraction(-5, 2 ** 70 + 1)]
+        seen = set()
+        for a in points:
+            root = Polynomial(field, [-a, 1])
+            for m in range(5):
+                for _ in range(6):
+                    h = _kernel_polynomial(rng, field, 4)
+                    if h.is_zero():
+                        continue
+                    f = root ** m * h * rng.choice(scales)
+                    lead = _ref_taylor_lead(f, a)
+                    seen.add(lead[0])
+                    assert f._taylor_lead(a) == lead
+                    assert f.root_multiplicity(a) == lead[0]
+                    g = _kernel_polynomial(rng, field, 3)
+                    if not g.is_zero():
+                        r = RationalFunction(f, g)
+                        lead_g = _ref_taylor_lead(g, a)
+                        assert r.valuation(a) == lead[0] - lead_g[0]
+                        assert r.leading_coefficient_at(a) == lead[1] / lead_g[1]
+        assert seen >= set(range(5))
+        assert Polynomial(field, [6, -5, 1])._taylor_lead(2) == (1, field(-1))
+        with pytest.raises(ValueError):
+            Polynomial(field, [])._taylor_lead(0)
+
+
+def _ref_taylor_lead(poly, a):
+    """The field-element synthetic division by t - a that the int route
+    replaced, repeated until the remainder is nonzero."""
+    coeffs = poly.coeffs[::-1]
+    m = 0
+    while True:
+        acc = poly.field.zero
+        values = []
+        for c in coeffs:
+            acc = acc * a + c
+            values.append(acc)
+        if acc:
+            return m, acc
+        m += 1
+        coeffs = values[:-1]
+
 
 def _assert_reduced(pivots, rows):
     assert pivots == sorted(set(pivots)) and len(rows) == len(pivots)
