@@ -24,6 +24,7 @@ from .exact import (
     TruncatedSeries,
     TruncationError,
     _mul_mod_p,
+    binomial,
     int_echelon,
     scalar_ints,
     scalar_nullspace,
@@ -82,23 +83,14 @@ def _check_uniformizer(u, location):
 
 class _Branch:
     """One analytic branch: a point of the line, a uniformizer s vanishing
-    there, and the conductor exponent bounding dualizing pole orders.
+    there, and the conductor exponent bounding dualizing pole orders."""
 
-    The chart is the inverse of the uniformizer, t as a degree-one function
-    of s; every local computation substitutes it and expands at s = 0.
-    """
-
-    __slots__ = ("location", "uniformizer", "conductor_exponent", "chart")
+    __slots__ = ("location", "uniformizer", "conductor_exponent")
 
     def __init__(self, location, uniformizer, conductor_exponent):
         self.location = location
         self.uniformizer = uniformizer
         self.conductor_exponent = conductor_exponent
-        field = uniformizer.field
-        a, b = uniformizer.num.coefficient(1), uniformizer.num.coefficient(0)
-        c, d = uniformizer.den.coefficient(1), uniformizer.den.coefficient(0)
-        # s = (a t + b) / (c t + d)  gives  t = (d s - b) / (a - c s)
-        self.chart = RationalFunction(Polynomial(field, [-b, d]), Polynomial(field, [a, -c]))
 
 
 class MonomialSingularity:
@@ -136,10 +128,6 @@ class MonomialSingularity:
 
     def describe(self):
         return "monomial %s at %s" % (self.semigroup, point_str(self.location))
-
-    def to_json(self):
-        return {"kind": "monomial", "location": point_str(self.location),
-                "generators": list(self.semigroup.generators)}
 
 
 class UnibranchSingularity:
@@ -190,12 +178,6 @@ class UnibranchSingularity:
     def describe(self):
         return "unibranch (semigroup %s) at %s" % (self.semigroup, point_str(self.location))
 
-    def to_json(self):
-        return {"kind": "unibranch", "location": point_str(self.location),
-                "conductor": self.conductor_exponent,
-                "basis": [[str(b.coefficient(i)) for i in range(self.conductor_exponent)]
-                          for b in self.basis]}
-
 
 class TwoBranchSingularity:
     """Two branches glued along a validated TwoBranchRing."""
@@ -229,15 +211,6 @@ class TwoBranchSingularity:
     def describe(self):
         return "two-branch (delta %d) at %s,%s" % (
             self.delta, point_str(self.locations[0]), point_str(self.locations[1]))
-
-    def to_json(self):
-        xi1, xi2 = self.ring.conductor
-        return {"kind": "two-branch",
-                "locations": [point_str(q) for q in self.locations],
-                "conductor": [xi1, xi2],
-                "basis": [[[str(bt.coefficient(i)) for i in range(xi1)],
-                           [str(bu.coefficient(i)) for i in range(xi2)]]
-                          for bt, bu in self.ring.basis]}
 
 
 class RationalCurve:
@@ -336,17 +309,19 @@ def _ansatz(X):
     """(D, windows): the ansatz is t^k dt / D, k < n; windows[si][k] holds
     its Laurent coefficients on [-c, 0) at the branches of singularity si
     (entry j of a block: s^(j - c)), one int vector over a denominator
-    shared by the singularity (residues over GF(p)).  Each branch composes
-    once, for dt / D and t as series in s to c terms past their leading
-    exponents; t^(k+1) dt / D is the truncated product of t^k dt / D and t.
+    shared by the singularity (residues over GF(p)).  Each branch expands
+    dt / D and t in s to c terms past their leading exponents, straight
+    from the linear factors of D; t^(k+1) dt / D is the truncated product
+    of t^k dt / D and t.
     """
     field, p = X.field, X.characteristic
     t = Polynomial.variable(field)
-    denominator, inf_exponent = Polynomial(field, [1]), 0
+    denominator, inf_exponent, roots = Polynomial(field, [1]), 0, []
     for br in (br for sing in X.singularities for br in sing.branches()):
         if br.location is INF:
             inf_exponent = br.conductor_exponent
         else:
+            roots.append((br.location, br.conductor_exponent))
             denominator = denominator * (t - br.location) ** br.conductor_exponent
     n = denominator.degree - 1 + inf_exponent
     if n < 1:
@@ -356,8 +331,7 @@ def _ansatz(X):
         parts = []
         for br in sing.branches():
             c = br.conductor_exponent
-            (v, e, de), (vt, ts, dt) = (_head(f, c, p) for f in (
-                (1 / denominator).compose(br.chart) * br.chart.derivative(), br.chart))
+            (v, e, de), (vt, ts, dt) = _branch_series(br.uniformizer, roots, c, p)
             block = []
             for k in range(n):
                 if v < -c:    # e holds s^v .. s^(v+c-1), short of s^-1
@@ -371,11 +345,39 @@ def _ansatz(X):
     return denominator, windows
 
 
-def _head(f, terms, p):
-    """(v, c, d): f = s^v (c[0] + c[1] s + ...) / d at s = 0, c the first terms as ints."""
-    v = f.valuation(f.field.zero)
-    e = f.laurent_at(f.field.zero, v + terms)
-    return (v, *scalar_ints([e.coefficient(v + i) for i in range(terms)], p))
+def _branch_series(u, roots, terms, p):
+    """dt / D and t in the parameter s = u at its zero, as _expand results;
+    D is the product of (t - q)^m over (q, m) in roots."""
+    a, b = u.num.coefficient(1), u.num.coefficient(0)
+    c, d = u.den.coefficient(1), u.den.coefficient(0)
+    # s = (a t + b) / (c t + d) gives t = (d s - b) / (a - c s),
+    # dt = (a d - b c) / (a - c s)^2 ds and
+    # t - q = ((d + c q) s - (b + a q)) / (a - c s)
+    degree = sum(m for _q, m in roots)
+    return (_expand([(a * d - b * c, 0, 1), (a, -c, degree - 2)]
+                    + [(-(b + a * q), d + c * q, -m) for q, m in roots], terms, p),
+            _expand([(-b, d, 1), (a, -c, -1)], terms, p))
+
+
+def _expand(factors, terms, p):
+    """(v, c, d): the product of (beta + alpha s)^e over the factors is
+    s^v (c[0] + c[1] s + ...) / d at s = 0, c its first terms as ints with
+    no common factor with d > 0 (residues over GF(p), d = 1).  For beta
+    nonzero the binomial series beta^e sum_k C(e, k) (alpha / beta)^k s^k
+    takes C(e, k) as an integer, so nothing divides by k!."""
+    v, out, den = 0, [1], 1
+    for beta, alpha, e in factors:
+        if beta:
+            ratio, x, coeffs = alpha / beta, beta ** e, []
+            for k in range(terms):
+                coeffs.append(binomial(e, k) * x)
+                x = x * ratio
+        else:
+            v, coeffs = v + e, [alpha ** e]
+        c, dc = scalar_ints(coeffs, p)
+        out, den = _mul_mod_p(out, c, p)[:terms], den * dc
+    g = math.gcd(den, *out)
+    return v, [x // g for x in out] + [0] * (terms - len(out)), den // g
 
 
 def _local_windows(windows, numerators, p):
@@ -608,7 +610,9 @@ def two_monomial_weights(S1, S2, case):
 
 
 def detect_two_singularity_case(X):
-    """Case tag for two_monomial_weights from declared uniformizer data."""
+    """(case, first) from declared uniformizer data: the case tag for
+    two_monomial_weights, and the index of the singularity it takes as S1
+    (in case 2 the one at the pole of the other uniformizer)."""
     if len(X.singularities) != 2:
         raise ValueError("curve must have exactly two singularities")
     s1, s2 = X.singularities
@@ -616,14 +620,12 @@ def detect_two_singularity_case(X):
     q1, q2 = s1.location, s2.location
     prod = u1 * u2
     if prod.num.degree == 0 and prod.den.degree == 0:
-        return 1
+        return 1, 0
     if u2.valuation(q1) < 0:
-        return 2
+        return 2, 0
     if u1.valuation(q2) < 0:
-        # swap roles: the formulas are stated with the distinguished
-        # singularity first
-        return 2
-    return 3
+        return 2, 1
+    return 3, 0
 
 
 def smooth_count_formula(semigroups):

@@ -2,8 +2,8 @@
 
 Coefficient fields (arbitrary-precision rationals and prime fields),
 dense univariate polynomials, rational functions with valuations at
-finite points and at infinity, truncated power/Laurent series, Hasse
-(iterative) derivatives, fraction-free linear algebra over the function
+finite points and at infinity, Hasse (iterative) derivatives, windows of
+truncated power series, fraction-free linear algebra over the function
 field, and reduced row echelon forms on int rows, p = 0 standing for ZZ.
 
 Everything here is immutable after construction and exact; there is no
@@ -1001,26 +1001,6 @@ class RationalFunction:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den)
 
-    def compose(self, g):
-        """f(g(t)) for a degree-one map g = (a t + b) / (c t + d).
-
-        With k = max(deg num, deg den), each of num and den is homogenised
-        as sum_i c_i (a t + b)^i (c t + d)^(k - i), by Horner's rule in
-        a t + b with a running power of c t + d.
-        """
-        g = self._lift(g)
-        if max(g.num.degree, g.den.degree) != 1:
-            raise ValueError("compose takes a degree-one map (a t + b)/(c t + d)")
-        k = max(self.num.degree, self.den.degree)
-        num = Polynomial(self.field, [self.num.coefficient(k)])
-        den = Polynomial(self.field, [self.den.coefficient(k)])
-        power = Polynomial(self.field, [1])
-        for i in range(k - 1, -1, -1):
-            power = power * g.den
-            num = num * g.num + power * self.num.coefficient(i)
-            den = den * g.num + power * self.den.coefficient(i)
-        return RationalFunction(num, den)
-
     def leading_coefficient_at(self, point):
         """First nonzero Laurent coefficient at the point (finite or INF)."""
         if self.is_zero():
@@ -1028,32 +1008,6 @@ class RationalFunction:
         if point is INF:
             return self.num.leading_coefficient / self.den.leading_coefficient
         return self.num._taylor_lead(point)[1] / self.den._taylor_lead(point)[1]
-
-    def laurent_at(self, point, upto):
-        """Laurent expansion at the point as a TruncatedSeries valid on
-        exponents [valuation, upto): in powers of t - point, or of 1/t at
-        INF.  The chart t + point (or 1/t) moves the point to 0."""
-        t = Polynomial.variable(self.field)
-        if point is INF:
-            f = self.compose(RationalFunction(Polynomial(self.field, [1]), t))
-        elif point:
-            f = self.compose(t + point)
-        else:
-            f = self
-        if f.is_zero():
-            return TruncatedSeries(self.field, 0, [], None)
-        vn = f.num.valuation_at_zero()
-        vd = f.den.valuation_at_zero()
-        v = vn - vd
-        if upto <= v:
-            return TruncatedSeries(self.field, v, [], upto)
-        k = upto - v
-        nuni = Polynomial(self.field, f.num.coeffs[vn:])
-        duni = Polynomial(self.field, f.den.coeffs[vd:])
-        inv = TruncatedSeries.from_polynomial(duni, k).inverse(k)
-        prod = TruncatedSeries.from_polynomial(nuni, k) * inv
-        coeffs = [prod.coefficient(i) for i in range(k)]
-        return TruncatedSeries(self.field, v, coeffs, upto)
 
     def __str__(self):
         if self.is_polynomial():
@@ -1072,8 +1026,9 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries:
-    """Finite window of a Laurent series: sum of coeffs[k] * t^(offset+k),
-    guaranteed correct for exponents [offset, truncation).
+    """Coefficient window of an element of a declared local basis: sum of
+    coeffs[k] * t^(offset+k), guaranteed correct for exponents
+    [offset, truncation).
 
     truncation None means the series is exactly known (all higher
     coefficients vanish).  Reading a coefficient past the truncation
@@ -1098,29 +1053,6 @@ class TruncatedSeries:
         self.coeffs = tuple(cs)
         self.truncation = truncation
 
-    @classmethod
-    def from_polynomial(cls, p, truncation=None):
-        return cls(p.field, 0, list(p.coeffs), truncation)
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, 0, [], None)
-
-    def is_zero_window(self):
-        return not self.coeffs
-
-    def valuation(self):
-        """Exponent of the first nonzero term; +inf for the exact zero series.
-
-        Raises TruncationError when the window is all zero but the tail is
-        unknown.
-        """
-        if self.coeffs:
-            return self.offset
-        if self.truncation is None:
-            return math.inf
-        raise TruncationError("valuation not determined by the known window")
-
     def coefficient(self, i):
         if self.truncation is not None and i >= self.truncation:
             raise TruncationError("coefficient %d past truncation %d" % (i, self.truncation))
@@ -1128,154 +1060,14 @@ class TruncatedSeries:
             return self.coeffs[i - self.offset]
         return self.field.zero
 
-    def _min_trunc(self, other):
-        if self.truncation is None:
-            return other.truncation
-        if other.truncation is None:
-            return self.truncation
-        return min(self.truncation, other.truncation)
-
-    def _lift(self, other):
-        if isinstance(other, TruncatedSeries):
-            if other.field != self.field:
-                raise ValueError("mixed coefficient fields")
-            return other
-        if isinstance(other, (int, Fraction, FpElement)):
-            return TruncatedSeries(self.field, 0, [other], None)
-        if isinstance(other, Polynomial):
-            return TruncatedSeries.from_polynomial(other)
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        t = self._min_trunc(other)
-        lo = min([self.offset] + [other.offset])
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        if t is not None:
-            hi = min(hi, t)
-        coeffs = [(self.coefficient(i) if self._covers(i) else self.field.zero)
-                  + (other.coefficient(i) if other._covers(i) else self.field.zero)
-                  for i in range(lo, hi)]
-        return TruncatedSeries(self.field, lo, coeffs, t)
-
-    def _covers(self, i):
-        return self.truncation is None or i < self.truncation
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.field, self.offset, [-c for c in self.coeffs],
-                               self.truncation)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FpElement)):
-            return TruncatedSeries(self.field, self.offset,
-                                   [c * other for c in self.coeffs], self.truncation)
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        # validity: t1 + v2 and t2 + v1 bound what the product determines
-        if self.is_zero_window() and self.truncation is None:
-            return self
-        if other.is_zero_window() and other.truncation is None:
-            return other
-        v1 = self.offset if self.coeffs else (self.truncation if self.truncation is not None else 0)
-        v2 = other.offset if other.coeffs else (other.truncation if other.truncation is not None else 0)
-        t = None
-        if self.truncation is not None:
-            t = self.truncation + v2
-        if other.truncation is not None:
-            t2 = other.truncation + v1
-            t = t2 if t is None else min(t, t2)
-        lo = v1 + v2
-        hi = lo + len(self.coeffs) + len(other.coeffs)
-        if t is not None:
-            hi = min(hi, t)
-        out = [self.field.zero] * max(0, hi - lo)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                e = self.offset + i + other.offset + j
-                if e < hi:
-                    out[e - lo] = out[e - lo] + a * b
-        return TruncatedSeries(self.field, lo, out, t)
-
-    __rmul__ = __mul__
-
-    def inverse(self, nterms):
-        """Multiplicative inverse, valid on nterms coefficients from the
-        leading exponent; the leading coefficient must be nonzero."""
-        if not self.coeffs:
-            raise ZeroDivisionError("inverting a series with no visible terms")
-        if self.truncation is not None and self.truncation - self.offset < nterms:
-            raise TruncationError("not enough known terms to invert")
-        a0 = self.coeffs[0]
-        inv = [self.field.one / a0]
-        for n in range(1, nterms):
-            s = self.field.zero
-            for k in range(1, n + 1):
-                ak = self.coeffs[k] if k < len(self.coeffs) else self.field.zero
-                s = s + ak * inv[n - k]
-            inv.append(-s / a0)
-        return TruncatedSeries(self.field, -self.offset, inv, -self.offset + nterms)
-
-    def hasse(self, i):
-        """Termwise Hasse derivative: binom(j, i) c_j t^(j-i)."""
-        if i < 0:
-            raise ValueError("negative Hasse derivative order")
-        if i == 0:
-            return self
-        t = None if self.truncation is None else self.truncation - i
-        coeffs = [binomial(self.offset + k, i) * c for k, c in enumerate(self.coeffs)]
-        return TruncatedSeries(self.field, self.offset - i, coeffs, t)
-
-    def truncate(self, upto):
-        return TruncatedSeries(self.field, self.offset, list(self.coeffs),
-                               upto if self.truncation is None else min(upto, self.truncation))
-
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.offset == other.offset and self.coeffs == other.coeffs
                 and self.truncation == other.truncation)
 
     def __hash__(self):
         return hash((self.offset, self.coeffs, self.truncation))
-
-    def to_str(self, var="t"):
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for k, c in enumerate(self.coeffs):
-                if not c:
-                    continue
-                e = self.offset + k
-                if e == 0:
-                    parts.append(str(c))
-                else:
-                    mono = var if e == 1 else "%s^%d" % (var, e)
-                    parts.append(mono if c == self.field.one else "%s*%s" % (c, mono))
-            body = " + ".join(parts)
-        if self.truncation is None:
-            return body
-        return "%s + O(%s^%d)" % (body, var, self.truncation)
-
-    def __str__(self):
-        return self.to_str()
 
     def __repr__(self):
         return "TruncatedSeries(%r, %d, %r, %r)" % (

@@ -56,10 +56,8 @@ def symmetric_semigroups(max_genus):
 
 
 def _series_pair(field, tpart, upart):
-    return (TruncatedSeries(field, 0, tpart, None) if tpart is not None else
-            TruncatedSeries.zero(field),
-            TruncatedSeries(field, 0, upart, None) if upart is not None else
-            TruncatedSeries.zero(field))
+    return (TruncatedSeries(field, 0, tpart or [], None),
+            TruncatedSeries(field, 0, upart or [], None))
 
 
 # coprime (ord x, ord y) pairs; coprime orders keep each branch semigroup

@@ -98,6 +98,39 @@ def _assert_scaled(ints, ref, field):
     assert [field(x) for x in ints] == [scale * x for x in ref]
 
 
+def _laurent_at(f, point, upto):
+    """Reference Laurent expansion of f at the point, in powers of
+    t - point (of 1/t at INF): {exponent: coefficient} on [valuation, upto),
+    by long division of the moved numerator by the moved denominator."""
+    if f.is_zero():
+        return {}
+    if point is INF:
+        n = max(f.num.degree, f.den.degree)
+        num, den = f.num.reversed_coeffs(n), f.den.reversed_coeffs(n)
+    else:
+        num, den = f.num.shift(point), f.den.shift(point)
+    vn, vd = num.valuation_at_zero(), den.valuation_at_zero()
+    a, b = num.coeffs[vn:], den.coeffs[vd:]
+    v, out = vn - vd, []
+    for i in range(upto - v):
+        x = a[i] if i < len(a) else f.field.zero
+        for j in range(1, min(i, len(b) - 1) + 1):
+            x = x - b[j] * out[i - j]
+        out.append(x / b[0])
+    return {v + i: x for i, x in enumerate(out)}
+
+
+def _branch_expansion(f, br, upto):
+    """Reference expansion of f(t) dt in the branch parameter s: substitute
+    the chart t = (d s - b) / (a - c s) that inverts the uniformizer
+    s = (a t + b) / (c t + d), times dt / ds, and expand at s = 0."""
+    u = br.uniformizer
+    a, b = u.num.coefficient(1), u.num.coefficient(0)
+    c, d = u.den.coefficient(1), u.den.coefficient(0)
+    chart = RationalFunction(Polynomial(u.field, [-b, d]), Polynomial(u.field, [a, -c]))
+    return _laurent_at(f.num(chart) / f.den(chart) * chart.derivative(), u.field.zero, upto)
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Counts dualizing basis builds: each solves the residue conditions once."""
@@ -152,7 +185,7 @@ class TestDualizingBasis:
                 h = -RationalFunction(h.num.reversed_coeffs(n),
                                       h.den.reversed_coeffs(n)) / t ** 2
                 location = h.field.zero
-            return h.laurent_at(location, 0).coefficient(-1)
+            return _laurent_at(h, location, 0).get(-1, h.field.zero)
 
         t = Polynomial.variable(QQ)
         curves = (quartic_cusp_curve(2), perturbed_cusp_curve(0), tacnode_curve(),
@@ -207,11 +240,13 @@ class TestDualizingBasis:
 
     @pytest.mark.parametrize("p", [0, 2, 3, 100003])
     def test_ansatz_windows_match_per_element_expansions(self, p):
-        # reference: compose each t^k dt / D with the branch chart and
+        # reference: substitute the branch chart into each t^k dt / D and
         # expand it on its own; the int windows hold the same coefficients
         # over one positive denominator per singularity (none over GF(p)).
-        # Branches at 0, at nonzero points, at INF, under (t - 1)/t and
-        # on both sides of two-branch points
+        # Branches at 0, at nonzero points, at INF, under (t - 1)/t, under
+        # 3/(t + 7) at INF (2/(t + 7) over GF(3)), under (3t + 5)/(t - 11)
+        # at -5/3, on both sides of two-branch points, and with deg D of 0
+        # and 1, where a - c s enters dt / D to a negative power
         field = QQ if p == 0 else GF(p)
         t = Polynomial.variable(field)
         node = validate_ring(field, [([1], [1])], (1, 1))
@@ -227,7 +262,17 @@ class TestDualizingBasis:
                                   TwoBranchSingularity(tacnode, (field(1), INF))]),
             RationalCurve(field, [TwoBranchSingularity(node, (field(-1), INF)),
                                   MonomialSingularity(field, S23, far)]),
+            RationalCurve(field, [MonomialSingularity(field, S34, INF,
+                                                      uniformizer=(2 if p == 3 else 3) / (t + 7)),
+                                  MonomialSingularity(field, S23, field(2))]),
+            RationalCurve(field, [MonomialSingularity(field, S34, INF)]),
+            RationalCurve(field, [TwoBranchSingularity(node, (field(-1), INF))]),
         ]
+        if p in (0, 100003):
+            curves.append(RationalCurve(field, [
+                MonomialSingularity(field, S34, field(Fraction(-5, 3)),
+                                    uniformizer=(3 * t + 5) / (t - 11)),
+                MonomialSingularity(field, S23, INF)]))
         for X in curves:
             D, windows = curve_module._ansatz(X)
             assert len(windows) == len(X.singularities)
@@ -235,9 +280,8 @@ class TestDualizingBasis:
                 ref = []
                 for k in range(len(ws)):
                     for br in sing.branches():
-                        e = (RationalFunction(t ** k, D).compose(br.chart)
-                             * br.chart.derivative()).laurent_at(field(0), 0)
-                        ref += [e.coefficient(j) for j in range(-br.conductor_exponent, 0)]
+                        e = _branch_expansion(RationalFunction(t ** k, D), br, 0)
+                        ref += [e.get(j, field.zero) for j in range(-br.conductor_exponent, 0)]
                 _assert_scaled([x for w in ws for x in w], ref, field)
             # each basis differential's window vector is its numerator over D
             # times the ansatz windows
@@ -249,8 +293,8 @@ class TestDualizingBasis:
                 for r, v in zip(differentials, vectors):
                     ref = []
                     for br in sing.branches():
-                        e = (r.compose(br.chart) * br.chart.derivative()).laurent_at(field(0), 0)
-                        ref += [e.coefficient(j) for j in range(-br.conductor_exponent, 0)]
+                        e = _branch_expansion(r, br, 0)
+                        ref += [e.get(j, field.zero) for j in range(-br.conductor_exponent, 0)]
                     _assert_scaled(v, ref, field)
 
     def test_generator_is_found_on_every_branch(self):
@@ -439,7 +483,7 @@ class TestTwoSingularityCases:
     def test_case1_direct(self):
         X = RationalCurve(QQ, [MonomialSingularity(QQ, S34, Fraction(0)),
                                MonomialSingularity(QQ, S34, INF)])
-        assert detect_two_singularity_case(X) == 1
+        assert detect_two_singularity_case(X) == (1, 0)
         rep = weight_report(X)
         assert rep.singular_weights == [105, 105]
         assert rep.smooth_divisor.degree == 0
@@ -449,14 +493,30 @@ class TestTwoSingularityCases:
         u2 = (t - 1) / t
         X = RationalCurve(QQ, [MonomialSingularity(QQ, S34, Fraction(0)),
                                MonomialSingularity(QQ, S34, Fraction(1), uniformizer=u2)])
-        assert detect_two_singularity_case(X) == 2
+        assert detect_two_singularity_case(X) == (2, 0)
         rep = weight_report(X)
         assert rep.singular_weights == [105, 103]
         assert rep.smooth_divisor.degree == 2
 
     def test_case3_direct(self):
         X = double_cusp_curve()
-        assert detect_two_singularity_case(X) == 3
+        assert detect_two_singularity_case(X) == (3, 0)
+
+    @pytest.mark.parametrize("S", [S23, S34], ids=str)
+    def test_case2_formula_in_both_orientations(self, S):
+        # the singularity at the pole of the other uniformizer may be
+        # declared first or second; the formula takes it as S1 either way
+        t = Polynomial.variable(QQ)
+        pair = [MonomialSingularity(QQ, S34, Fraction(0), uniformizer=t / (t - 1)),
+                MonomialSingularity(QQ, S, Fraction(1))]
+        for sings, first in ((pair, 1), (pair[::-1], 0)):
+            X = RationalCurve(QQ, sings)
+            assert detect_two_singularity_case(X) == (2, first)
+            w_first, w_other, smooth = two_monomial_weights(
+                sings[first].semigroup, sings[1 - first].semigroup, 2)
+            weights = [w_first, w_other] if first == 0 else [w_other, w_first]
+            rep = weight_report(X)
+            assert (rep.singular_weights, rep.smooth_divisor.degree) == (weights, smooth)
 
 
 class TestConsistency:

@@ -158,15 +158,10 @@ class TestValueSemigroup:
                 from weierforge.exact import scalar_det
                 if scalar_det(mat):
                     break
-            new_basis = []
-            for i in range(n):
-                bt = TruncatedSeries.zero(QQ)
-                bu = TruncatedSeries.zero(QQ)
-                for j in range(n):
-                    if mat[i][j]:
-                        bt = bt + mat[i][j] * ring.basis[j][0]
-                        bu = bu + mat[i][j] * ring.basis[j][1]
-                new_basis.append((bt, bu))
+            new_basis = [tuple([sum(mat[i][j] * ring.basis[j][side].coefficient(k)
+                                    for j in range(n)) for k in range(xi)]
+                               for side, xi in enumerate(ring.conductor))
+                         for i in range(n)]
             # a transform can break the (1,1)-constant normalization of
             # individual elements; restore a spanning set by re-adding rows
             try:
@@ -355,18 +350,17 @@ class TestRingFromGenerators:
             xi1, xi2 = ring.conductor
             powers = []
             for side in (0, 1):
-                xs, ys = [TruncatedSeries(QQ, 0, [1], w)], [TruncatedSeries(QQ, 0, [1], w)]
+                xs, ys = [[QQ.one]], [[QQ.one]]
                 for _ in range(w - 1):
-                    xs.append((xs[-1] * TruncatedSeries(QQ, 0, x[side], w)).truncate(w))
-                    ys.append((ys[-1] * TruncatedSeries(QQ, 0, y[side], w)).truncate(w))
+                    xs.append(_truncated_product(xs[-1], x[side], w, QQ))
+                    ys.append(_truncated_product(ys[-1], y[side], w, QQ))
                 powers.append((xs, ys))
             monomials = []
             for a in range(w):
                 for b in range(w - a):
                     pair = []
                     for xs, ys in powers:
-                        m = (xs[a] * ys[b]).truncate(w)
-                        pair.extend(m.coefficient(i) for i in range(w))
+                        pair.extend(_truncated_product(xs[a], ys[b], w, QQ))
                     monomials.append(pair)
             closure = [[bt.coefficient(i) if i < xi1 else QQ.zero for i in range(w)]
                        + [bu.coefficient(i) if i < xi2 else QQ.zero for i in range(w)]
@@ -425,25 +419,36 @@ class TestRingFromGenerators:
         assert closed >= 3 and rejected >= 3
 
 
+def _truncated_product(a, b, w, field):
+    """The first w coefficients of the product of two power series given by
+    their coefficient lists, lowest degree first."""
+    out = [field.zero] * w
+    for i, x in enumerate(a[:w]):
+        if x:
+            for j, y in enumerate(b[:w - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
 def _ref_ring_from_generators(field, generators, window):
-    """The closure as it ran on field scalars: products of truncated series,
-    the field-scalar reduced echelon insertion, and the conductor found by
-    reducing each unit vector."""
+    """The closure as it ran on field scalars: truncated products of the
+    series' coefficient lists, the field-scalar reduced echelon insertion,
+    and the conductor found by reducing each unit vector."""
     w1 = w2 = window
-    gens = [(TruncatedSeries(field, 0, list(gt), w1), TruncatedSeries(field, 0, list(gu), w2))
-            for gt, gu in generators]
 
-    def vector(bt, bu):
-        return [bt.coefficient(i) for i in range(w1)] + [bu.coefficient(i) for i in range(w2)]
+    def window_of(s, w):
+        return [field(s[i]) if i < len(s) else field.zero for i in range(w)]
 
-    one = (TruncatedSeries(field, 0, [1], None), TruncatedSeries(field, 0, [1], None))
+    gens = [(window_of(gt, w1), window_of(gu, w2)) for gt, gu in generators]
+    one = (window_of([1], w1), window_of([1], w2))
     pivots, echelon = [], []
-    pending = [e for e in [one] + gens if _ref_echelon_insert(pivots, echelon, vector(*e))]
+    pending = [e for e in [one] + gens if _ref_echelon_insert(pivots, echelon, e[0] + e[1])]
     while pending:
         et, eu = pending.pop()
         for gt, gu in gens:
-            product = ((et * gt).truncate(w1), (eu * gu).truncate(w2))
-            if _ref_echelon_insert(pivots, echelon, vector(*product)):
+            product = (_truncated_product(et, gt, w1, field), _truncated_product(eu, gu, w2, field))
+            if _ref_echelon_insert(pivots, echelon, product[0] + product[1]):
                 pending.append(product)
 
     def unit(j):
