@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import decimal
+import functools
 import json
 import sys
 
@@ -44,6 +45,7 @@ def _ints(text):
         raise argparse.ArgumentTypeError("expected a comma-separated integer list")
 
 
+@functools.cache    # one parser per process: parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="weierforge",

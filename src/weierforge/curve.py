@@ -23,9 +23,11 @@ from .exact import (
     RationalFunction,
     TruncatedSeries,
     TruncationError,
+    _from_ints,
     _mul_mod_p,
     binomial,
     int_echelon,
+    quotient_det,
     scalar_ints,
     scalar_nullspace,
     span_reduce,
@@ -243,14 +245,16 @@ class RationalCurve:
 
 class DualizingBasis:
     """Basis of global dualizing differentials tau_i = r_i(t) dt, with the
-    index of a generator of the dualizing stalk at each singularity."""
+    index of a generator of the dualizing stalk at each singularity and the
+    numerators of the r_i over the ansatz denominator as int lists."""
 
-    __slots__ = ("curve", "differentials", "generator_index")
+    __slots__ = ("curve", "differentials", "generator_index", "numerators")
 
-    def __init__(self, curve, differentials, generator_index):
+    def __init__(self, curve, differentials, generator_index, numerators):
         self.curve = curve
         self.differentials = tuple(differentials)
         self.generator_index = dict(generator_index)
+        self.numerators = tuple(numerators)
 
     def generator(self, singularity_index):
         return self.differentials[self.generator_index[singularity_index]]
@@ -291,7 +295,8 @@ def dualizing_basis(X):
         raise SolutionDimensionMismatch("residue conditions cut dimension %d, expected genus %d"
                                         % (len(null), X.genus))
     differentials = [RationalFunction(Polynomial(field, vec), denominator) for vec in null]
-    local = _local_windows(windows, [scalar_ints(vec, p)[0] for vec in null], p)
+    numerators = [scalar_ints(vec, p)[0] for vec in null]
+    local = _local_windows(windows, numerators, p)
     generator_index = {si: _find_generator(sing, local[si])
                        for si, sing in enumerate(X.singularities)}
     # order the basis by pole order at the first singularity, deepest first
@@ -299,7 +304,8 @@ def dualizing_basis(X):
     order = sorted(range(len(null)),
                    key=lambda i: differential_order_at(differentials[i], first.location))
     basis = DualizingBasis(X, [differentials[i] for i in order],
-                           {si: order.index(gi) for si, gi in generator_index.items()})
+                           {si: order.index(gi) for si, gi in generator_index.items()},
+                           [numerators[i] for i in order])
     _verify_generators(X, basis, [[vs[i] for i in order] for vs in local])
     X._dualizing_basis = basis
     return basis
@@ -415,9 +421,7 @@ def _verify_generators(X, basis, local=None):
     tau_j lies in the span of the local basis times tau."""
     p = X.characteristic
     if local is None:
-        D, windows = _ansatz(X)
-        local = _local_windows(windows, [scalar_ints((r.num * D.exact_div(r.den)).coeffs, p)[0]
-                                         for r in basis.differentials], p)
+        local = _local_windows(_ansatz(X)[1], basis.numerators, p)
     for si, sing in enumerate(X.singularities):
         vectors, blocks = local[si], _blocks(sing)
         gen = vectors[basis.generator_index[si]]
@@ -442,29 +446,35 @@ def singular_weight(X, singularity_index, basis, orders=None):
         2 * delta * N + ord_P det(D^(eps_i) (tau_j / tau)),
 
     where tau generates the dualizing stalk at P and N is the sum of the
-    orders of the full system.  The Hasse derivatives are taken in the
-    global coordinate, so a branch sitting at infinity (where dt has a
-    double pole) contributes a bookkeeping term -2N.
+    orders of the full system.  With tau_j / tau = n_j / G (basis
+    numerators) the determinant is det(P) / G^(N+s), P the int rows of
+    exact.quotient_det, and as tau / tau = 1 has column (G, 0, ..., 0) in
+    P, det(P) is +-G times the minor on the other rows and columns.  The
+    Hasse derivatives are taken in the global coordinate, so a branch at
+    infinity (where dt has a double pole) contributes a term -2N.
 
     The order sequence is basis- and trivialization-independent, so the
     caller may pass the one already computed for the full system.
     """
     sing = X.singularities[singularity_index]
-    gen = basis.generator(singularity_index)
-    funcs = [r / gen for r in basis.differentials]
-    V = LinearSystem(funcs)
     if orders is None:
-        orders = order_sequence(V)
-    # from the Hasse derivatives of tau_j / tau, not from the numerator route
-    # of the raw wronskian, so weight_report's cross-check compares two
-    # independent computations
-    det = wronski.hasse_wronskian(V, tuple(orders))
-    if det.is_zero():
+        orders = order_sequence(LinearSystem(basis.differentials))
+    # from the Hasse derivatives of tau_j / tau, not from the raw wronskian,
+    # so weight_report's cross-check compares two independent computations
+    gi = basis.generator_index[singularity_index]
+    nums, G = basis.numerators, basis.numerators[gi]
+    minor = quotient_det(X.field, nums[:gi] + nums[gi + 1:], G, orders.terms[1:])
+    if not minor:
         raise TotalMismatch("trivialized wronskian vanished at the system orders")
-    infinite_branches = sum(1 for br in sing.branches() if br.location is INF)
-    return (2 * sing.delta * orders.N
-            + sum(det.valuation(br.location) for br in sing.branches())
-            - 2 * orders.N * infinite_branches)
+    minor, G = _from_ints(X.field, minor), _from_ints(X.field, G)
+    k = orders.N + len(orders) - 1    # ord det(P) - (N+s) ord G = ord minor - k ord G
+    weight = 2 * sing.delta * orders.N
+    for br in sing.branches():
+        if br.location is INF:
+            weight += k * G.degree - minor.degree - 2 * orders.N
+        else:
+            weight += minor.root_multiplicity(br.location) - k * G.root_multiplicity(br.location)
+    return weight
 
 
 class WeightReport:

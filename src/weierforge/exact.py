@@ -454,11 +454,8 @@ class Polynomial:
         """i-th Hasse derivative: c_j t^j contributes binom(j, i) c_j t^(j-i)."""
         if i < 0:
             raise ValueError("negative Hasse derivative order")
-        if i == 0:
-            return self
-        return Polynomial(self.field,
-                          [binomial(j, i) * self.coeffs[j]
-                           for j in range(i, len(self.coeffs))])
+        c, d = self._ints()
+        return _from_ints(self.field, _hasse_mod_p(c, i, self.field.characteristic), d)
 
     def shift(self, a):
         """The polynomial p(t + a)."""
@@ -477,14 +474,6 @@ class Polynomial:
         if n < self.degree:
             raise ValueError("reversal bound below degree")
         return Polynomial(self.field, [0] * (n - self.degree) + list(reversed(self.coeffs)))
-
-    def valuation_at_zero(self):
-        if self.is_zero():
-            return math.inf
-        v = 0
-        while not self.coeffs[v]:
-            v += 1
-        return v
 
     def _taylor_lead(self, a):
         """(m, c) with p(t) = c (t - a)^m + higher powers of (t - a), c != 0:
@@ -652,6 +641,14 @@ def window_ints(series, windows, p):
                         for i in range(w)], p)[0]
 
 
+def _cleared(polys):
+    """([c_j], d): polys[j] = c_j / d, the c_j int lists over one d > 0
+    (residues over GF(p), d = 1)."""
+    cleared = [f._ints() for f in polys]
+    d = math.lcm(*(den for _c, den in cleared))
+    return [[x * (d // den) for x in c] for c, den in cleared], d
+
+
 def _from_ints(field, c, d=1):
     """The Polynomial c / d over the field; over GF(p) d is 1."""
     p = field.characteristic
@@ -689,6 +686,22 @@ def _mul_mod_p(a, b, p):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _mod_p(out, p)
+
+
+def _dot_mod_p(xs, ys, p):
+    """The sum of the products a * b over the pairs of lists in zip(xs, ys)."""
+    out = [0] * max((len(a) + len(b) - 1 for a, b in zip(xs, ys) if a and b), default=0)
+    for a, b in zip(xs, ys):
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+    return _mod_p(out, p)
+
+
+def _hasse_mod_p(a, i, p):
+    """i-th Hasse derivative: a_j t^j contributes C(j, i) a_j t^(j-i)."""
+    return _mod_p([math.comb(j, i) * a[j] for j in range(i, len(a))], p)
 
 
 def _divmod_mod_p(a, b, p):
@@ -975,31 +988,30 @@ class RationalFunction:
         """[D^(0)f, ..., D^(n)f] via the product-rule recurrence
         D^(i)(num) = sum_{a+b=i} D^(a)(f) * D^(b)(den).
 
-        Internally D^(i)f is carried as P_i / den^(i+1) with the polynomial
-        recurrence P_i = D^(i)(num) den^i - sum_{a<i} P_a den^(i-1-a)
+        With num and den cleared to int lists over one common denominator
+        (residues over GF(p)), D^(i)f is carried as P_i / den^(i+1) with the
+        int recurrence P_i = D^(i)(num) den^i - sum_{a<i} P_a den^(i-1-a)
         D^(i-a)(den), so only the final packaging reduces fractions.
         """
         if n < 0:
             raise ValueError("negative Hasse derivative order")
-        den = self.den
-        dnum = [self.num.hasse(i) for i in range(n + 1)]
-        dden = [den.hasse(i) for i in range(n + 1)]
-        den_pow = [Polynomial(self.field, [1])]
+        p, k = self.field.characteristic, len(self.num.coeffs)
+        c, _d = scalar_ints(self.num.coeffs + self.den.coeffs, p)
+        num, den = c[:k], c[k:]
+        dden = [_hasse_mod_p(den, i, p) for i in range(n + 1)]
+        den_pow = [[1]]
         for _ in range(n + 1):
-            den_pow.append(den_pow[-1] * den)
-        parts = [self.num]
+            den_pow.append(_mul_mod_p(den_pow[-1], den, p))
+        parts = [num]
         for i in range(1, n + 1):
-            acc = dnum[i] * den_pow[i]
+            acc = _mul_mod_p(_hasse_mod_p(num, i, p), den_pow[i], p)
             for a in range(i):
-                acc = acc - parts[a] * den_pow[i - 1 - a] * dden[i - a]
+                acc = _sub_mod_p(acc, _mul_mod_p(_mul_mod_p(parts[a], den_pow[i - 1 - a], p),
+                                                 dden[i - a], p), p)
             parts.append(acc)
-        return [self] + [RationalFunction(parts[i], den_pow[i + 1])
+        return [self] + [RationalFunction(_from_ints(self.field, parts[i]),
+                                          _from_ints(self.field, den_pow[i + 1]))
                          for i in range(1, n + 1)]
-
-    def derivative(self):
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
 
     def leading_coefficient_at(self, point):
         """First nonzero Laurent coefficient at the point (finite or INF)."""
@@ -1090,69 +1102,78 @@ def shared_denominator(functions):
 
 def fraction_free_rank_det(rows):
     """Rank over the function field and, for square input, the exact
-    determinant as a RationalFunction.
-
-    Entries may be Polynomial or RationalFunction (or field scalars); the
-    elimination itself is Bareiss-style fraction-free on polynomials, so
-    intermediate entries stay within single-minor coefficient bounds.
-    """
+    determinant as a RationalFunction, of a matrix of Polynomial,
+    RationalFunction or field scalar entries: fraction-free _bareiss on
+    the rows cleared of denominators."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0, None
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    field = None
-    for r in rows:
-        for x in r:
-            if isinstance(x, (Polynomial, RationalFunction)):
-                field = x.field if isinstance(x, Polynomial) else x.num.field
-                break
-        if field is not None:
-            break
+    field = next((x.field for r in rows for x in r
+                  if isinstance(x, (Polynomial, RationalFunction))), None)
     if field is None:
         raise ValueError("matrix carries no field information")
 
     def as_rf(x):
         if isinstance(x, RationalFunction):
             return x
-        if isinstance(x, Polynomial):
-            return RationalFunction(x)
-        return RationalFunction(Polynomial(field, [x]))
+        return RationalFunction(x if isinstance(x, Polynomial) else Polynomial(field, [x]))
 
     # clear denominators row by row, remembering the multipliers
-    poly_rows = []
-    row_multipliers = []
-    for r in rows:
-        common, nums = shared_denominator([as_rf(x) for x in r])
-        poly_rows.append(nums)
-        row_multipliers.append(common)
+    cleared = [shared_denominator([as_rf(x) for x in r]) for r in rows]
+    rank, det, sign = _bareiss([nums for _common, nums in cleared])
+    if len(rows) != ncols:
+        return rank, None
+    if rank < ncols:
+        return rank, RationalFunction(Polynomial(field, []))
+    return rank, RationalFunction(det * sign, math.prod(common for common, _nums in cleared))
 
-    rank, det_poly, sign = _bareiss(poly_rows)
-    det = None
-    if len(rows) == ncols:
-        if rank < ncols:
-            det = RationalFunction(Polynomial(field, []))
-        else:
-            det = RationalFunction(det_poly * sign, math.prod(row_multipliers))
-    return rank, det
+
+def quotient_det(field, numerators, G, eps):
+    """det(P) as an int list for the rows P_e = G^(e+1) D^(e)(n_j / G),
+    e in eps, of int lists n_j and G (residues over GF(p)); [] when the
+    rows are dependent.  By the Leibniz rule P_e is the sum over a <= e of
+    D^(a)(n_j) G^a Q_(e-a), Q_b = G^(b+1) D^(b)(1/G) from one hasse_list
+    of 1/G.  The quotient-rule recurrence for Q_b has integer coefficients,
+    so every Q_b is an int list (its scalar_ints denominator is 1) and all
+    terms of a row share one scale: no term is cleared on its own."""
+    if not eps:
+        return [1]
+    p, top = field.characteristic, max(eps)
+    powers = [[1]]    # G^a
+    for _ in range(top + 1):
+        powers.append(_mul_mod_p(powers[-1], G, p))
+    inverse = RationalFunction(Polynomial(field, [1]), _from_ints(field, G))
+    quotients = [scalar_ints((_from_ints(field, powers[b + 1]).exact_div(h.den) * h.num).coeffs, p)[0]
+                 for b, h in enumerate(inverse.hasse_list(top))]
+    hasse = [[_hasse_mod_p(n, a, p) for n in numerators] for a in range(top + 1)]
+    rows = []
+    for e in eps:
+        terms = [_mul_mod_p(powers[a], quotients[e - a], p) for a in range(e + 1)]
+        rows.append([_dot_mod_p([h[j] for h in hasse[:e + 1]], terms, p)
+                     for j in range(len(numerators))])
+    rank, det, sign, _order = _bareiss_mod_p(rows, p)
+    return _mod_p([x * sign for x in det], p) if rank == len(rows) else []
 
 
 def _bareiss(rows):
-    """Fraction-free elimination on a polynomial matrix; returns
-    (rank, last pivot, sign).  Each row is scaled once to integers (over
-    GF(p), residues), so the elimination runs in ZZ[t] or GF(p)[t], where
-    each division is exact (Sylvester's identity) and checked; the last
+    """(rank, last pivot, sign) of _bareiss_mod_p on a polynomial matrix,
+    each row scaled once to integers (over GF(p), residues); the last
     pivot, a minor on the pivot rows, is divided by their scales."""
     field = rows[0][0].field
-    p = field.characteristic
-    work, scales = [], []
-    for row in rows:
-        cleared = [x._ints() for x in row]
-        d = math.lcm(*(den for _c, den in cleared))
-        work.append([[x * (d // den) for x in c] for c, den in cleared])
-        scales.append(d)
+    cleared = [_cleared(row) for row in rows]
+    r, prev, sign, order = _bareiss_mod_p([c for c, _d in cleared], field.characteristic)
+    return r, _from_ints(field, prev, math.prod(cleared[i][1] for i in order[:r])), sign
+
+
+def _bareiss_mod_p(work, p):
+    """Fraction-free elimination in place on int lists in ZZ[t] (GF(p)[t]),
+    each division exact (Sylvester's identity) and checked: (rank, last
+    pivot, sign, order), order[i] the input row now in position i."""
     m, n = len(work), len(work[0])
+    order = list(range(m))
     prev, sign, r = [1], 1, 0
     for c in range(n):
         if r >= m:
@@ -1162,7 +1183,7 @@ def _bareiss(rows):
             continue
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
+            order[r], order[pivot_row] = order[pivot_row], order[r]
             sign = -sign
         top = work[r]
         for row in work[r + 1:]:
@@ -1173,7 +1194,7 @@ def _bareiss(rows):
             row[c] = []
         prev = top[c]
         r += 1
-    return r, _from_ints(field, prev, math.prod(scales[:r])), sign
+    return r, prev, sign, order
 
 
 def scalar_rank(rows):

@@ -13,8 +13,10 @@ from .exact import (
     INF,
     RationalFunction,
     _bareiss,
+    _cleared,
+    _from_ints,
     coprime_refinement,
-    fraction_free_rank_det,
+    quotient_det,
     scalar_det,
     scalar_echelon,
     scalar_rank,
@@ -147,15 +149,17 @@ def wronskian(V, eps=None):
 
 
 def hasse_wronskian(V, eps):
-    """det(D^(eps_i) f_j) at any eps, computed from the Hasse derivatives
-    of the functions themselves rather than from their numerators."""
+    """det(D^(eps_i) f_j) at any eps from the Hasse derivatives of the
+    quotients f_j = n_j / D, not from the numerator route: det(P) / D^(N+s)
+    on the rows P of quotient_det, N + s the sum of the eps_i + 1."""
     terms = tuple(eps)
     if len(terms) != len(V):
         raise ValueError("sequence length does not match the system dimension")
-    lists = [f.hasse_list(max(terms)) for f in V.functions]
-    rows = [[l[e] for l in lists] for e in terms]
-    _rank, det = fraction_free_rank_det(rows)
-    return det
+    if min(terms) < 0:
+        raise ValueError("negative Hasse derivative order")
+    (*numerators, G), _d = _cleared(V.numerators + (V.denominator,))
+    return RationalFunction(_from_ints(V.field, quotient_det(V.field, numerators, G, terms)),
+                            _from_ints(V.field, G) ** sum(e + 1 for e in terms))
 
 
 def vq_orders(V, q):

@@ -1,6 +1,7 @@
 """Shared helpers: deterministic random corpora of semigroups, rational
 functions, and Gorenstein two-branch rings."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,18 @@ def random_rational_function(rng, field, max_degree=3):
     num = random_polynomial(rng, field, max_degree)
     den = random_polynomial(rng, field, max_degree, zero_ok=False)
     return RationalFunction(num, den)
+
+
+def derivative(f):
+    """Ordinary derivative of a rational function by the quotient rule, an
+    oracle independent of the Hasse-derivative code."""
+    return RationalFunction(f.num.derivative() * f.den - f.num * f.den.derivative(),
+                            f.den * f.den)
+
+
+def valuation_at_zero(f):
+    """Order of vanishing of a polynomial at t = 0, read off its coefficients."""
+    return next((v for v, c in enumerate(f.coeffs) if c), math.inf)
 
 
 def symmetric_semigroups(max_genus):

@@ -337,3 +337,36 @@ def test_constructor_errors_name_the_singularity(tmp_path, capsys, singularity, 
         {"kind": "monomial", "generators": [2, 3], "location": 5}, singularity]}))
     assert main(["curve", str(path)]) == 2
     assert capsys.readouterr().err == "error: singularities[1]: %s\n" % message
+
+
+def test_repeated_calls_reuse_one_parser(capsys, monkeypatch):
+    # main builds its argparse parser once per process; help text, error
+    # messages and exit codes 0, 2 and 3 stay the same from call to call
+    from weierforge import cli
+
+    def broken():
+        raise cli.ScenarioMismatch("planted")
+
+    monkeypatch.setitem(cli.SCENARIOS, "broken", broken)
+    assert cli.build_parser() is cli.build_parser()
+    fresh_help = cli.build_parser.__wrapped__().format_help()
+    seen = []
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == fresh_help
+        assert main(["semigroup", "--gens", "3,4", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["gaps"] == [1, 2, 5]
+        with pytest.raises(SystemExit) as exc:
+            main(["semigroup", "--gens", "3,x"])
+        assert exc.value.code == 2
+        usage_error = capsys.readouterr().err
+        assert main(["semigroup", "--gens", "4,6"]) == 2
+        value_error = capsys.readouterr().err
+        assert main(["reproduce", "broken"]) == 3
+        internal = capsys.readouterr().err
+        seen.append((usage_error, value_error, internal))
+    assert "expected a comma-separated integer list" in seen[0][0]
+    assert seen[0][2] == "internal invariant failure: planted\n"
+    assert seen == [seen[0]] * 3

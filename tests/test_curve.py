@@ -29,6 +29,7 @@ from weierforge.exact import (
     QQ,
     Polynomial,
     RationalFunction,
+    fraction_free_rank_det,
     scalar_det,
     scalar_ints,
     scalar_nullspace,
@@ -41,6 +42,7 @@ from weierforge.valsg2 import (
     validate_ring,
     value_semigroup,
 )
+from weierforge.wronski import LinearSystem, order_sequence
 from weierforge.gallery import (
     double_cusp_curve,
     node_curve,
@@ -48,7 +50,7 @@ from weierforge.gallery import (
     quartic_cusp_curve,
     tacnode_curve,
 )
-from conftest import symmetric_semigroups
+from conftest import derivative, symmetric_semigroups, valuation_at_zero
 
 S34 = NumericalSemigroup.from_generators([3, 4])
 S23 = NumericalSemigroup.from_generators([2, 3])
@@ -109,7 +111,7 @@ def _laurent_at(f, point, upto):
         num, den = f.num.reversed_coeffs(n), f.den.reversed_coeffs(n)
     else:
         num, den = f.num.shift(point), f.den.shift(point)
-    vn, vd = num.valuation_at_zero(), den.valuation_at_zero()
+    vn, vd = valuation_at_zero(num), valuation_at_zero(den)
     a, b = num.coeffs[vn:], den.coeffs[vd:]
     v, out = vn - vd, []
     for i in range(upto - v):
@@ -128,7 +130,7 @@ def _branch_expansion(f, br, upto):
     a, b = u.num.coefficient(1), u.num.coefficient(0)
     c, d = u.den.coefficient(1), u.den.coefficient(0)
     chart = RationalFunction(Polynomial(u.field, [-b, d]), Polynomial(u.field, [a, -c]))
-    return _laurent_at(f.num(chart) / f.den(chart) * chart.derivative(), u.field.zero, upto)
+    return _laurent_at(f.num(chart) / f.den(chart) * derivative(chart), u.field.zero, upto)
 
 
 @pytest.fixture
@@ -224,7 +226,8 @@ class TestDualizingBasis:
             shallow = max(range(len(basis.differentials)),
                           key=lambda i: differential_order_at(basis.differentials[i], q))
             with pytest.raises(GeneratorNotFound):
-                _verify_generators(X, DualizingBasis(X, basis.differentials, {0: shallow}))
+                _verify_generators(X, DualizingBasis(X, basis.differentials, {0: shallow},
+                                                     basis.numerators))
 
     def test_non_gorenstein_ring_has_no_generator(self):
         # Rosenlicht duality still produces g differentials, but no single
@@ -311,10 +314,12 @@ class TestDualizingBasis:
 
         X = perturbed_cusp_curve(0)
         q = X.singularities[0].location
-        shallow = max(dualizing_basis(X).differentials,
-                      key=lambda r: differential_order_at(r, q))
+        basis = dualizing_basis(X)
+        shallow = max(range(len(basis.differentials)),
+                      key=lambda i: differential_order_at(basis.differentials[i], q))
         with pytest.raises(GeneratorNotFound):
-            _verify_generators(X, DualizingBasis(X, [shallow], {0: 0}))
+            _verify_generators(X, DualizingBasis(X, [basis.differentials[shallow]], {0: 0},
+                                                 [basis.numerators[shallow]]))
 
     def test_basis_is_built_once_per_curve(self, builds):
         X = tacnode_curve()
@@ -404,6 +409,64 @@ class TestSingularWeights:
     def test_monomial_char0(self):
         X = quartic_cusp_curve(0)
         assert singular_weight(X, 0, dualizing_basis(X)) == 22
+
+
+def _reference_singular_weight(X, si, basis, orders):
+    """The global route singular_weight took before its int rows: the
+    quotients r_j / r_gen as one LinearSystem, the hasse_list of each, the
+    determinant by fraction_free_rank_det and its valuations."""
+    sing = X.singularities[si]
+    V = LinearSystem([r / basis.generator(si) for r in basis.differentials])
+    lists = [f.hasse_list(max(orders)) for f in V.functions]
+    _rank, det = fraction_free_rank_det([[l[e] for l in lists] for e in orders])
+    at_inf = sum(1 for br in sing.branches() if br.location is INF)
+    return (2 * sing.delta * orders.N + sum(det.valuation(br.location) for br in sing.branches())
+            - 2 * orders.N * at_inf)
+
+
+def _agreement_curves(field):
+    def mono(gens, loc):
+        return MonomialSingularity(field, NumericalSemigroup.from_generators(gens), loc)
+    tacnode = validate_ring(field, [([1, 0], [1, 0]), ([0, 1], [0, 1])], (2, 2))
+    return [RationalCurve(field, sings) for sings in (
+        [mono([3, 4], INF)],
+        [mono([3, 4], field(0)), mono([3, 5], INF)],
+        [mono([4, 5, 6], field(1))],
+        [mono([4, 6, 9], INF)],
+        [TwoBranchSingularity(tacnode, (field(0), INF))],
+        [UnibranchSingularity(field, [[1], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1]], 6, INF)])]
+
+
+def _assert_agreement(X):
+    basis = dualizing_basis(X)
+    orders = order_sequence(LinearSystem(basis.differentials))
+    weights = [singular_weight(X, si, basis, orders) for si in range(len(X.singularities))]
+    assert weights == [_reference_singular_weight(X, si, basis, orders)
+                       for si in range(len(X.singularities))]
+    return weights
+
+
+class TestSingularWeightAgreement:
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11])
+    def test_int_rows_match_the_reference_route(self, p):
+        # seven singularities per characteristic, five with a branch at INF;
+        # the orders are non-classical for several small p
+        field = GF(p) if p else QQ
+        weights = [w for X in _agreement_curves(field) for w in _assert_agreement(X)]
+        assert len(weights) == 7
+
+    def test_large_rational_location(self):
+        X = RationalCurve(QQ, [MonomialSingularity(QQ, S34, Fraction(982451653, 7919))])
+        assert _assert_agreement(X) == [22]
+
+    def test_generator_numerator_with_several_denominators(self):
+        # the Leibniz terms of one row must share one scale; here the
+        # generator's numerator has coefficients over 1, 63, 1323, 83349
+        X = RationalCurve(QQ, [MonomialSingularity(QQ, S34, Fraction(1, 3)),
+                               MonomialSingularity(QQ, S23, Fraction(-3, 7))])
+        gen = dualizing_basis(X).generator(1)
+        assert len({c.denominator for c in gen.num.coeffs}) >= 3
+        assert _assert_agreement(X) == [43, 15]
 
 
 class TestWeightReport:

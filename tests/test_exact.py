@@ -34,7 +34,7 @@ from weierforge.exact import (
     scalar_rank,
     span_reduce,
 )
-from conftest import random_polynomial, random_rational_function
+from conftest import derivative, random_polynomial, random_rational_function, valuation_at_zero
 
 
 def t_over(field):
@@ -117,7 +117,7 @@ class TestHasseDerivative:
             i = rng.randint(1, 5)
             ordinary = f
             for _k in range(i):
-                ordinary = ordinary.derivative()
+                ordinary = derivative(ordinary)
             assert f.hasse(i) * math.factorial(i) == ordinary
 
 
@@ -187,14 +187,14 @@ class TestPolynomials:
             a = field(rng.randrange(p) if p else rng.randint(-3, 3))
             m = rng.randint(max(p, 1), 3 * max(p, 1))
             f = (t - a) ** m * random_polynomial(rng, field, 5, zero_ok=False)
-            assert f.root_multiplicity(a) == f.shift(a).valuation_at_zero() >= m
+            assert f.root_multiplicity(a) == valuation_at_zero(f.shift(a)) >= m
             g = RationalFunction(f, (t - a) * random_polynomial(rng, field, 3, zero_ok=False))
             for b in range(p or 4):
                 b = field(b)
-                assert f.root_multiplicity(b) == f.shift(b).valuation_at_zero()
+                assert f.root_multiplicity(b) == valuation_at_zero(f.shift(b))
                 num, den = g.num.shift(b), g.den.shift(b)
                 assert g.leading_coefficient_at(b) == (
-                    num.coeffs[num.valuation_at_zero()] / den.coeffs[den.valuation_at_zero()])
+                    num.coeffs[valuation_at_zero(num)] / den.coeffs[valuation_at_zero(den)])
         assert Polynomial(field, []).root_multiplicity(field(1)) == math.inf
 
     def test_squarefree_decomposition(self):

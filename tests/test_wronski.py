@@ -24,7 +24,7 @@ from weierforge.wronski import (
     weight_divisor,
     wronskian,
 )
-from conftest import random_polynomial
+from conftest import derivative, random_polynomial
 
 
 def one(field):
@@ -58,7 +58,7 @@ def ordinary_wronskian_oracle(functions):
     cur = list(functions)
     for i in range(s):
         rows.append(list(cur))
-        cur = [f.derivative() for f in cur]
+        cur = [derivative(f) for f in cur]
 
     def det(mat):
         if len(mat) == 1:
@@ -231,6 +231,22 @@ class TestNumeratorRoute:
                 assert w == reference_wronskian(V, other)
                 differs += w != wronskian(V)
         assert differs > 0
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_dependent_sequences_give_the_zero_function(self, p):
+        field = GF(p) if p else QQ
+        for V in seeded_systems(field, 600 + p, 4):
+            eps = (0,) * len(V)
+            assert reference_wronskian(V, eps).is_zero()
+            assert hasse_wronskian(V, eps).is_zero()
+        # (1, t^2) / (t + 1) over GF(2) has orders (0, 2), and D^(1) t^2 = 0
+        t = Polynomial.variable(GF(2))
+        V = LinearSystem([1 / (t + 1), t ** 2 / (t + 1)])
+        assert tuple(order_sequence(V)) == (0, 2)
+        assert reference_wronskian(V, (0, 1)).is_zero()
+        assert wronskian(V, (0, 1)).is_zero()
+        with pytest.raises(ValueError):
+            hasse_wronskian(V, (0, -1))
 
     def test_numerators_over_the_shared_denominator(self):
         for V in seeded_systems(GF(3), 500, 5):
