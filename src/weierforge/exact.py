@@ -282,20 +282,32 @@ def binomial(n, k):
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Dense univariate polynomial over QQ or GF(p).
+    """Dense univariate polynomial over QQ or GF(p), stored as ints c / d:
+    c a tuple of ints, lowest degree first, without trailing zeros; over QQ
+    d > 0 with gcd(d, content c) = 1 and d = 1 for zero, over GF(p) c the
+    reduced residues and d = 1.  coeffs, the tuple of field scalars with
+    coeffs[i] the coefficient of t^i, is built on first use; the zero
+    polynomial has an empty tuple and degree -1."""
 
-    coeffs[i] is the coefficient of t^i; the list carries no trailing
-    zeros, so the zero polynomial has an empty tuple and degree -1.
-    """
-
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_c", "_d", "_coeffs")
 
     def __init__(self, field, coeffs):
-        cs = [field(c) if not isinstance(c, (Fraction, FpElement)) else c for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+        p = field.characteristic
+        self._store(field, *scalar_ints([x if isinstance(x, (int, Fraction)) and not p else field(x)
+                                         for x in coeffs], p))
+
+    def _store(self, field, c, d):
+        p = field.characteristic
+        c = _mod_p(c, p)
+        if p and d != 1:
+            inv = pow(d, -1, p)
+            c = [x * inv % p for x in c]
+        if p or not c:
+            d = 1
+        elif d != 1:
+            g = math.gcd(d, *c) if d > 0 else -math.gcd(d, *c)
+            c, d = [x // g for x in c], d // g
+        self.field, self._c, self._d, self._coeffs = field, tuple(c), d, None
 
     @classmethod
     def variable(cls, field):
@@ -306,25 +318,31 @@ class Polynomial:
         return cls(field, [0] * degree + [c])
 
     @property
+    def coeffs(self):
+        if self._coeffs is None:
+            p = self.field.characteristic
+            self._coeffs = tuple(FpElement(x, p) if p else Fraction(x, self._d) for x in self._c)
+        return self._coeffs
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def coefficient(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
+        return self.coeffs[i] if 0 <= i < len(self._c) else self.field.zero
 
     @property
     def leading_coefficient(self):
-        if not self.coeffs:
+        if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def _ints(self):
-        return scalar_ints(self.coeffs, self.field.characteristic)
+        """(c, d) with self = c / d, as stored."""
+        return self._c, self._d
 
     def _lift(self, other):
         if isinstance(other, Polynomial):
@@ -339,9 +357,10 @@ class Polynomial:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field,
-                          [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        (a, da), (b, db) = self._ints(), other._ints()
+        d = math.lcm(da, db)
+        return _from_ints(self.field, _sub_mod_p([x * (d // da) for x in a],
+                                                 [-x * (d // db) for x in b], 0), d)
 
     __radd__ = __add__
 
@@ -349,15 +368,13 @@ class Polynomial:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field,
-                          [self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return _from_ints(self.field, [-x for x in self._c], self._d)
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
@@ -374,12 +391,8 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = Polynomial(self.field, [1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for bit in bin(n)[2:]:
+            result = result * result * self if bit == "1" else result * result
         return result
 
     def __divmod__(self, other):
@@ -413,8 +426,7 @@ class Polynomial:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, FpElement)):
-            c = self.field(other) if isinstance(other, int) else other
-            return Polynomial(self.field, [a / c for a in self.coeffs])
+            return self * (self.field.one / self.field(other))
         if isinstance(other, Polynomial):
             return RationalFunction(self, other)
         return NotImplemented
@@ -427,15 +439,23 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field == other.field and self._c == other._c and self._d == other._d
         if isinstance(other, (int, Fraction, FpElement)):
             return self == self._lift(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._c, self._d))
 
     def __call__(self, x):
+        """The value at a field scalar x (homogenised integer Horner over QQ,
+        residues over GF(p)), or the generic Horner sum at anything else."""
+        if isinstance(x, (int, Fraction, FpElement)):
+            x, p = self.field(x), self.field.characteristic
+            if p:
+                return FpElement(_horner(self._c, x.value, p), p)
+            w = x.denominator
+            return Fraction(_homogeneous(self._c, x.numerator, w), self._d * w ** max(self.degree, 0))
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -444,11 +464,10 @@ class Polynomial:
     def monic(self):
         if self.is_zero():
             return self
-        return self / self.leading_coefficient
+        return _from_ints(self.field, self._c, self._c[-1])
 
     def derivative(self):
-        return Polynomial(self.field,
-                          [i * c for i, c in enumerate(self.coeffs)][1:])
+        return _from_ints(self.field, _derivative(self._c), self._d)
 
     def hasse(self, i):
         """i-th Hasse derivative: c_j t^j contributes binom(j, i) c_j t^(j-i)."""
@@ -458,11 +477,10 @@ class Polynomial:
         return _from_ints(self.field, _hasse_mod_p(c, i, self.field.characteristic), d)
 
     def shift(self, a):
-        """The polynomial p(t + a)."""
-        a = self.field(a) if isinstance(a, (int, str)) else a
-        result = Polynomial(self.field, [])
+        """The polynomial p(t + a), by Horner."""
+        result, x = Polynomial(self.field, []), Polynomial(self.field, [a, 1])
         for c in reversed(self.coeffs):
-            result = result * Polynomial(self.field, [a, 1]) + c
+            result = result * x + c
         return result
 
     def reversed_coeffs(self, n=None):
@@ -473,7 +491,7 @@ class Polynomial:
             n = self.degree
         if n < self.degree:
             raise ValueError("reversal bound below degree")
-        return Polynomial(self.field, [0] * (n - self.degree) + list(reversed(self.coeffs)))
+        return _from_ints(self.field, (0,) * (n - self.degree) + self._c[::-1], self._d)
 
     def _taylor_lead(self, a):
         """(m, c) with p(t) = c (t - a)^m + higher powers of (t - a), c != 0:
@@ -487,10 +505,9 @@ class Polynomial:
         u, w = (a.value, 1) if p else (a.numerator, a.denominator)
         m = 0
         while True:
-            n = len(q) - 1
-            acc = _horner(q, u, p) if p else sum(x * u ** i * w ** (n - i) for i, x in enumerate(q))
+            acc = _horner(q, u, p) if p else _homogeneous(q, u, w)
             if acc:
-                return m, FpElement(acc, p) if p else Fraction(acc * w ** m, w ** n * d)
+                return m, FpElement(acc, p) if p else Fraction(acc * w ** m, w ** (len(q) - 1) * d)
             q = _exact_div_mod_p(q, _mod_p([-u, w], p), p)
             m += 1
 
@@ -506,14 +523,10 @@ class Polynomial:
             return math.inf
         if g.degree < 1:
             raise ValueError("factor must be nonconstant")
-        e = 0
-        h = self
-        while True:
-            q, r = divmod(h, g)
-            if not r.is_zero():
-                return e
-            e += 1
-            h = q
+        e, (q, r) = 0, divmod(self, g)
+        while r.is_zero():
+            e, (q, r) = e + 1, divmod(q, g)
+        return e
 
     def gcd(self, other):
         if self.is_zero() and other.is_zero():
@@ -526,44 +539,8 @@ class Polynomial:
         self up to the leading constant.  Handles p-th powers in GF(p)."""
         if self.is_zero():
             raise ValueError("zero polynomial")
-        f = self.monic()
-        out = []
-        if f.degree == 0:
-            return out
-        p = self.field.characteristic
-        d = f.derivative()
-        if d.is_zero():
-            # f is a p-th power: over the prime field, coefficients are fixed
-            # by Frobenius, so just contract exponents.
-            assert p > 0
-            inner = Polynomial(self.field, [f.coefficient(j * p) for j in range(f.degree // p + 1)])
-            for fac, m in inner.squarefree_decomposition():
-                out.append((fac, m * p))
-            return out
-        g = f.gcd(d)
-        sqfree = f.exact_div(g) if g.degree > 0 else f
-        rest = g
-        m = 1
-        while sqfree.degree > 0:
-            nxt = sqfree.gcd(rest)
-            factor = sqfree.exact_div(nxt) if nxt.degree > 0 else sqfree
-            if factor.degree > 0:
-                out.append((factor.monic(), m))
-            sqfree = nxt
-            if nxt.degree > 0:
-                rest = rest.exact_div(nxt)
-            m += 1
-        if rest.degree > 0:
-            # leftover p-th power part
-            for fac, mult in rest.squarefree_decomposition():
-                merged = False
-                for i, (f0, m0) in enumerate(out):
-                    if f0 == fac:
-                        out[i] = (f0, m0 + mult)
-                        merged = True
-                if not merged:
-                    out.append((fac, mult))
-        return out
+        return [(_from_ints(self.field, f, f[-1]), m)
+                for f, m in _squarefree_decomposition_mod_p(self._c, self.field.characteristic)]
 
     def rational_roots(self):
         """The distinct roots in the coefficient field, each once, also when
@@ -650,9 +627,11 @@ def _cleared(polys):
 
 
 def _from_ints(field, c, d=1):
-    """The Polynomial c / d over the field; over GF(p) d is 1."""
-    p = field.characteristic
-    return Polynomial(field, [FpElement(x, p) if p else Fraction(x, d) for x in c])
+    """The Polynomial c / d over the field, for ints c and d != 0 (over
+    GF(p), d a unit), stored in canonical form."""
+    f = Polynomial.__new__(Polynomial)
+    f._store(field, c, d)
+    return f
 
 
 def _mod_p(a, p):
@@ -730,13 +709,45 @@ def _exact_div_mod_p(a, b, p):
 
 
 def _gcd_mod_p(a, b, p):
-    """gcd of a and b, not both zero: monic over GF(p); over ZZ primitive,
-    by the primitive pseudo-remainder sequence."""
+    """gcd of a and b, not both zero: monic over GF(p); over ZZ primitive
+    with a positive lead, by the primitive pseudo-remainder sequence."""
     while b:
         s = 1 if p else b[-1] ** max(len(a) - len(b) + 1, 0)
         r = _divmod_mod_p([c * s for c in a], b, p)[1]
         a, b = b, r if p else _primitive(r)
-    return _monic_mod_p(a, p) if p else _primitive(a)
+    return _monic_mod_p(a, p) if p else _primitive(a if a[-1] > 0 else [-c for c in a])
+
+
+def _squarefree_decomposition_mod_p(f, p):
+    """[(factor, multiplicity)] for the nonzero f: squarefree factors,
+    monic over GF(p) and primitive with a positive lead over ZZ, whose
+    product with multiplicities is f up to a constant.  p-th powers over
+    GF(p) are contracted: the prime field is fixed by Frobenius."""
+    f = _gcd_mod_p(f, [], p)
+    out = []
+    if len(f) < 2:
+        return out
+    d = _mod_p(_derivative(f), p)
+    if not d:
+        return [(fac, m * p) for fac, m in _squarefree_decomposition_mod_p(f[::p], p)]
+    rest = _gcd_mod_p(f, d, p)
+    sqfree, m = _exact_div_mod_p(f, rest, p), 1
+    while len(sqfree) > 1:
+        nxt = _gcd_mod_p(sqfree, rest, p)
+        factor = _exact_div_mod_p(sqfree, nxt, p)
+        if len(factor) > 1:
+            out.append((factor, m))
+        sqfree, rest, m = nxt, _exact_div_mod_p(rest, nxt, p), m + 1
+    # the p-th power part left over, merged into equal factors
+    for fac, mult in _squarefree_decomposition_mod_p(rest, p) if len(rest) > 1 else ():
+        merged = False
+        for i, (f0, m0) in enumerate(out):
+            if f0 == fac:
+                out[i] = (f0, m0 + mult)
+                merged = True
+        if not merged:
+            out.append((fac, mult))
+    return out
 
 
 def _powmod_mod_p(a, e, f, p):
@@ -822,7 +833,7 @@ def _rational_roots_qq(f):
         if z > m // 2:
             z -= m
         # exact test of f(z/lead) = 0, scaled by lead^n
-        if not sum(x * z ** i * lead ** (len(c) - 1 - i) for i, x in enumerate(c)):
+        if not _homogeneous(c, z, lead):
             roots.append(Fraction(z, lead))
     return sorted(roots)
 
@@ -849,6 +860,14 @@ def _horner(c, x, m):
     return acc
 
 
+def _homogeneous(c, u, w):
+    """w^n c(u / w), n = len(c) - 1, exactly: sum c_i u^i w^(n-i) by Horner."""
+    acc, scale = 0, 1
+    for a in reversed(c):
+        acc, scale = acc * u + a * scale, scale * w
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
@@ -872,16 +891,13 @@ class RationalFunction:
         if num.is_zero():
             den = Polynomial(num.field, [1])
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lc = den.leading_coefficient
-            if lc != den.field.one:
-                num = num / lc
-                den = den / lc
-        self.num = num
-        self.den = den
+            # on the stored ints: cancel the gcd, then make den monic
+            p, (a, da), (b, db) = num.field.characteristic, num._ints(), den._ints()
+            g = _gcd_mod_p(a, b, p)
+            a, b = _exact_div_mod_p(a, g, p), _exact_div_mod_p(b, g, p)
+            num = _from_ints(num.field, [x * db for x in a], da * b[-1])
+            den = _from_ints(den.field, b, b[-1])
+        self.num, self.den = num, den
 
     @property
     def field(self):
@@ -995,9 +1011,8 @@ class RationalFunction:
         """
         if n < 0:
             raise ValueError("negative Hasse derivative order")
-        p, k = self.field.characteristic, len(self.num.coeffs)
-        c, _d = scalar_ints(self.num.coeffs + self.den.coeffs, p)
-        num, den = c[:k], c[k:]
+        p = self.field.characteristic
+        (num, den), _d = _cleared((self.num, self.den))
         dden = [_hasse_mod_p(den, i, p) for i in range(n + 1)]
         den_pow = [[1]]
         for _ in range(n + 1):
@@ -1116,13 +1131,10 @@ def fraction_free_rank_det(rows):
     if field is None:
         raise ValueError("matrix carries no field information")
 
-    def as_rf(x):
-        if isinstance(x, RationalFunction):
-            return x
-        return RationalFunction(x if isinstance(x, Polynomial) else Polynomial(field, [x]))
-
     # clear denominators row by row, remembering the multipliers
-    cleared = [shared_denominator([as_rf(x) for x in r]) for r in rows]
+    one = Polynomial(field, [1])
+    cleared = [shared_denominator([x if isinstance(x, RationalFunction) else RationalFunction(x, one)
+                                   for x in r]) for r in rows]
     rank, det, sign = _bareiss([nums for _common, nums in cleared])
     if len(rows) != ncols:
         return rank, None
@@ -1137,7 +1149,7 @@ def quotient_det(field, numerators, G, eps):
     rows are dependent.  By the Leibniz rule P_e is the sum over a <= e of
     D^(a)(n_j) G^a Q_(e-a), Q_b = G^(b+1) D^(b)(1/G) from one hasse_list
     of 1/G.  The quotient-rule recurrence for Q_b has integer coefficients,
-    so every Q_b is an int list (its scalar_ints denominator is 1) and all
+    so every Q_b is an int list (its stored denominator is 1) and all
     terms of a row share one scale: no term is cleared on its own."""
     if not eps:
         return [1]
@@ -1146,7 +1158,7 @@ def quotient_det(field, numerators, G, eps):
     for _ in range(top + 1):
         powers.append(_mul_mod_p(powers[-1], G, p))
     inverse = RationalFunction(Polynomial(field, [1]), _from_ints(field, G))
-    quotients = [scalar_ints((_from_ints(field, powers[b + 1]).exact_div(h.den) * h.num).coeffs, p)[0]
+    quotients = [(_from_ints(field, powers[b + 1]).exact_div(h.den) * h.num)._ints()[0]
                  for b, h in enumerate(inverse.hasse_list(top))]
     hasse = [[_hasse_mod_p(n, a, p) for n in numerators] for a in range(top + 1)]
     rows = []
@@ -1195,11 +1207,6 @@ def _bareiss_mod_p(work, p):
         prev = top[c]
         r += 1
     return r, prev, sign, order
-
-
-def scalar_rank(rows):
-    """Rank of a matrix of field scalars (Fraction or FpElement)."""
-    return len(scalar_echelon(rows)[0])
 
 
 def int_echelon(rows, p):
@@ -1311,37 +1318,27 @@ def coprime_refinement(polys):
     Each returned factor has a single well-defined multiplicity in every
     input (inputs are refined through their squarefree layers).
     """
-    layers = []
-    for p in polys:
-        if p.is_zero() or p.degree < 1:
-            continue
-        for fac, _m in p.squarefree_decomposition():
-            layers.append(fac)
+    layers = [fac for p in dict.fromkeys(polys) if p.degree >= 1
+              for fac, _m in p.squarefree_decomposition()]
     basis = []
     for f in layers:
-        f = f.monic()
         queue = [f]
         while queue:
             g = queue.pop()
             if g.degree < 1:
                 continue
-            refined = False
             for i, b in enumerate(basis):
                 d = g.gcd(b)
                 if d.degree < 1:
                     continue
                 if d == b:
-                    rem = g.exact_div(b)
-                    if rem.degree >= 1:
-                        queue.append(rem)
-                    refined = True
-                    break
-                basis[i] = d
-                basis.append(b.exact_div(d))
-                queue.append(g)
-                refined = True
+                    queue.append(g.exact_div(b))
+                else:
+                    basis[i] = d
+                    basis.append(b.exact_div(d))
+                    queue.append(g)
                 break
-            if not refined:
+            else:
                 basis.append(g)
     # split off linear factors over the base field
     out = []

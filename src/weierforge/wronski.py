@@ -9,17 +9,21 @@ that determinant in a local trivialization.
 
 from __future__ import annotations
 
+import math
+
 from .exact import (
     INF,
     RationalFunction,
-    _bareiss,
+    _bareiss_mod_p,
     _cleared,
     _from_ints,
+    _hasse_mod_p,
+    _homogeneous,
+    _horner,
     coprime_refinement,
+    int_echelon,
     quotient_det,
     scalar_det,
-    scalar_echelon,
-    scalar_rank,
     shared_denominator,
 )
 from .padic import OrderSequence, binom_mod_p
@@ -49,7 +53,7 @@ class LinearSystem:
         if any(f.field != field for f in functions):
             raise ValueError("mixed coefficient fields")
         denominator, numerators = shared_denominator(functions)
-        if _constant_rank(numerators) < len(functions):
+        if len(_pivots(numerators)) < len(functions):
             raise DependentFunctionsError("functions are linearly dependent over the base field")
         self.functions = functions
         self.field = field
@@ -73,11 +77,13 @@ class LinearSystem:
         return len(self.functions)
 
 
-def _constant_rank(polys):
-    """Rank over the base field of the coefficient vectors of polynomials."""
-    width = max(p.degree for p in polys) + 1
-    rows = [[p.coefficient(i) for i in range(width)] for p in polys]
-    return scalar_rank(rows)
+def _pivots(polys):
+    """Pivot columns of the reduced echelon form of the coefficient vectors
+    of polynomials, taken on their stored int lists: scaling a row by its
+    denominator keeps them."""
+    width = max(f.degree for f in polys) + 1
+    return int_echelon([f._ints()[0] + (0,) * (width - 1 - f.degree) for f in polys],
+                       polys[0].field.characteristic)[0]
 
 
 def order_sequence(V):
@@ -87,11 +93,14 @@ def order_sequence(V):
     The order sequence does not change when every f_j is multiplied by the
     shared denominator D, and at it det(D^(eps_i)(n_j / D)) equals
     det(D^(eps_i) n_j) / D^s (Stoehr-Voloch), so the search and the
-    wronskian both run on the polynomial rows D^(e) n_j.
+    wronskian both run on the polynomial rows D^(e) n_j.  With n_j = c_j / d_j
+    stored as ints, column j is taken as D^(e) c_j: the scaling keeps the
+    rank, and the determinant is divided by the product of the d_j.
     """
     if V._orders is not None:
         return V._orders
-    s = len(V)
+    s, p = len(V), V.characteristic
+    cleared = [n._ints() for n in V.numerators]
     # generous search cap; can never bind for independent functions
     spread = sum(f.num.degree + f.den.degree for f in V.functions) + s + 2
     chosen = []
@@ -101,38 +110,32 @@ def order_sequence(V):
         eps += 1
         if chosen and eps > chosen[-1] + spread:
             raise AssertionError("order sequence search exceeded its degree bound")
-        row = [n.hasse(eps) for n in V.numerators]
-        if _extends_rank(accepted, row, V.field):
+        row = [_hasse_mod_p(c, eps, p) for c, _d in cleared]
+        if _extends_rank(accepted, row, p):
             chosen.append(eps)
             accepted.append(row)
-    orders = OrderSequence(chosen, V.characteristic)
-    rank, det, sign = _bareiss([list(r) for r in accepted])
+    orders = OrderSequence(chosen, p)
+    rank, det, sign, _order = _bareiss_mod_p([list(r) for r in accepted], p)
     if rank < s:
         raise AssertionError("greedy order sequence failed determinant verification")
     V._orders = orders
-    V._wronskian = RationalFunction(det * sign, V.denominator ** s)
+    V._wronskian = RationalFunction(_from_ints(V.field, [x * sign for x in det],
+                                               math.prod(d for _c, d in cleared)),
+                                    V.denominator ** s)
     return orders
 
 
-def _evaluation_points(field, count):
-    p = field.characteristic
-    if p == 0:
-        return [field(k) for k in range(2, 2 + count)]
-    return [field(k) for k in range(min(p, count))]
-
-
-def _extends_rank(accepted, row, field):
-    """Does the polynomial row extend the row span over the function field?
-
-    Scalar evaluation at a point gives a one-sided certificate of
-    independence; fraction-free elimination decides the remaining cases.
-    """
+def _extends_rank(accepted, row, p):
+    """Does the int polynomial row extend the row span over the function
+    field?  Full rank of the values at t = 2..7 over QQ, or at the first six
+    residues over GF(p), is a one-sided certificate of independence;
+    fraction-free elimination decides the remaining cases."""
     rows = accepted + [row]
-    for point in _evaluation_points(field, 6):
-        if scalar_rank([[x(point) for x in r] for r in rows]) == len(rows):
+    for x in range(min(p, 6)) if p else range(2, 8):
+        values = [[_horner(c, x, p) if p else _homogeneous(c, x, 1) for c in r] for r in rows]
+        if len(int_echelon(values, p)[0]) == len(rows):
             return True
-    rank, _det, _sign = _bareiss([list(r) for r in rows])
-    return rank == len(rows)
+    return _bareiss_mod_p([list(r) for r in rows], p)[0] == len(rows)
 
 
 def wronskian(V, eps=None):
@@ -171,8 +174,7 @@ def vq_orders(V, q):
     reversed vectors).
     """
     n = max(f.degree for f in V.numerators)
-    local = [f.reversed_coeffs(n) if q is INF else f.shift(q) for f in V.numerators]
-    pivots, _rows = scalar_echelon([[f.coefficient(i) for i in range(n + 1)] for f in local])
+    pivots = _pivots([f.reversed_coeffs(n) if q is INF else f.shift(q) for f in V.numerators])
     return tuple(c - pivots[0] for c in pivots)
 
 

@@ -31,7 +31,6 @@ from weierforge.exact import (
     scalar_echelon,
     scalar_ints,
     scalar_nullspace,
-    scalar_rank,
     span_reduce,
 )
 from conftest import derivative, random_polynomial, random_rational_function, valuation_at_zero
@@ -490,7 +489,7 @@ class TestFractionFreeLinearAlgebra:
 
     def test_scalar_helpers(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert scalar_rank(rows) == 1
+        assert len(scalar_echelon(rows)[0]) == 1
         null = scalar_nullspace(rows, 2, QQ)
         assert len(null) == 1 and null[0][0] * 1 + null[0][1] * 2 == 0
         assert scalar_det([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) == 1
@@ -867,7 +866,6 @@ class TestReducedEchelon:
                 assert pivots == ref_pivots
                 assert field_rows(pivots, ints, p) == ref_rows
             assert scalar_echelon(rows) == (ref_pivots, ref_rows)
-            assert scalar_rank(rows) == len(ref_pivots)
             for probe in _echelon_matrix(rng, field, 4, n) + rows:
                 assert (not any(span_reduce(pivots, ints, scalar_ints(probe, p)[0], p))) is (
                     not any(_ref_span_reduce(ref_pivots, ref_rows, probe)))
@@ -894,3 +892,167 @@ class TestReducedEchelon:
                 inside += member
                 outside += not member
         assert inside > 20 and outside > 20
+
+
+# Polynomial stores c / d on ints: the canonical form, and the operations
+# that work on it checked against the same operations on field elements.
+
+def _assert_canonical(f):
+    c, d = f._ints()
+    p = f.field.characteristic
+    assert isinstance(c, tuple) and all(type(x) is int for x in c) and type(d) is int
+    assert not c or c[-1]
+    if p:
+        assert d == 1 and all(0 <= x < p for x in c)
+    else:
+        assert d > 0 and math.gcd(d, *c) == 1 and (c or d == 1)
+    assert f.coeffs == tuple(FpElement(x, p) if p else Fraction(x, d) for x in c)
+    assert Polynomial(f.field, f.coeffs)._ints() == (c, d)
+
+
+def _ref_squarefree_decomposition(f):
+    """The squarefree decomposition as Polynomial ran it on field elements
+    before its int-list helper: the same steps and merge rule."""
+    f = f.monic()
+    out = []
+    if f.degree == 0:
+        return out
+    p = f.field.characteristic
+    d = derivative(RationalFunction(f)).num
+    if d.is_zero():
+        inner = Polynomial(f.field, [f.coefficient(j * p) for j in range(f.degree // p + 1)])
+        return [(fac, m * p) for fac, m in _ref_squarefree_decomposition(inner)]
+    g = _ref_gcd(f, d)
+    sqfree = f.exact_div(g) if g.degree > 0 else f
+    rest, m = g, 1
+    while sqfree.degree > 0:
+        nxt = _ref_gcd(sqfree, rest)
+        factor = sqfree.exact_div(nxt) if nxt.degree > 0 else sqfree
+        if factor.degree > 0:
+            out.append((factor.monic(), m))
+        sqfree = nxt
+        if nxt.degree > 0:
+            rest = rest.exact_div(nxt)
+        m += 1
+    if rest.degree > 0:
+        for fac, mult in _ref_squarefree_decomposition(rest):
+            merged = False
+            for i, (f0, m0) in enumerate(out):
+                if f0 == fac:
+                    out[i] = (f0, m0 + mult)
+                    merged = True
+            if not merged:
+                out.append((fac, mult))
+    return out
+
+
+class TestStoredInts:
+    def test_a_negative_denominator_is_moved_into_the_numerator(self):
+        # a primitive gcd with a negative lead hands _from_ints d < 0
+        f = exact._from_ints(QQ, [2, -4], -2)
+        assert f == Polynomial(QQ, [-1, 2])
+        assert hash(f) == hash(Polynomial(QQ, [-1, 2]))
+        assert f._ints() == ((-1, 2), 1)
+        assert exact._from_ints(QQ, [3, 6], -9)._ints() == ((-1, -2), 3)
+        _assert_canonical(f)
+
+    def test_the_zero_polynomial_has_denominator_one(self):
+        f = Polynomial(QQ, [Fraction(1, 6), Fraction(5, 4)])
+        assert f._ints() == ((2, 15), 12)
+        for zero in (f - f, exact._from_ints(QQ, [0, 0], 6), Polynomial(QQ, [Fraction(0, 7)]),
+                     f * 0, Polynomial(QQ, [])):
+            assert zero._ints() == ((), 1)
+            assert zero == Polynomial(QQ, []) and hash(zero) == hash(Polynomial(QQ, []))
+            assert zero.is_zero() and zero.degree == -1 and zero.coeffs == ()
+
+    def test_residues_are_reduced(self):
+        F7 = GF(7)
+        assert Polynomial(F7, [-1, 15, 7, 14])._ints() == ((6, 1), 1)
+        assert Polynomial(F7, [F7(3), Fraction(1, 2), "-8"])._ints() == ((3, 4, 6), 1)
+        # a denominator over GF(p) is a unit, taken into the residues
+        assert exact._from_ints(F7, [10, -3], 3)._ints() == ((1, 6), 1)
+        assert (Polynomial(F7, [3, 5]) * Polynomial(F7, [5, 4]))._ints() == ((1, 2, 6), 1)
+        assert Polynomial(F7, [3, 5]).monic()._ints() == ((2, 1), 1)
+
+    def test_coeffs_is_a_read_only_tuple_of_field_scalars(self):
+        f = Polynomial(QQ, [Fraction(1, 2), 0, 3])
+        assert f.coeffs == (Fraction(1, 2), Fraction(0), Fraction(3))
+        assert isinstance(f.coeffs, tuple) and f.coeffs is f.coeffs
+        with pytest.raises(AttributeError):
+            f.coeffs = (Fraction(1),)
+        with pytest.raises(AttributeError):
+            f.extra = 1
+        g = Polynomial(GF(5), [7, 0, 1])
+        assert g.coeffs == (FpElement(2, 5), FpElement(0, 5), FpElement(1, 5))
+        assert f.coefficient(1) == 0 and f.coefficient(9) == 0 and g.leading_coefficient == 1
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_operations_keep_the_canonical_form_and_match_field_elements(self, field):
+        rng = random.Random(1500 + field.characteristic)
+        for _ in range(60):
+            f, g = _kernel_polynomial(rng, field), _kernel_polynomial(rng, field)
+            n = max(f.degree, g.degree) + 1
+            ref_sum = Polynomial(field, [f.coefficient(i) + g.coefficient(i) for i in range(n)])
+            ref_diff = Polynomial(field, [f.coefficient(i) - g.coefficient(i) for i in range(n)])
+            assert f + g == ref_sum and f - g == ref_diff and g + f == ref_sum
+            assert -f == Polynomial(field, [-c for c in f.coeffs])
+            assert f.derivative() == Polynomial(field, [i * c for i, c in enumerate(f.coeffs)][1:])
+            results = [f + g, f - g, -f, f * g, f.derivative(), f.hasse(2), f.shift(3),
+                       f.reversed_coeffs(n), f + 1, 2 - f, f * Fraction(3, 7)]
+            if not f.is_zero():
+                assert f.monic() == _ref_divmod(f, Polynomial(field, [f.leading_coefficient]))[0]
+                c = field(rng.randint(1, 50)) or field.one
+                assert f / c == Polynomial(field, [x / c for x in f.coeffs])
+                results += [f.monic(), f / c, f.gcd(g), (f * g).exact_div(f)]
+                if g.degree > 0:
+                    results += list(divmod(f, g))
+            for h in results:
+                _assert_canonical(h)
+            assert (f == g) is (f.coeffs == g.coeffs)
+            assert (hash(f) == hash(g)) or f != g
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_evaluation_matches_horner_on_field_elements(self, field):
+        rng = random.Random(1600 + field.characteristic)
+        p = field.characteristic
+        t = t_over(field)
+        for _ in range(40):
+            f = _kernel_polynomial(rng, field, 7)
+            points = [rng.randint(-9, 9), field(rng.randint(0, 10 ** 9))]
+            if not p:
+                points.append(Fraction(rng.randint(-99, 99), rng.randint(1, 99)))
+            for x in points:
+                expected = field.zero
+                for c in reversed(f.coeffs):
+                    expected = expected * field(x) + c
+                value = f(x)
+                assert value == expected and type(value) is type(field.one)
+            # a non-scalar argument takes the generic Horner path
+            assert f(t) == f
+            assert f(t + 2) == f.shift(2)
+            assert f(RationalFunction(t + 2)) == RationalFunction(f.shift(2))
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_squarefree_decomposition_matches_the_field_element_steps(self, field):
+        rng = random.Random(1700 + field.characteristic)
+        p = field.characteristic
+        powers = [1, 2, 3] + ([p, p + 1, 2 * p] if 0 < p < 10 else [])
+        for _ in range(25):
+            f = Polynomial(field, [field.one * rng.randint(1, 9) or 1])
+            for _ in range(rng.randint(1, 3)):
+                g = _kernel_polynomial(rng, field, 2)
+                if g.degree > 0:
+                    f = f * g ** rng.choice(powers)
+            dec = f.squarefree_decomposition()
+            assert dec == _ref_squarefree_decomposition(f)
+            product = Polynomial(field, [1])
+            for fac, m in dec:
+                _assert_canonical(fac)
+                assert fac.leading_coefficient == 1
+                product = product * fac ** m
+            assert product == f.monic()
+        # f and g^p share a factor: their multiplicities were merged
+        if p == 3:
+            t = t_over(field)
+            assert (t * (t + 1) ** 2 * t ** 3).squarefree_decomposition() == [
+                (t + 1, 2), (t, 4)]

@@ -10,7 +10,9 @@ from weierforge.exact import (
     QQ,
     Polynomial,
     RationalFunction,
+    _bareiss,
     fraction_free_rank_det,
+    scalar_echelon,
 )
 from weierforge.wronski import (
     DependentFunctionsError,
@@ -183,7 +185,7 @@ def seeded_systems(field, seed, count):
     rng = random.Random(seed)
     t = Polynomial.variable(field)
     p = field.characteristic
-    top = 2 * p + 2 if p else 6
+    top = 2 * p + 2 if 0 < p < 10 else 6
     out = []
     while len(out) < count:
         exps = sorted(rng.sample(range(top), rng.randint(2, 4)))
@@ -254,6 +256,73 @@ class TestNumeratorRoute:
                 assert f == RationalFunction(n, V.denominator)
                 assert (V.denominator % f.den).is_zero()
             assert V.denominator.leading_coefficient == GF(3).one
+
+
+def field_element_order_sequence(V):
+    """The order-sequence search as it ran on field elements: rows of
+    Polynomial Hasse derivatives of the numerators, evaluated by Horner on
+    field scalars at t = 2..7 over QQ or at the first six residues over
+    GF(p) and ranked by scalar_echelon, with Bareiss on the polynomial rows
+    where every point is singular.  Returns the orders, the wronskian and
+    how many rows Bareiss found independent."""
+    field, s = V.field, len(V)
+    points = [field(k) for k in (range(min(field.characteristic, 6)) if field.characteristic
+                                 else range(2, 8))]
+
+    def value(f, x):
+        acc = field.zero
+        for c in reversed(f.coeffs):
+            acc = acc * x + c
+        return acc
+
+    chosen, accepted, decided, eps = [], [], 0, -1
+    while len(chosen) < s:
+        eps += 1
+        rows = accepted + [[n.hasse(eps) for n in V.numerators]]
+        if any(len(scalar_echelon([[value(f, x) for f in r] for r in rows])[0]) == len(rows)
+               for x in points):
+            independent = True
+        else:
+            independent = _bareiss([list(r) for r in rows])[0] == len(rows)
+            decided += independent
+        if independent:
+            chosen.append(eps)
+            accepted.append(rows[-1])
+    rank, det, sign = _bareiss([list(r) for r in accepted])
+    assert rank == s
+    return tuple(chosen), RationalFunction(det * sign, V.denominator ** s), decided
+
+
+def singular_at_every_point(field):
+    """(1, f, f^2) / (t + 7)^2 with D^(1) f vanishing at every evaluation
+    point: the order-1 row (0, D^(1) f, D^(1) f^2) is zero there, so only
+    Bareiss finds it independent."""
+    t = Polynomial.variable(field)
+    p = field.characteristic
+    if p == 2:
+        f = t ** 3 + t ** 5    # D^(1) f = t^2 (t + 1)^2
+    else:
+        df = Polynomial(field, [1])
+        for x in range(min(p, 6)) if p else range(2, 8):
+            df = df * (t - x)
+        f = Polynomial(field, [0] + [c / (i + 1) if c else c for i, c in enumerate(df.coeffs)])
+        assert derivative(RationalFunction(f)).num == df
+    den = (t + 7) ** 2
+    return LinearSystem([1 / den, f / den, f ** 2 / den])
+
+
+class TestIntRowSearch:
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 100003])
+    def test_orders_and_wronskian_match_the_field_element_search(self, p):
+        field = GF(p) if p else QQ
+        systems = seeded_systems(field, 700 + p % 97, 10) + [singular_at_every_point(field)]
+        for V in systems:
+            eps, w, decided = field_element_order_sequence(V)
+            assert tuple(order_sequence(V)) == eps
+            assert wronskian(V) == w
+        # the last system reaches the Bareiss fallback, which finds the
+        # order-1 row independent
+        assert decided > 0 and eps[:2] == (0, 1)
 
 
 class TestVQOrders:
