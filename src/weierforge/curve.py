@@ -21,7 +21,6 @@ from .exact import (
     INF,
     Polynomial,
     RationalFunction,
-    TruncatedSeries,
     TruncationError,
     _from_ints,
     _mul_mod_p,
@@ -35,7 +34,7 @@ from .exact import (
 )
 from .numsg import NumericalSemigroup
 from .padic import monomial_order_sequence
-from .valsg2 import TwoBranchRing, _product, closed_span
+from .valsg2 import TwoBranchRing, _basis_rows, _product, closed_span
 from . import wronski
 from .wronski import LinearSystem, order_sequence, wronskian
 
@@ -64,21 +63,6 @@ def _parse_point(field, text):
     return field(text if isinstance(text, str) else text)
 
 
-def _default_uniformizer(field, location):
-    t = Polynomial.variable(field)
-    one = Polynomial(field, [1])
-    if location is INF:
-        return RationalFunction(one, t)
-    return RationalFunction(t - location, one)
-
-
-def _check_uniformizer(u, location):
-    if u.num.degree > 1 or u.den.degree > 1:
-        raise ValueError("uniformizer must be a degree-one map of the line")
-    if u.valuation(location) != 1:
-        raise ValueError("uniformizer must vanish to order one at the location")
-
-
 # ---------------------------------------------------------------------------
 # Singularity descriptors
 # ---------------------------------------------------------------------------
@@ -95,7 +79,33 @@ class _Branch:
         self.conductor_exponent = conductor_exponent
 
 
-class MonomialSingularity:
+class _Singularity:
+    """What the curve reads of a singular point: its branches, and a basis of
+    its local ring modulo the conductor as int rows (residues over GF(p)),
+    one block of c coordinates per branch, entry i of a block the
+    coefficient of s^i.  The constructors below set both once."""
+
+    def _place(self, field, locations, uniformizers, conductors):
+        """Set the field, the locations and the branches, and return the
+        uniformizers: by default t - q, or 1/t at INF, and each a degree-one
+        map of the line vanishing to order one at its location."""
+        t = Polynomial.variable(field)
+        self.field, self.locations, self._branches = field, tuple(locations), []
+        for q, u, c in zip(locations, uniformizers, conductors):
+            if u is None:
+                u = RationalFunction(Polynomial(field, [1]), t) if q is INF else RationalFunction(t - q)
+            if u.num.degree > 1 or u.den.degree > 1:
+                raise ValueError("uniformizer must be a degree-one map of the line")
+            if u.valuation(q) != 1:
+                raise ValueError("uniformizer must vanish to order one at the location")
+            self._branches.append(_Branch(q, u, c))
+        return tuple(br.uniformizer for br in self._branches)
+
+    def branches(self):
+        return self._branches
+
+
+class MonomialSingularity(_Singularity):
     """Unibranch singularity whose local ring is spanned by uniformizer
     powers at the nongaps of a symmetric semigroup, plus the conductor
     tail."""
@@ -105,83 +115,48 @@ class MonomialSingularity:
             raise ValueError("monomial singularity needs a symmetric semigroup")
         if semigroup.genus < 1:
             raise ValueError("semigroup of a singular point must have a gap")
-        if uniformizer is None:
-            uniformizer = _default_uniformizer(field, location)
-        _check_uniformizer(uniformizer, location)
-        self.field = field
+        c = 2 * semigroup.genus
+        (self.uniformizer,) = self._place(field, (location,), (uniformizer,), (c,))
         self.semigroup = semigroup
         self.location = location
-        self.uniformizer = uniformizer
         self.delta = semigroup.genus
-        self._branches = [_Branch(location, uniformizer, 2 * self.delta)]
-
-    @property
-    def locations(self):
-        return (self.location,)
-
-    def branches(self):
-        return self._branches
-
-    def local_basis(self):
-        """Series tuples (one per branch) spanning the local ring mod C."""
-        c = 2 * self.delta
-        return [(TruncatedSeries(self.field, n, [1], c),)
-                for n in self.semigroup.small_elements()]
+        self._rows = [[int(i == n) for i in range(c)] for n in semigroup.small_elements()]
 
     def describe(self):
         return "monomial %s at %s" % (self.semigroup, point_str(self.location))
 
 
-class UnibranchSingularity:
+class UnibranchSingularity(_Singularity):
     """Unibranch singularity with an explicit basis of the local ring modulo
     the conductor, as truncated series in the uniformizer."""
 
     def __init__(self, field, basis, conductor_exponent, location, uniformizer=None):
-        if uniformizer is None:
-            uniformizer = _default_uniformizer(field, location)
-        _check_uniformizer(uniformizer, location)
         c = conductor_exponent
+        (self.uniformizer,) = self._place(field, (location,), (uniformizer,), (c,))
         if c < 1:
             raise ValueError("conductor exponent must be positive")
-        series = []
-        for b in basis:
-            if not isinstance(b, TruncatedSeries):
-                b = TruncatedSeries(field, 0, list(b), None)
-            if b.truncation is not None and b.truncation < c:
-                raise ValueError("basis series not known to the conductor exponent")
-            series.append(TruncatedSeries(field, 0, [b.coefficient(i) for i in range(c)], c))
-        pivots, _rows = closed_span([window_ints((b,), (c,), field.characteristic)
-                                     for b in series], (c,), (c,), field.characteristic)
-        # the values below c are the leading exponents of the span: its pivots
-        gaps = [n for n in range(1, c) if n not in pivots]
-        semigroup = NumericalSemigroup(gaps)
-        if not semigroup.is_symmetric():
+        # every local ring has c <= 2 delta = 2 (c - n) for n basis elements,
+        # with equality exactly when it is Gorenstein: a longer conductor is
+        # refused before any series is expanded, and once the span checks
+        # pass, c = 2n makes the value semigroup symmetric
+        if basis and c > 2 * len(basis):
             raise ValueError("value semigroup is not symmetric: the ring is not Gorenstein")
-        self.field = field
-        self.basis = tuple(series)
+        series, self._rows = _basis_rows(field, [(b,) for b in basis], (c,), (c,),
+                                         ["basis series not known to the conductor exponent"])
+        pivots, _echelon = closed_span(self._rows, (c,), (c,), field.characteristic)
+        # the values below c are the leading exponents of the span: its pivots
+        self.semigroup = NumericalSemigroup([n for n in range(1, c) if n not in pivots])
+        self.basis = tuple(b for (b,) in series)
         self.conductor_exponent = c
         self.location = location
-        self.uniformizer = uniformizer
-        self.semigroup = semigroup
         self.delta = c - len(series)
-        assert self.delta == semigroup.genus
-        self._branches = [_Branch(location, uniformizer, c)]
-
-    @property
-    def locations(self):
-        return (self.location,)
-
-    def branches(self):
-        return self._branches
-
-    def local_basis(self):
-        return [(b,) for b in self.basis]
+        assert self.delta == self.semigroup.genus and self.semigroup.is_symmetric()
 
     def describe(self):
         return "unibranch (semigroup %s) at %s" % (self.semigroup, point_str(self.location))
 
 
-class TwoBranchSingularity:
+class TwoBranchSingularity(_Singularity):
     """Two branches glued along a validated TwoBranchRing."""
 
     def __init__(self, ring, locations, uniformizers=(None, None)):
@@ -190,25 +165,11 @@ class TwoBranchSingularity:
         q1, q2 = locations
         if q1 == q2 or (q1 is INF and q2 is INF):
             raise ValueError("branch locations must be distinct")
-        us = []
-        for loc, u in zip((q1, q2), uniformizers):
-            if u is None:
-                u = _default_uniformizer(ring.field, loc)
-            _check_uniformizer(u, loc)
-            us.append(u)
-        self.field = ring.field
+        self.uniformizers = self._place(ring.field, (q1, q2), uniformizers, ring.conductor)
         self.ring = ring
-        self.locations = (q1, q2)
-        self.uniformizers = tuple(us)
         self.delta = ring.delta
-        self._branches = [_Branch(q, u, xi)
-                          for q, u, xi in zip(self.locations, us, ring.conductor)]
-
-    def branches(self):
-        return self._branches
-
-    def local_basis(self):
-        return list(self.ring.basis)
+        self._rows = [window_ints(pair, ring.conductor, ring.field.characteristic)
+                      for pair in ring.basis]
 
     def describe(self):
         return "two-branch (delta %d) at %s,%s" % (
@@ -245,16 +206,22 @@ class RationalCurve:
 
 class DualizingBasis:
     """Basis of global dualizing differentials tau_i = r_i(t) dt, with the
-    index of a generator of the dualizing stalk at each singularity and the
-    numerators of the r_i over the ansatz denominator as int lists."""
+    index of a generator of the dualizing stalk at each singularity, the
+    numerators of the r_i over the ansatz denominator as int lists, their
+    window vectors at each singularity (_windows[si][i], as _ansatz lays
+    them out) and the differentials as one LinearSystem, whose order
+    sequence and wronskian every weight shares."""
 
-    __slots__ = ("curve", "differentials", "generator_index", "numerators")
+    __slots__ = ("curve", "differentials", "generator_index", "numerators", "_windows",
+                 "_system")
 
-    def __init__(self, curve, differentials, generator_index, numerators):
+    def __init__(self, curve, differentials, generator_index, numerators, windows):
         self.curve = curve
         self.differentials = tuple(differentials)
         self.generator_index = dict(generator_index)
         self.numerators = tuple(numerators)
+        self._windows = windows
+        self._system = LinearSystem(self.differentials)
 
     def generator(self, singularity_index):
         return self.differentials[self.generator_index[singularity_index]]
@@ -282,12 +249,12 @@ def dualizing_basis(X):
     field, p = X.field, X.characteristic
     denominator, windows = _ansatz(X)
     # sum over branches of Res(f t^k dt / D) = sum_i f_i [s^(-1-i)] of the
-    # expansion: an int dot product with the window read backwards
+    # expansion: an int dot product of the window with f's blocks reversed
     rows = []
     for sing, ws in zip(X.singularities, windows):
-        for element in sing.local_basis():
-            f = scalar_ints([s.coefficient(c - 1 - i) for s, (_j, c) in zip(element, _blocks(sing))
-                             for i in range(c)], p)[0]
+        blocks = _blocks(sing)
+        for row in sing._rows:
+            f = [x for s, c in blocks for x in row[s:s + c][::-1]]
             rows.append([field(sum(a * b for a, b in zip(f, w))) for w in ws])
 
     null = scalar_nullspace(rows, len(windows[0]), field)
@@ -305,8 +272,9 @@ def dualizing_basis(X):
                    key=lambda i: differential_order_at(differentials[i], first.location))
     basis = DualizingBasis(X, [differentials[i] for i in order],
                            {si: order.index(gi) for si, gi in generator_index.items()},
-                           [numerators[i] for i in order])
-    _verify_generators(X, basis, [[vs[i] for i in order] for vs in local])
+                           [numerators[i] for i in order],
+                           [[vs[i] for i in order] for vs in local])
+    _verify_generators(X, basis)
     X._dualizing_basis = basis
     return basis
 
@@ -411,24 +379,20 @@ def _find_generator(sing, vectors):
         "no basis differential generates the dualizing stalk at %s" % sing.describe())
 
 
-def _verify_generators(X, basis, local=None):
+def _verify_generators(X, basis):
     """The chosen generator tau must have a pole of order c, the deepest the
     ansatz allows, on every branch, and every ratio tau_j / tau must lie in
-    the local ring.  local holds each singularity's window vectors in basis
-    order (computed again when not given).  With that pole no ratio has
-    one, and the windows fix the ratios below s^c; multiplying by tau maps
-    the local ring mod s^c onto the windows, so tau_j / tau lies in it iff
-    tau_j lies in the span of the local basis times tau."""
+    the local ring.  With that pole no ratio has one, and the windows fix
+    the ratios below s^c; multiplying by tau maps the local ring mod s^c
+    onto the windows, so tau_j / tau lies in it iff tau_j lies in the span
+    of the local basis rows times tau."""
     p = X.characteristic
-    if local is None:
-        local = _local_windows(_ansatz(X)[1], basis.numerators, p)
     for si, sing in enumerate(X.singularities):
-        vectors, blocks = local[si], _blocks(sing)
+        vectors, blocks = basis._windows[si], _blocks(sing)
         gen = vectors[basis.generator_index[si]]
         cs = [c for _s, c in blocks]
         if all(gen[s] for s, _c in blocks):
-            pivots, ech = int_echelon([_product(window_ints(e, cs, p), gen, cs, p)
-                                       for e in sing.local_basis()], p)
+            pivots, ech = int_echelon([_product(row, gen, cs, p) for row in sing._rows], p)
             if not any(any(span_reduce(pivots, ech, v, p)) for v in vectors):
                 continue
         raise GeneratorNotFound(
@@ -440,7 +404,7 @@ def _verify_generators(X, basis, local=None):
 # Weights
 # ---------------------------------------------------------------------------
 
-def singular_weight(X, singularity_index, basis, orders=None):
+def singular_weight(X, singularity_index, basis):
     """Weight of a declared singularity:
 
         2 * delta * N + ord_P det(D^(eps_i) (tau_j / tau)),
@@ -453,12 +417,11 @@ def singular_weight(X, singularity_index, basis, orders=None):
     Hasse derivatives are taken in the global coordinate, so a branch at
     infinity (where dt has a double pole) contributes a term -2N.
 
-    The order sequence is basis- and trivialization-independent, so the
-    caller may pass the one already computed for the full system.
+    The order sequence is basis- and trivialization-independent: it is the
+    full system's, computed once for the basis.
     """
     sing = X.singularities[singularity_index]
-    if orders is None:
-        orders = order_sequence(LinearSystem(basis.differentials))
+    orders = order_sequence(basis._system)
     # from the Hasse derivatives of tau_j / tau, not from the raw wronskian,
     # so weight_report's cross-check compares two independent computations
     gi = basis.generator_index[singularity_index]
@@ -516,14 +479,14 @@ def weight_report(X):
     against (2g-2)(g+N)."""
     basis = dualizing_basis(X)
     g = X.genus
-    V = LinearSystem(basis.differentials)
+    V = basis._system
     eps = order_sequence(V)
     N = eps.N
     w_raw = wronskian(V)
 
     singular_weights = []
     for si, sing in enumerate(X.singularities):
-        w = singular_weight(X, si, basis, orders=eps)
+        w = singular_weight(X, si, basis)
         # cross-check against the raw wronskian: the determinant of the
         # trivialized tuple is gen^(-s) times the raw one
         gen = basis.generator(si)
@@ -550,8 +513,7 @@ def smooth_weight_at(X, q):
     """Weight of a specific non-singular point of the curve."""
     if point_str(q) in map(point_str, X.singular_locations()):
         raise ValueError("point lies over a declared singularity; use singular_weight instead")
-    V = LinearSystem(dualizing_basis(X).differentials)
-    return wronski.differential_weight_at(V, q)
+    return wronski.differential_weight_at(dualizing_basis(X)._system, q)
 
 
 # ---------------------------------------------------------------------------

@@ -493,29 +493,19 @@ class Polynomial:
             raise ValueError("reversal bound below degree")
         return _from_ints(self.field, (0,) * (n - self.degree) + self._c[::-1], self._d)
 
-    def _taylor_lead(self, a):
-        """(m, c) with p(t) = c (t - a)^m + higher powers of (t - a), c != 0:
-        on ints q = d p, a = u / w, divide q by w t - u (exact in ZZ[t] by
-        Gauss's lemma) while w^n q(a) = 0; then q = d h / w^m, c = h(a)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no Taylor lead")
-        a = self.field(a)
-        p = self.field.characteristic
-        q, d = self._ints()
-        u, w = (a.value, 1) if p else (a.numerator, a.denominator)
-        m = 0
-        while True:
-            acc = _horner(q, u, p) if p else _homogeneous(q, u, w)
-            if acc:
-                return m, FpElement(acc, p) if p else Fraction(acc * w ** m, w ** (len(q) - 1) * d)
-            q = _exact_div_mod_p(q, _mod_p([-u, w], p), p)
-            m += 1
-
     def root_multiplicity(self, a):
-        """Multiplicity of t = a as a root."""
+        """Multiplicity of t = a as a root: on the stored ints q and a = u / w,
+        divide q by w t - u (exact in ZZ[t] by Gauss's lemma) while
+        w^n q(a) = 0."""
         if self.is_zero():
             return math.inf
-        return self._taylor_lead(a)[0]
+        a, p, q = self.field(a), self.field.characteristic, self._c
+        u, w = (a.value, 1) if p else (a.numerator, a.denominator)
+        m = 0
+        while not (_horner(q, u, p) if p else _homogeneous(q, u, w)):
+            q = _exact_div_mod_p(q, _mod_p([-u, w], p), p)
+            m += 1
+        return m
 
     def multiplicity_of_factor(self, g):
         """Largest e with g^e dividing self (g nonconstant)."""
@@ -1027,14 +1017,6 @@ class RationalFunction:
         return [self] + [RationalFunction(_from_ints(self.field, parts[i]),
                                           _from_ints(self.field, den_pow[i + 1]))
                          for i in range(1, n + 1)]
-
-    def leading_coefficient_at(self, point):
-        """First nonzero Laurent coefficient at the point (finite or INF)."""
-        if self.is_zero():
-            raise ValueError("zero function has no leading coefficient")
-        if point is INF:
-            return self.num.leading_coefficient / self.den.leading_coefficient
-        return self.num._taylor_lead(point)[1] / self.den._taylor_lead(point)[1]
 
     def __str__(self):
         if self.is_polynomial():

@@ -11,7 +11,11 @@ since a vector space is never the union of two proper subspaces.
 from __future__ import annotations
 
 from .exact import (
+    INF,
+    RationalFunction,
     TruncatedSeries,
+    _dot_mod_p,
+    _from_ints,
     _mul_mod_p,
     _primitive,
     echelon_insert,
@@ -73,42 +77,64 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
     """Check a declared two-branch ring and compute its delta invariant.
 
     basis_pairs: (t-side series, u-side series) pairs spanning the ring
-    modulo C; each side must be known out to its conductor exponent + 2.
+    modulo C; each side must be known out to its conductor exponent.
     With strict=True a failed Gorenstein dimension count raises; otherwise
     the ring is admitted flagged non-Gorenstein (semigroup-only analysis).
     """
     xi1, xi2 = conductor
     if xi1 < 1 or xi2 < 1:
         raise ValueError("conductor exponents must be positive")
+    # dim(normalization/conductor) <= 2 delta for every ring, with equality
+    # exactly when it is Gorenstein, so the count needs no expansion.  It is
+    # refused first when a conductor exponent lies past every coefficient
+    # its branch is given, where the windows would cost time in xi rather
+    # than in the input; otherwise the span checks come first.
+    delta = (xi1 + xi2) - len(basis_pairs)
+    gorenstein = (xi1 + xi2) == 2 * delta
+    refusal = None if gorenstein or not strict else NotGorenstein(
+        "dim(normalization/conductor) = %d differs from 2*delta = %d" % (xi1 + xi2, 2 * delta))
+    if refusal and basis_pairs and any(
+            xi > max(_extent(pair[k]) for pair in basis_pairs) for k, xi in enumerate(conductor)):
+        raise refusal
     w1, w2 = xi1 + 2, xi2 + 2
-    basis = []
-    for bt, bu in basis_pairs:
-        canonical = []
-        for s, xi, side in zip((bt, bu), conductor, ("first", "second")):
+    basis, vectors = _basis_rows(field, basis_pairs, conductor, (w1, w2), [
+        "%s-branch series not known to order %d" % side for side in zip(("first", "second"),
+                                                                        conductor)])
+    if any(v[0] != v[w1] for v in vectors):
+        raise ValueError("branch constant terms differ: the ring would not be local")
+    p = field.characteristic
+    pivots, ech = closed_span(vectors, (xi1, xi2), (w1, w2), p)
+    if delta < 1:
+        raise ValueError("delta invariant must be at least 1")
+    if refusal:
+        raise refusal
+    return TwoBranchRing(field, basis, (xi1, xi2), delta, gorenstein, (w1, w2),
+                         (pivots, field_rows(pivots, ech, p)))
+
+
+def _extent(s):
+    """How many coefficients a series or coefficient list spells out."""
+    return s.offset + len(s.coeffs) if isinstance(s, TruncatedSeries) else len(s)
+
+
+def _basis_rows(field, elements, conductor, windows, short):
+    """(series, rows) for a basis of a local ring modulo its conductor, each
+    element given as one series or coefficient list per branch: the series
+    cut below the conductor exponents, known to the windows, and their int
+    rows (residues over GF(p)), one block of windows[k] coordinates per
+    branch.  short[k] is the error for a series on branch k known to fewer
+    terms than its conductor exponent."""
+    series = []
+    for element in elements:
+        cut = []
+        for s, xi, w, message in zip(element, conductor, windows, short):
             if not isinstance(s, TruncatedSeries):
                 s = TruncatedSeries(field, 0, list(s), None)
             if s.truncation is not None and s.truncation < xi:
-                raise ValueError("%s-branch series not known to order %d" % (side, xi))
-            # canonical representative mod C: drop everything past the conductor
-            canonical.append(TruncatedSeries(field, 0, [s.coefficient(i) for i in range(xi)],
-                                             xi + 2))
-        if canonical[0].coefficient(0) != canonical[1].coefficient(0):
-            raise ValueError("branch constant terms differ: the ring would not be local")
-        basis.append(tuple(canonical))
-
-    p = field.characteristic
-    vectors = [window_ints(pair, (w1, w2), p) for pair in basis]
-    pivots, ech = closed_span(vectors, (xi1, xi2), (w1, w2), p)
-    delta = (xi1 + xi2) - len(basis)
-    if delta < 1:
-        raise ValueError("delta invariant must be at least 1")
-    gorenstein = (xi1 + xi2) == 2 * delta
-    if strict and not gorenstein:
-        raise NotGorenstein(
-            "dim(normalization/conductor) = %d differs from 2*delta = %d"
-            % (xi1 + xi2, 2 * delta))
-    return TwoBranchRing(field, basis, (xi1, xi2), delta, gorenstein, (w1, w2),
-                         (pivots, field_rows(pivots, ech, p)))
+                raise ValueError(message)
+            cut.append(TruncatedSeries(field, 0, [s.coefficient(i) for i in range(xi)], w))
+        series.append(tuple(cut))
+    return series, [window_ints(e, windows, field.characteristic) for e in series]
 
 
 def closed_span(vectors, conductor, windows, p):
@@ -119,6 +145,8 @@ def closed_span(vectors, conductor, windows, p):
     smaller than declared.  Returns the reduced echelon form (pivots, int
     rows) of its span and the conductor tail inside the windows.
     """
+    if not vectors:    # before any window is built: they may be long
+        raise ValueError("ring does not contain 1")
     n = sum(windows)
     starts = [sum(windows[:k]) for k in range(len(windows))]
     pivots, ech = int_echelon(vectors, p)
@@ -385,30 +413,45 @@ def adapted_basis(X):
     """Adapted dualizing basis for a rational curve whose only singularity
     is two-branch: Gaussian elimination on value pairs, raising the order on
     the second branch by subtracting differentials of larger first-branch
-    order until every target value is met."""
+    order until every target value is met.
+
+    A differential is carried as its coefficient vector over the dualizing
+    basis and its window vector at the singularity.  Divided by the
+    generator, whose pole on each branch is the conductor exponent c, it has
+    value j on a branch whose block first holds a nonzero entry at j, and a
+    value at or past c (kept as c) where the block is zero; two differentials
+    of one value cancel by the ratio of their window entries there.  The
+    exact value past the conductor is read from the assembled numerator.
+    """
     from .curve import dualizing_basis
 
     sing = _single_two_branch(X)
     S2 = value_semigroup(sing.ring)
     xi1, xi2 = S2.conductor
     basis = dualizing_basis(X)
-    gi = basis.generator_index[0]
-    r_gen = basis.differentials[gi]
-    q1, q2 = sing.locations
-    funcs = [r / r_gen for r in basis.differentials]
+    p, g = X.characteristic, len(basis.numerators)
+    blocks = ((g, xi1), (g + xi1, xi2))    # (start, c) of each branch's window block
 
-    def nu(f):
-        return (f.valuation(q1), f.valuation(q2))
+    def nu(vec):
+        return tuple(next((j for j in range(c) if vec[s + j]), c) for s, c in blocks)
 
-    def cancel(item, other, q):
-        """Subtract the multiple of other sharing item's leading term at q."""
-        c = item[0].leading_coefficient_at(q) / other[0].leading_coefficient_at(q)
-        item[0] = item[0] - c * other[0]
-        if item[0].is_zero():
+    def cancel(item, other, branch):
+        """Subtract the multiple of other sharing item's leading term on the branch."""
+        j = blocks[branch][0] + item[1][branch]
+        v, w = item[0], other[0]
+        if p:
+            f = v[j] * pow(w[j], -1, p)
+            v = [(x - f * y) % p for x, y in zip(v, w)]
+        else:
+            v = _primitive([w[j] * x - v[j] * y for x, y in zip(v, w)])
+        if not any(v[:g]):
             raise EliminationStuck("dependent differentials in value elimination")
-        item[1] = nu(item[0])
+        item[:] = v, nu(v)
 
-    work = [[f, nu(f)] for f in funcs]
+    work = []
+    for k, window in enumerate(basis._windows[0]):
+        vec = [int(i == k) for i in range(g)] + window
+        work.append([vec, nu(vec)])
 
     # echelonize first-branch values below xi1
     changed = True
@@ -420,7 +463,7 @@ def adapted_basis(X):
             if v1 >= xi1:
                 continue
             if v1 in by_v1:
-                cancel(item, by_v1[v1], q1)
+                cancel(item, by_v1[v1], 0)
                 changed = True
                 break
             by_v1[v1] = item
@@ -437,7 +480,7 @@ def adapted_basis(X):
                 raise EliminationStuck(
                     "differential with values beyond the conductor on both branches")
             if v2 in by_v2:
-                cancel(item, by_v2[v2], q2)
+                cancel(item, by_v2[v2], 1)
                 changed = True
                 break
             by_v2[v2] = item
@@ -467,11 +510,20 @@ def adapted_basis(X):
             if partner is None:
                 raise EliminationStuck(
                     "no partner to raise the second-branch value past %d" % v2)
-            cancel(item, partner, q2)
+            cancel(item, partner, 1)
         if exact and item[1][1] != target:
             raise EliminationStuck(
                 "second-branch value overshot the maximal point (%d, %d)" % (v1, target))
         fixed.append(item)
+
+    # each result is one numerator combination over the ansatz denominator,
+    # the shared denominator of the basis (every generator has the full pole)
+    field, D = X.field, basis._system.denominator
+    nums, gen = basis.numerators, basis.numerators[basis.generator_index[0]]
+
+    def order(num, q):
+        f = _from_ints(field, num)
+        return -f.degree if q is INF else f.root_multiplicity(q)
 
     differentials = []
     value_pairs = []
@@ -479,9 +531,11 @@ def adapted_basis(X):
     top_indices = {}
     right_indices = {}
     generator_index = None
-    for idx, item in enumerate(fixed):
-        f, pair = item
-        differentials.append(f * r_gen)
+    for idx, (vec, pair) in enumerate(fixed):
+        num = _dot_mod_p([[c] for c in vec[:g]], nums, p)
+        differentials.append(RationalFunction(_from_ints(field, num), D))
+        pair = tuple(v if v < c else order(num, q) - order(gen, q)
+                     for v, (_s, c), q in zip(pair, blocks, sing.locations))
         value_pairs.append(pair)
         if pair[0] < xi1 and pair[0] in maximal_x:
             maximal_indices[(pair[0], maximal_x[pair[0]])] = idx
@@ -537,7 +591,7 @@ def _single_two_branch(X):
 # Ring construction from branch parametrizations
 # ---------------------------------------------------------------------------
 
-def ring_from_generators(field, generators, window=16, strict=True):
+def ring_from_generators(field, generators, window=16):
     """Close the span of (1,1) and the given series pairs under
     multiplication inside a truncation window, locate the conductor, and
     validate the resulting ring.
@@ -589,4 +643,4 @@ def ring_from_generators(field, generators, window=16, strict=True):
     kept = [k for k, pc in enumerate(pivots) if pc < xi1 or w1 <= pc < w1 + xi2]
     rows = field_rows([pivots[k] for k in kept], [echelon[k] for k in kept], p)
     basis_pairs = [(row[:xi1], row[w1:w1 + xi2]) for row in rows]
-    return validate_ring(field, basis_pairs, (xi1, xi2), strict=strict)
+    return validate_ring(field, basis_pairs, (xi1, xi2))

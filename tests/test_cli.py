@@ -267,6 +267,26 @@ def test_decimal_exponent_past_the_bound_exits_2_at_once(tmp_path, capsys, chara
     assert "error: %s: " % field in err and "exponent" in err
 
 
+@pytest.mark.parametrize("singularity, message", [
+    ({"kind": "unibranch", "location": "0", "conductor": 10 ** 30, "basis": [["1"]]},
+     "value semigroup is not symmetric: the ring is not Gorenstein"),
+    ({"kind": "two-branch", "locations": ["0", "1"], "conductor": [10 ** 30, 10 ** 30],
+      "basis": [[["1"], ["1"]]]},
+     "dim(normalization/conductor) = %d differs from 2*delta = %d"
+     % (2 * 10 ** 30, 4 * 10 ** 30 - 2)),
+], ids=["unibranch", "two-branch"])
+def test_conductor_too_long_for_the_basis_exits_2_at_once(tmp_path, capsys, singularity,
+                                                          message):
+    # c <= 2 delta for every local ring, with equality exactly when it is
+    # Gorenstein: refused before a window of the conductor's length is built
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"singularities": [singularity]}))
+    start = time.perf_counter()
+    assert main(["curve", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: singularities[0]: %s\n" % message
+
+
 class TestReproduce:
     def test_example_2_1(self, capsys):
         assert main(["reproduce", "example-2.1"]) == 0

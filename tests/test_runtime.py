@@ -23,3 +23,21 @@ def test_package_imports_only_the_stdlib():
         for name in _imported_top_level_modules(path.read_text()):
             assert name == "weierforge" or name in sys.stdlib_module_names, (path.name, name)
 
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports is read in that module; the package's
+    # __init__ re-exports its imports, so there they must be in __all__
+    for path in sorted(pathlib.Path(weierforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        if path.name == "__init__.py":
+            used = set(weierforge.__all__)
+        else:
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, (path.name, sorted(imported - used))

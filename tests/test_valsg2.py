@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from weierforge.exact import GF, QQ, TruncatedSeries, scalar_echelon
+from weierforge.exact import GF, INF, QQ, TruncatedSeries, scalar_echelon
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import (
+    AdaptedBasis,
     EliminationStuck,
     NotClosed,
     NotGorenstein,
@@ -19,7 +20,7 @@ from weierforge.valsg2 import (
     validate_ring,
     value_semigroup,
 )
-from weierforge.curve import RationalCurve, TwoBranchSingularity, weight_report
+from weierforge.curve import RationalCurve, TwoBranchSingularity, dualizing_basis, weight_report
 from weierforge.gallery import node_ring, asymmetric_branch_ring, tacnode_ring
 from conftest import _BRANCH_ORDERS, _branch_series
 from test_exact import _ref_echelon_insert, _ref_span_reduce
@@ -304,6 +305,116 @@ class TestAdaptedBasis:
                 assert ad.value_pairs[idx] == (a, b)
             assert len(ad.top_edge_indices) == S.delta1
             assert len(ad.right_edge_indices) == S.delta2
+
+
+    def test_windows_match_the_rational_function_reference(self, ring_corpus):
+        # the elimination on (coefficient vector, window vector) pairs gives
+        # the value pairs, index maps and generator of the elimination on
+        # reduced RationalFunctions, and the same differentials up to one
+        # nonzero constant each (a numerator carries its own clearing scale)
+        rings = list(ring_corpus) + [node_ring(), tacnode_ring(), asymmetric_branch_ring()]
+        for p in (3, 5, 101):
+            rings += _seeded_germs(GF(p), 3, seed=1700 + p)
+        assert len(rings) == 22
+        for ring in rings:
+            field = ring.field
+            for locations in ((field(0), field(1)), (INF, field(2))):
+                X = RationalCurve(field, [TwoBranchSingularity(ring, locations)])
+                ad, ref = adapted_basis(X), _ref_adapted_basis(X)
+                assert ad.value_pairs == ref.value_pairs
+                assert ad.maximal_indices == ref.maximal_indices
+                assert ad.top_edge_indices == ref.top_edge_indices
+                assert ad.right_edge_indices == ref.right_edge_indices
+                assert ad.generator_index == ref.generator_index
+                for r, r_ref in zip(ad.differentials, ref.differentials, strict=True):
+                    ratio = r / r_ref
+                    assert ratio.num.degree == ratio.den.degree == 0
+
+
+def _seeded_germs(field, count, seed):
+    """Two-branch rings over the field generated by two random series pairs
+    (plane-curve germs, so Gorenstein), delta at most 5."""
+    rng = random.Random(seed)
+    rings = []
+    while len(rings) < count:
+        x, y = [tuple(_branch_series(rng, order) for order in rng.choice(_BRANCH_ORDERS))
+                for _ in range(2)]
+        try:
+            ring = ring_from_generators(field, [x, y], window=14)
+        except ValueError:
+            continue
+        if ring.delta <= 5:
+            rings.append(ring)
+    return rings
+
+
+def _leading_coefficient(f, q):
+    """First nonzero Laurent coefficient of f at q (in 1/t at INF)."""
+    if q is INF:
+        return f.num.leading_coefficient / f.den.leading_coefficient
+    num, den = f.num.shift(q), f.den.shift(q)
+    return (next(c for c in num.coeffs if c) / next(c for c in den.coeffs if c))
+
+
+def _ref_adapted_basis(X):
+    """The elimination as it ran on reduced RationalFunctions: every ratio
+    r / r_gen divided out, valuations and leading coefficients read at both
+    branch points."""
+    sing = X.singularities[0]
+    S2 = value_semigroup(sing.ring)
+    xi1, xi2 = S2.conductor
+    basis = dualizing_basis(X)
+    r_gen = basis.differentials[basis.generator_index[0]]
+    q1, q2 = sing.locations
+
+    def nu(f):
+        return (f.valuation(q1), f.valuation(q2))
+
+    def cancel(item, other, q):
+        c = _leading_coefficient(item[0], q) / _leading_coefficient(other[0], q)
+        item[0] = item[0] - c * other[0]
+        item[1] = nu(item[0])
+
+    work = [[r / r_gen, nu(r / r_gen)] for r in basis.differentials]
+    for branch, q, xi in ((0, q1, xi1), (1, q2, xi2)):
+        changed = True
+        while changed:
+            changed = False
+            seen = {}
+            for item in work:
+                if (item[1][0] >= xi1) != bool(branch):
+                    continue
+                v = item[1][branch]
+                if branch == 0 and v >= xi:
+                    continue
+                if v in seen:
+                    cancel(item, seen[v], q)
+                    changed = True
+                    break
+                seen[v] = item
+    maximal_x = dict(S2.maximals)
+    top_edge_x = {x for (x, _y) in edge_points(S2).top}
+    fixed = [item for item in work if item[1][0] >= xi1]
+    for item in sorted((it for it in work if it[1][0] < xi1), key=lambda it: -it[1][0]):
+        v1 = item[1][0]
+        target = maximal_x.get(v1, xi2)
+        assert v1 in maximal_x or v1 in top_edge_x
+        while item[1][1] < target:
+            partner = next(f for f in fixed if f[1][0] > v1 and f[1][1] == item[1][1])
+            cancel(item, partner, q2)
+        fixed.append(item)
+    out = AdaptedBasis([f * r_gen for f, _pair in fixed], [pair for _f, pair in fixed],
+                       {}, {}, {}, None)
+    for idx, (_f, (a, b)) in enumerate(fixed):
+        if a < xi1 and a in maximal_x:
+            out.maximal_indices[(a, maximal_x[a])] = idx
+            if (a, b) == (0, 0):
+                out.generator_index = idx
+        elif a < xi1:
+            out.top_edge_indices[a] = idx
+        else:
+            out.right_edge_indices[b] = idx
+    return out
 
 
 class TestWeightFormula:
