@@ -16,6 +16,7 @@ semigroup invariants.
 from __future__ import annotations
 
 import math
+import operator
 
 from .exact import (
     INF,
@@ -26,9 +27,10 @@ from .exact import (
     _mul_mod_p,
     binomial,
     int_echelon,
-    quotient_det,
+    quotient_rows,
     scalar_ints,
     scalar_nullspace,
+    series_det_order,
     span_reduce,
     window_ints,
 )
@@ -412,9 +414,11 @@ def singular_weight(X, singularity_index, basis):
     where tau generates the dualizing stalk at P and N is the sum of the
     orders of the full system.  With tau_j / tau = n_j / G (basis
     numerators) the determinant is det(P) / G^(N+s), P the int rows of
-    exact.quotient_det, and as tau / tau = 1 has column (G, 0, ..., 0) in
-    P, det(P) is +-G times the minor on the other rows and columns.  The
-    Hasse derivatives are taken in the global coordinate, so a branch at
+    exact.quotient_rows, and as tau / tau = 1 has column (G, 0, ..., 0) in
+    P, det(P) is +-G times the minor on the other rows and columns, whose
+    order at each branch is read from its rows as series in a local
+    parameter (_local_order), never from its expansion.  The Hasse
+    derivatives are taken in the global coordinate, so a branch at
     infinity (where dt has a double pole) contributes a term -2N.
 
     The order sequence is basis- and trivialization-independent: it is the
@@ -426,18 +430,45 @@ def singular_weight(X, singularity_index, basis):
     # so weight_report's cross-check compares two independent computations
     gi = basis.generator_index[singularity_index]
     nums, G = basis.numerators, basis.numerators[gi]
-    minor = quotient_det(X.field, nums[:gi] + nums[gi + 1:], G, orders.terms[1:])
-    if not minor:
-        raise TotalMismatch("trivialized wronskian vanished at the system orders")
-    minor, G = _from_ints(X.field, minor), _from_ints(X.field, G)
+    rows = quotient_rows(X.field, nums[:gi] + nums[gi + 1:], G, orders.terms[1:])
+    G = _from_ints(X.field, G)
     k = orders.N + len(orders) - 1    # ord det(P) - (N+s) ord G = ord minor - k ord G
     weight = 2 * sing.delta * orders.N
     for br in sing.branches():
+        order = _local_order(rows, br.location, X.characteristic)
         if br.location is INF:
-            weight += k * G.degree - minor.degree - 2 * orders.N
+            weight += order + k * G.degree - 2 * orders.N
         else:
-            weight += minor.root_multiplicity(br.location) - k * G.root_multiplicity(br.location)
+            weight += order - k * G.root_multiplicity(br.location)
     return weight
+
+
+def _local_order(rows, q, p):
+    """ord_q of the determinant of polynomial rows, from their series in a
+    local parameter x: t = (x + u) / w at q = u / w, every entry times one
+    unit, w^top (top the largest degree bound d_r of a row); x = 1/t at INF,
+    row r times x^d_r, so there the order is the one in x minus sum(d_r).
+    The series are read mod x^K: K = 1 first (order 0, the common case,
+    shows in the constant terms), then 8, doubled.  Below order K no block
+    is zero mod x^K, and a nonzero det has degree at most sum(d_r)."""
+    bounds = [max(map(len, row)) - 1 for row in rows]
+    top, K, m = max(bounds, default=0), 1, p or None
+    (u,), w = ((0,), 1) if q is INF else scalar_ints([q], p)
+    if q is INF:
+        rows = [[[0] * (d + 1 - len(f)) + f[::-1] for f in row] for row, d in zip(rows, bounds)]
+    while True:
+        local = rows
+        if u:    # x^k in w^top f((x + u) / w) is sum_i C(i, k) u^(i-k) w^(top-i) f_i
+            shift = [[math.comb(i, k) * pow(u, i - k, m) * pow(w, top - i, m)
+                      for i in range(k, top + 1)] for k in range(min(K, top + 1))]
+            local = [[[sum(map(operator.mul, s, f[k:])) for k, s in enumerate(shift)] for f in row]
+                     for row in rows]
+        try:
+            return series_det_order(local, p, K) - (sum(bounds) if q is INF else 0)
+        except TruncationError:
+            if K > sum(bounds):
+                raise TotalMismatch("trivialized wronskian vanished at the system orders") from None
+            K = 8 if K == 1 else 2 * K
 
 
 class WeightReport:

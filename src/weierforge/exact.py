@@ -1125,31 +1125,64 @@ def fraction_free_rank_det(rows):
     return rank, RationalFunction(det * sign, math.prod(common for common, _nums in cleared))
 
 
-def quotient_det(field, numerators, G, eps):
-    """det(P) as an int list for the rows P_e = G^(e+1) D^(e)(n_j / G),
-    e in eps, of int lists n_j and G (residues over GF(p)); [] when the
-    rows are dependent.  By the Leibniz rule P_e is the sum over a <= e of
-    D^(a)(n_j) G^a Q_(e-a), Q_b = G^(b+1) D^(b)(1/G) from one hasse_list
-    of 1/G.  The quotient-rule recurrence for Q_b has integer coefficients,
-    so every Q_b is an int list (its stored denominator is 1) and all
-    terms of a row share one scale: no term is cleared on its own."""
+def quotient_rows(field, numerators, G, eps):
+    """The rows P_e = G^(e+1) D^(e)(n_j / G), e in eps, as int lists, of
+    int lists n_j and G (residues over GF(p)).  By the Leibniz rule P_e is
+    the sum over a <= e of D^(a)(n_j) G^a Q_(e-a), Q_b = G^(b+1) D^(b)(1/G)
+    from one hasse_list of 1/G.  The quotient-rule recurrence for Q_b has
+    integer coefficients, so every Q_b is an int list (its stored
+    denominator is 1) and all terms of a row share one scale: no term is
+    cleared on its own."""
     if not eps:
-        return [1]
+        return []
     p, top = field.characteristic, max(eps)
     powers = [[1]]    # G^a
     for _ in range(top + 1):
         powers.append(_mul_mod_p(powers[-1], G, p))
     inverse = RationalFunction(Polynomial(field, [1]), _from_ints(field, G))
-    quotients = [(_from_ints(field, powers[b + 1]).exact_div(h.den) * h.num)._ints()[0]
-                 for b, h in enumerate(inverse.hasse_list(top))]
+    quotients = [[1]] + [(_from_ints(field, powers[b + 1]).exact_div(h.den) * h.num)._ints()[0]
+                         for b, h in enumerate(inverse.hasse_list(top)) if b]    # Q_0 = 1
     hasse = [[_hasse_mod_p(n, a, p) for n in numerators] for a in range(top + 1)]
     rows = []
     for e in eps:
         terms = [_mul_mod_p(powers[a], quotients[e - a], p) for a in range(e + 1)]
         rows.append([_dot_mod_p([h[j] for h in hasse[:e + 1]], terms, p)
                      for j in range(len(numerators))])
-    rank, det, sign, _order = _bareiss_mod_p(rows, p)
+    return rows
+
+
+def quotient_det(field, numerators, G, eps):
+    """det of the quotient_rows as an int list by Bareiss; [] if dependent."""
+    p, rows = field.characteristic, quotient_rows(field, numerators, G, eps)
+    rank, det, sign, _order = _bareiss_mod_p(rows, p) if rows else (0, [1], 1, None)
     return _mod_p([x * sign for x in det], p) if rank == len(rows) else []
+
+
+def series_det_order(rows, p, K):
+    """ord_x det of a square matrix of int lists (residues over GF(p)) known
+    mod x^K.  Pivot on an entry of least valuation v in the block left; put
+    unit row - (row[c] / x^v) pivot_row, unit = pivot / x^v, for every other
+    row (made primitive over ZZ): entries stay known mod x^K, multipliers are
+    units, and the order is the sum of the v.  TruncationError when the
+    block left is zero mod x^K."""
+    work = [[_mod_p(f[:K], p) for f in row] for row in rows]
+    order = 0
+    while work:
+        v, i, c = min(((next(k for k, y in enumerate(f) if y), i, c) for i, row in enumerate(work)
+                       for c, f in enumerate(row) if f), default=(None, 0, 0))
+        if v is None:
+            raise TruncationError("a block of %d rows is zero mod x^%d" % (len(work), K))
+        order += v
+        top = work.pop(i)
+        unit = top.pop(c)[v:]
+        for r, row in enumerate(work):
+            f = row.pop(c)[v:]
+            if f:    # a and b vanish below x^v: as first factors, their zeros are skipped
+                row = [_sub_mod_p(_mul_mod_p(a, unit, p)[:K], _mul_mod_p(b, f, p)[:K], p)
+                       for a, b in zip(row, top)]
+                g = 0 if p else math.gcd(*(x for a in row for x in a))
+                work[r] = [[x // g for x in a] for a in row] if g > 1 else row
+    return order
 
 
 def _bareiss(rows):

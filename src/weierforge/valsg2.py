@@ -85,17 +85,18 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
     if xi1 < 1 or xi2 < 1:
         raise ValueError("conductor exponents must be positive")
     # dim(normalization/conductor) <= 2 delta for every ring, with equality
-    # exactly when it is Gorenstein, so the count needs no expansion.  It is
-    # refused first when a conductor exponent lies past every coefficient
-    # its branch is given, where the windows would cost time in xi rather
-    # than in the input; otherwise the span checks come first.
+    # exactly when it is Gorenstein, so the count needs no expansion.  A ring
+    # failing it is refused first (as not Gorenstein when strict) if a
+    # conductor exponent lies past every coefficient its branch is given,
+    # where the windows would cost time in xi rather than in the input.
     delta = (xi1 + xi2) - len(basis_pairs)
     gorenstein = (xi1 + xi2) == 2 * delta
-    refusal = None if gorenstein or not strict else NotGorenstein(
+    refusal = None if gorenstein else NotGorenstein(
         "dim(normalization/conductor) = %d differs from 2*delta = %d" % (xi1 + xi2, 2 * delta))
     if refusal and basis_pairs and any(
             xi > max(_extent(pair[k]) for pair in basis_pairs) for k, xi in enumerate(conductor)):
-        raise refusal
+        raise refusal if strict else ValueError(
+            "conductor: past every coefficient given on its branch; extend the basis series to it")
     w1, w2 = xi1 + 2, xi2 + 2
     basis, vectors = _basis_rows(field, basis_pairs, conductor, (w1, w2), [
         "%s-branch series not known to order %d" % side for side in zip(("first", "second"),
@@ -106,7 +107,7 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
     pivots, ech = closed_span(vectors, (xi1, xi2), (w1, w2), p)
     if delta < 1:
         raise ValueError("delta invariant must be at least 1")
-    if refusal:
+    if refusal and strict:
         raise refusal
     return TwoBranchRing(field, basis, (xi1, xi2), delta, gorenstein, (w1, w2),
                          (pivots, field_rows(pivots, ech, p)))

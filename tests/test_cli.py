@@ -287,6 +287,26 @@ def test_conductor_too_long_for_the_basis_exits_2_at_once(tmp_path, capsys, sing
     assert capsys.readouterr().err == "error: singularities[0]: %s\n" % message
 
 
+def test_non_strict_conductor_past_the_basis_exits_2_at_once(tmp_path, capsys):
+    # a ring that is not Gorenstein has no bound on its conductor in terms
+    # of its basis: one spelling out fewer coefficients than the conductor
+    # is refused before a window of the conductor's length is built
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"strict": False, "basis": [[["1"], ["1"]]],
+                                "conductor": [10 ** 30, 1]}))
+    start = time.perf_counter()
+    assert main(["two-branch", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: conductor: past every coefficient given on its branch; "
+        "extend the basis series to it\n")
+    # spelt out to a conductor of 3, the same ring is accepted
+    path.write_text(json.dumps({"strict": False, "basis": [[["1", "0", "0"], ["1"]]],
+                                "conductor": [3, 1]}))
+    assert main(["two-branch", str(path)]) == 0
+    assert "delta: 3" in capsys.readouterr().out
+
+
 class TestReproduce:
     def test_example_2_1(self, capsys):
         assert main(["reproduce", "example-2.1"]) == 0

@@ -29,7 +29,9 @@ from weierforge.exact import (
     QQ,
     Polynomial,
     RationalFunction,
+    _from_ints,
     fraction_free_rank_det,
+    quotient_det,
     scalar_det,
     scalar_ints,
     scalar_nullspace,
@@ -438,12 +440,34 @@ def _agreement_curves(field):
         [UnibranchSingularity(field, [[1], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1]], 6, INF)])]
 
 
+def _global_minor_weight(X, si, basis):
+    """The route singular_weight took before its local orders: the minor
+    of exact.quotient_det expanded as a polynomial, its root multiplicity at
+    each finite branch and its degree at INF."""
+    sing = X.singularities[si]
+    orders = order_sequence(basis._system)
+    gi = basis.generator_index[si]
+    nums, G = basis.numerators, basis.numerators[gi]
+    minor = quotient_det(X.field, nums[:gi] + nums[gi + 1:], G, orders.terms[1:])
+    assert minor
+    minor, G = _from_ints(X.field, minor), _from_ints(X.field, G)
+    k = orders.N + len(orders) - 1
+    weight = 2 * sing.delta * orders.N
+    for br in sing.branches():
+        if br.location is INF:
+            weight += k * G.degree - minor.degree - 2 * orders.N
+        else:
+            weight += minor.root_multiplicity(br.location) - k * G.root_multiplicity(br.location)
+    return weight
+
+
 def _assert_agreement(X):
     basis = dualizing_basis(X)
     orders = order_sequence(LinearSystem(basis.differentials))
     weights = [singular_weight(X, si, basis) for si in range(len(X.singularities))]
     assert weights == [_reference_singular_weight(X, si, basis, orders)
                        for si in range(len(X.singularities))]
+    assert weights == [_global_minor_weight(X, si, basis) for si in range(len(X.singularities))]
     return weights
 
 
@@ -468,6 +492,40 @@ class TestSingularWeightAgreement:
         gen = dualizing_basis(X).generator(1)
         assert len({c.denominator for c in gen.num.coeffs}) >= 3
         assert _assert_agreement(X) == [43, 15]
+
+    @pytest.mark.parametrize("gens, locations, p, weight", [
+        ([3, 5], [0, 1], 0, 248),
+        ([3, 4], [0, 1, 2], 0, 238),
+        ([4, 5], [0, 1], 7, 849),
+    ], ids=["3-5-at-0-1", "3-4-at-0-1-2", "4-5-at-0-1-GF7"])
+    def test_baseline_curves_match_the_global_minor(self, gens, locations, p, weight):
+        # genus 8, 9 and 12; the global minor is the slow side, so only the
+        # singularity at 1, where the local parameter is shifted, is compared
+        field = GF(p) if p else QQ
+        S = NumericalSemigroup.from_generators(gens)
+        X = RationalCurve(field, [MonomialSingularity(field, S, field(q)) for q in locations])
+        basis = dualizing_basis(X)
+        weights = [singular_weight(X, si, basis) for si in range(len(locations))]
+        assert weights == [weight] * len(locations)
+        assert _global_minor_weight(X, 1, basis) == weight
+
+    def test_vanishing_minor_is_an_internal_failure(self):
+        t = [0, 1]
+        for q in (QQ(0), Fraction(2, 3), INF):
+            with pytest.raises(curve_module.TotalMismatch, match="vanished"):
+                curve_module._local_order([[t, [1, 1]], [[0, 2], [2, 2]]], q, 0)
+
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_local_order_reads_high_orders(self, p):
+        # det = (t - 1)^20 (t + 2) t^3 of degree 24: at 1 the pivot needs K
+        # past 20
+        field = GF(p) if p else QQ
+        t = Polynomial.variable(field)
+        a, b, c = (t - 1) ** 20 * (t + 2), t ** 3, t ** 5 + 1
+        rows = [[list(a._ints()[0]), list(c._ints()[0])], [[], list(b._ints()[0])]]
+        orders = [curve_module._local_order(rows, q, p)
+                  for q in (field(1), field(0), field(-2), field(4), INF)]
+        assert orders == [20, 3, 1, 0, -24]
 
 
 class TestWeightReport:

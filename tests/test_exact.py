@@ -31,6 +31,7 @@ from weierforge.exact import (
     scalar_echelon,
     scalar_ints,
     scalar_nullspace,
+    series_det_order,
     span_reduce,
 )
 from conftest import derivative, random_polynomial, random_rational_function, valuation_at_zero
@@ -389,6 +390,99 @@ class TestTruncatedSeries:
         a = TruncatedSeries(QQ, 0, [1], 3)
         with pytest.raises(TruncationError):
             a.coefficient(3)
+
+
+def _laplace_det_order(rows, p):
+    """ord_x det of a small matrix of int lists, by Laplace expansion on
+    Polynomial entries: the reference for series_det_order."""
+    field = GF(p) if p else QQ
+
+    def det(m):
+        if not m:
+            return Polynomial(field, [1])
+        total = Polynomial(field, [])
+        for c, entry in enumerate(m[0]):
+            minor = [row[:c] + row[c + 1:] for row in m[1:]]
+            term = Polynomial(field, entry) * det(minor)
+            total = total + term if c % 2 == 0 else total - term
+        return total
+
+    return det(rows).root_multiplicity(0)
+
+
+def _x_power(v, tail):
+    """x^v (tail[0] + tail[1] x + ...) as an int list."""
+    return [0] * v + list(tail)
+
+
+class TestSeriesDetOrder:
+    @pytest.mark.parametrize("p", [0, 2, 7])
+    def test_diagonal(self, p):
+        rows = [[_x_power(3, [1, 1]), [], []],
+                [[], _x_power(0, [5, 0, 1]), []],
+                [[], [], _x_power(4, [3, 2])]]
+        assert series_det_order(rows, p, 5) == 7
+
+    @pytest.mark.parametrize("p", [0, 3, 101])
+    def test_permuted_triangular(self, p):
+        # upper triangular with diagonal valuations 2, 0, 5, 1, with rows
+        # and columns permuted: the order is the sum of the diagonal's,
+        # though the pivots may be the units above the diagonal
+        rng = random.Random(7 + p)
+        vals = [2, 0, 5, 1]
+        n = len(vals)
+        tri = [[_x_power(vals[i], [rng.choice([1, 2])] + [rng.randint(-3, 3) for _ in range(3)])
+                if j == i else
+                ([rng.randint(-3, 3) for _ in range(4)] if j > i else []) for j in range(n)]
+               for i in range(n)]
+        for _ in range(5):
+            rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
+            rows = [[tri[r][c] for c in cp] for r in rp]
+            assert series_det_order(rows, p, 9) == 8 == _laplace_det_order(rows, p)
+
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_least_valuation_pivot_off_the_first_column(self, p):
+        # the first column has no unit: the first pivot is the last column's
+        rows = [[_x_power(3, [2, 1]), _x_power(2, [1, 1]), [1, 4]],
+                [_x_power(4, [1]), _x_power(1, [3]), _x_power(2, [1, 1])],
+                [_x_power(2, [1, 0, 1]), _x_power(3, [1]), _x_power(1, [2])]]
+        order = _laplace_det_order(rows, p)
+        assert order >= 2
+        assert series_det_order(rows, p, order + 1) == order
+        assert series_det_order(rows, p, 64) == order
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 11])
+    def test_matches_the_laplace_reference(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            tails = [[rng.randint(-4, 4) for _ in range(rng.randint(0, 4))] for _ in range(n * n)]
+            rows = [[_x_power(rng.randrange(4), tails[i * n + j]) for j in range(n)]
+                    for i in range(n)]
+            order = _laplace_det_order(rows, p)
+            if order == math.inf:
+                with pytest.raises(TruncationError):
+                    series_det_order(rows, p, 16)
+            else:
+                assert series_det_order(rows, p, 16) == order
+
+    @pytest.mark.parametrize("p", [0, 7])
+    def test_precision_past_the_largest_single_pivot(self, p):
+        # order 15 from three pivots of valuation 5: x^6 suffices, x^5 does not
+        rows = [[_x_power(5, [1, 2]), _x_power(6, [1]), []],
+                [[], _x_power(5, [3]), _x_power(7, [1])],
+                [_x_power(8, [1]), [], _x_power(5, [1, 1])]]
+        assert series_det_order(rows, p, 6) == 15
+        with pytest.raises(TruncationError):
+            series_det_order(rows, p, 5)
+
+    def test_zero_determinant_at_every_precision(self):
+        f, g = [0, 1, 2], [3, 0, 1]
+        rows = [[f, g], [[2 * x for x in f], [2 * x for x in g]]]
+        for K in (1, 8, 64):
+            with pytest.raises(TruncationError):
+                series_det_order(rows, 0, K)
+        assert series_det_order([], 0, 1) == 0
 
 
 class TestFractionFreeLinearAlgebra:
