@@ -438,11 +438,13 @@ class Polynomial:
         return RationalFunction(lifted, self)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.field == other.field and self._c == other._c and self._d == other._d
-        if isinstance(other, (int, Fraction, FpElement)):
-            return self == self._lift(other)
-        return NotImplemented
+        try:
+            other = self._lift(other)
+        except (ArithmeticError, TypeError, ValueError):    # outside the field, as in FpElement
+            return False
+        if other is None:
+            return NotImplemented
+        return self._c == other._c and self._d == other._d
 
     def __hash__(self):
         return hash((self.field, self._c, self._d))
@@ -958,7 +960,10 @@ class RationalFunction:
         return RationalFunction(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        other = self._lift(other)
+        try:
+            other = self._lift(other)
+        except (ArithmeticError, TypeError, ValueError):
+            return False
         if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -1100,8 +1105,9 @@ def shared_denominator(functions):
 def fraction_free_rank_det(rows):
     """Rank over the function field and, for square input, the exact
     determinant as a RationalFunction, of a matrix of Polynomial,
-    RationalFunction or field scalar entries: fraction-free _bareiss on
-    the rows cleared of denominators."""
+    RationalFunction or field scalar entries: _bareiss_mod_p on the rows
+    cleared of denominators, each row scaled once to ints (residues over
+    GF(p))."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0, None
@@ -1117,12 +1123,15 @@ def fraction_free_rank_det(rows):
     one = Polynomial(field, [1])
     cleared = [shared_denominator([x if isinstance(x, RationalFunction) else RationalFunction(x, one)
                                    for x in r]) for r in rows]
-    rank, det, sign = _bareiss([nums for _common, nums in cleared])
+    ints = [_cleared(nums) for _common, nums in cleared]
+    rank, det, sign = _bareiss_mod_p([c for c, _d in ints], field.characteristic)
     if len(rows) != ncols:
         return rank, None
     if rank < ncols:
         return rank, RationalFunction(Polynomial(field, []))
-    return rank, RationalFunction(det * sign, math.prod(common for common, _nums in cleared))
+    return rank, RationalFunction(_from_ints(field, [x * sign for x in det],
+                                             math.prod(d for _c, d in ints)),
+                                  math.prod(common for common, _nums in cleared))
 
 
 def quotient_rows(field, numerators, G, eps):
@@ -1149,13 +1158,6 @@ def quotient_rows(field, numerators, G, eps):
         rows.append([_dot_mod_p([h[j] for h in hasse[:e + 1]], terms, p)
                      for j in range(len(numerators))])
     return rows
-
-
-def quotient_det(field, numerators, G, eps):
-    """det of the quotient_rows as an int list by Bareiss; [] if dependent."""
-    p, rows = field.characteristic, quotient_rows(field, numerators, G, eps)
-    rank, det, sign, _order = _bareiss_mod_p(rows, p) if rows else (0, [1], 1, None)
-    return _mod_p([x * sign for x in det], p) if rank == len(rows) else []
 
 
 def series_det_order(rows, p, K):
@@ -1185,22 +1187,11 @@ def series_det_order(rows, p, K):
     return order
 
 
-def _bareiss(rows):
-    """(rank, last pivot, sign) of _bareiss_mod_p on a polynomial matrix,
-    each row scaled once to integers (over GF(p), residues); the last
-    pivot, a minor on the pivot rows, is divided by their scales."""
-    field = rows[0][0].field
-    cleared = [_cleared(row) for row in rows]
-    r, prev, sign, order = _bareiss_mod_p([c for c, _d in cleared], field.characteristic)
-    return r, _from_ints(field, prev, math.prod(cleared[i][1] for i in order[:r])), sign
-
-
 def _bareiss_mod_p(work, p):
     """Fraction-free elimination in place on int lists in ZZ[t] (GF(p)[t]),
     each division exact (Sylvester's identity) and checked: (rank, last
-    pivot, sign, order), order[i] the input row now in position i."""
+    pivot, sign)."""
     m, n = len(work), len(work[0])
-    order = list(range(m))
     prev, sign, r = [1], 1, 0
     for c in range(n):
         if r >= m:
@@ -1210,7 +1201,6 @@ def _bareiss_mod_p(work, p):
             continue
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            order[r], order[pivot_row] = order[pivot_row], order[r]
             sign = -sign
         top = work[r]
         for row in work[r + 1:]:
@@ -1221,7 +1211,7 @@ def _bareiss_mod_p(work, p):
             row[c] = []
         prev = top[c]
         r += 1
-    return r, prev, sign, order
+    return r, prev, sign
 
 
 def int_echelon(rows, p):
@@ -1310,16 +1300,6 @@ def scalar_nullspace(rows, ncols, field):
             vec[pc] = -prow[fc]
         basis.append(vec)
     return basis
-
-
-def scalar_det(rows):
-    """Determinant of a square matrix of field scalars, by the fraction-free
-    elimination of constant polynomials."""
-    if not rows:
-        raise ValueError("empty matrix")
-    field = GF(rows[0][0].p) if isinstance(rows[0][0], FpElement) else QQ
-    rank, pivot, sign = _bareiss([[Polynomial(field, [x]) for x in r] for r in rows])
-    return pivot.coefficient(0) * sign if rank == len(rows) else field.zero
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import GF, scalar_det, scalar_echelon
+from .exact import GF, scalar_echelon
 
 
 class OrderSequence:
@@ -107,7 +107,7 @@ def monomial_order_sequence(exponents, p):
 
     The result is the lexicographically minimal strictly increasing (eps_i)
     with det(C(a_j, eps_i)) != 0 mod p, found greedily over GF(p) and then
-    verified by one determinant evaluation.  For p = 0 it is (0, ..., n).
+    verified by the full rank of that matrix.  For p = 0 it is (0, ..., n).
     """
     exponents = tuple(exponents)
     if any(b <= a for a, b in zip(exponents, exponents[1:])):
@@ -133,7 +133,7 @@ def monomial_order_sequence(exponents, p):
             chosen.append(eps)
             echelon_rows = reduced
     matrix = [[field(binom_mod_p(a, e, p)) for a in exponents] for e in chosen]
-    if not scalar_det(matrix):
+    if len(scalar_echelon(matrix)[0]) < s:
         raise AssertionError("greedy order sequence failed determinant verification")
     return OrderSequence(chosen, p)
 

@@ -454,37 +454,25 @@ def adapted_basis(X):
         vec = [int(i == k) for i in range(g)] + window
         work.append([vec, nu(vec)])
 
-    # echelonize first-branch values below xi1
-    changed = True
-    while changed:
-        changed = False
-        by_v1 = {}
-        for item in work:
-            v1 = item[1][0]
-            if v1 >= xi1:
-                continue
-            if v1 in by_v1:
-                cancel(item, by_v1[v1], 0)
-                changed = True
-                break
-            by_v1[v1] = item
-    # among the rest, echelonize second-branch values below xi2
-    changed = True
-    while changed:
-        changed = False
-        by_v2 = {}
-        for item in work:
-            if item[1][0] < xi1:
-                continue
-            v2 = item[1][1]
-            if v2 >= xi2:
-                raise EliminationStuck(
-                    "differential with values beyond the conductor on both branches")
-            if v2 in by_v2:
-                cancel(item, by_v2[v2], 1)
-                changed = True
-                break
-            by_v2[v2] = item
+    # echelonize first-branch values below xi1, then among the rest
+    # second-branch values below xi2: each item in turn is reduced against
+    # the earlier holder of its value until that value is new
+    by_v1 = {}
+    for item in work:
+        while item[1][0] in by_v1:
+            cancel(item, by_v1[item[1][0]], 0)
+        if item[1][0] < xi1:
+            by_v1[item[1][0]] = item
+    by_v2 = {}
+    for item in work:
+        if item[1][0] < xi1:
+            continue
+        while item[1][1] in by_v2:
+            cancel(item, by_v2[item[1][1]], 1)
+        if item[1][1] >= xi2:
+            raise EliminationStuck(
+                "differential with values beyond the conductor on both branches")
+        by_v2[item[1][1]] = item
 
     maximal_x = {a: b for a, b in S2.maximals}
     top_edge_x = {x for (x, _y) in edge_points(S2).top}

@@ -15,15 +15,13 @@ from .exact import (
     INF,
     RationalFunction,
     _bareiss_mod_p,
-    _cleared,
     _from_ints,
     _hasse_mod_p,
     _homogeneous,
     _horner,
     coprime_refinement,
+    fraction_free_rank_det,
     int_echelon,
-    quotient_det,
-    scalar_det,
     shared_denominator,
 )
 from .padic import OrderSequence, binom_mod_p
@@ -115,7 +113,7 @@ def order_sequence(V):
             chosen.append(eps)
             accepted.append(row)
     orders = OrderSequence(chosen, p)
-    rank, det, sign, _order = _bareiss_mod_p([list(r) for r in accepted], p)
+    rank, det, sign = _bareiss_mod_p([list(r) for r in accepted], p)
     if rank < s:
         raise AssertionError("greedy order sequence failed determinant verification")
     V._orders = orders
@@ -143,26 +141,19 @@ def wronskian(V, eps=None):
     (where it is nonzero).
 
     At the order sequence this is the value order_sequence computed from
-    the numerators; any other eps goes through hasse_wronskian.
+    the numerators; any other eps is fraction_free_rank_det on the rows of
+    hasse_list entries, the zero function when they are dependent.
     """
-    if eps is None or order_sequence(V) == tuple(eps):
+    terms = None if eps is None else tuple(eps)    # eps may be an iterator
+    if terms is None or order_sequence(V) == terms:
         order_sequence(V)
         return V._wronskian
-    return hasse_wronskian(V, eps)
-
-
-def hasse_wronskian(V, eps):
-    """det(D^(eps_i) f_j) at any eps from the Hasse derivatives of the
-    quotients f_j = n_j / D, not from the numerator route: det(P) / D^(N+s)
-    on the rows P of quotient_det, N + s the sum of the eps_i + 1."""
-    terms = tuple(eps)
     if len(terms) != len(V):
         raise ValueError("sequence length does not match the system dimension")
     if min(terms) < 0:
         raise ValueError("negative Hasse derivative order")
-    (*numerators, G), _d = _cleared(V.numerators + (V.denominator,))
-    return RationalFunction(_from_ints(V.field, quotient_det(V.field, numerators, G, terms)),
-                            _from_ints(V.field, G) ** sum(e + 1 for e in terms))
+    hs = [f.hasse_list(max(terms)) for f in V.functions]
+    return fraction_free_rank_det([[h[e] for h in hs] for e in terms])[1]
 
 
 def vq_orders(V, q):
@@ -212,17 +203,12 @@ def smooth_weight(V, q):
     bound = sum(a - b for a, b in zip(qorders, eps))
     p = V.characteristic
     if p == 0:
-        attained = True
-    else:
-        from .exact import GF
-        field = GF(p)
-        matrix = [[field(binom_mod_p(qo, e, p)) for qo in qorders] for e in eps]
-        attained = bool(scalar_det(matrix))
-    if p == 0:
         assert weight == bound
-    else:
-        assert weight >= bound
-        assert (weight == bound) == attained
+        return weight, bound, True
+    matrix = [[binom_mod_p(qo, e, p) for qo in qorders] for e in eps]
+    attained = len(int_echelon(matrix, p)[0]) == len(eps)
+    assert weight >= bound
+    assert (weight == bound) == attained
     return weight, bound, attained
 
 

@@ -29,10 +29,11 @@ from weierforge.exact import (
     QQ,
     Polynomial,
     RationalFunction,
+    _bareiss_mod_p,
     _from_ints,
     fraction_free_rank_det,
-    quotient_det,
-    scalar_det,
+    quotient_rows,
+    scalar_echelon,
     scalar_ints,
     scalar_nullspace,
 )
@@ -363,7 +364,7 @@ class TestDualizingBasis:
 def _random_invertible(rng, field, n):
     while True:
         mat = [[field(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if scalar_det(mat):
+        if len(scalar_echelon(mat)[0]) == n:
             return mat
 
 
@@ -442,14 +443,15 @@ def _agreement_curves(field):
 
 def _global_minor_weight(X, si, basis):
     """The route singular_weight took before its local orders: the minor
-    of exact.quotient_det expanded as a polynomial, its root multiplicity at
-    each finite branch and its degree at INF."""
+    of the exact.quotient_rows expanded by Bareiss as a polynomial, its root
+    multiplicity at each finite branch and its degree at INF."""
     sing = X.singularities[si]
     orders = order_sequence(basis._system)
     gi = basis.generator_index[si]
     nums, G = basis.numerators, basis.numerators[gi]
-    minor = quotient_det(X.field, nums[:gi] + nums[gi + 1:], G, orders.terms[1:])
-    assert minor
+    rows = quotient_rows(X.field, nums[:gi] + nums[gi + 1:], G, orders.terms[1:])
+    rank, minor, _sign = _bareiss_mod_p(rows, X.characteristic)
+    assert rank == len(rows)
     minor, G = _from_ints(X.field, minor), _from_ints(X.field, G)
     k = orders.N + len(orders) - 1
     weight = 2 * sing.delta * orders.N

@@ -20,14 +20,15 @@ from weierforge.exact import (
     RationalFunction,
     TruncatedSeries,
     TruncationError,
-    _bareiss,
+    _bareiss_mod_p,
+    _cleared,
+    _from_ints,
     _is_prime,
     coprime_refinement,
     echelon_insert,
     field_rows,
     fraction_free_rank_det,
     int_echelon,
-    scalar_det,
     scalar_echelon,
     scalar_ints,
     scalar_nullspace,
@@ -170,6 +171,18 @@ class TestPolynomials:
         assert f.gcd(g) == (t - 1).monic()
         q, r = divmod(f, g)
         assert q * g + r == f
+
+    @pytest.mark.parametrize("lift", [Polynomial, RationalFunction], ids=["poly", "rational"])
+    @pytest.mark.parametrize("field, scalar", [(GF(3), Fraction(1, 3)), (GF(3), FpElement(1, 5)),
+                                               (QQ, FpElement(1, 5))], ids=repr)
+    def test_scalar_outside_the_field_compares_unequal(self, lift, field, scalar):
+        # as FpElement does: == and != answer, they never raise
+        f = Polynomial(field, [1])
+        f = f if lift is Polynomial else RationalFunction(f)
+        assert not f == scalar and f != scalar
+        assert not scalar == f and scalar != f
+        if field is not QQ:
+            assert not field.one == scalar
 
     def test_shift_and_reverse(self):
         t = t_over(QQ)
@@ -582,7 +595,7 @@ class TestFractionFreeLinearAlgebra:
         assert len(scalar_echelon(rows)[0]) == 1
         null = scalar_nullspace(rows, 2, QQ)
         assert len(null) == 1 and null[0][0] * 1 + null[0][1] * 2 == 0
-        assert scalar_det([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) == 1
+        assert scalar_echelon([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])[0] == [0, 1]
 
 
 # Schoolbook polynomial arithmetic on field elements, as the kernel did it
@@ -699,16 +712,20 @@ class TestIntegerKernel:
                 u, v = _kernel_polynomial(rng, field, 1), _kernel_polynomial(rng, field, 0)
                 rows[2] = [u * a + v * b for a, b in zip(rows[0], rows[1])]
             shapes += m != n
-            rank, pivot, sign = _bareiss([list(r) for r in rows])
-            assert (rank, pivot, sign) == _ref_bareiss(rows)
-            if m == n:
-                det = fraction_free_rank_det(rows)[1]
-                assert det == RationalFunction(pivot * sign if rank == n
-                                               else Polynomial(field, []))
+            rank, pivot, sign = _ref_bareiss(rows)
+            assert fraction_free_rank_det(rows) == (rank, None if m != n else RationalFunction(
+                pivot * sign if rank == n else Polynomial(field, [])))
+            # the int kernel on the rows cleared to one scale each
+            ints = [_cleared(r)[0] for r in rows]
+            rank, pivot, sign = _ref_bareiss([[_from_ints(field, c) for c in r] for r in ints])
+            int_rank, last, int_sign = _bareiss_mod_p(ints, field.characteristic)
+            assert (int_rank, _from_ints(field, last), int_sign) == (rank, pivot, sign)
         assert shapes > 10
 
     @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
     def test_scalar_det_matches_the_leibniz_formula(self, field):
+        # full scalar_echelon rank exactly when the Leibniz determinant is
+        # nonzero: the nonsingularity test of padic and smooth_weight
         rng = random.Random(1250 + field.characteristic)
         singular = 0
         for _ in range(40):
@@ -725,7 +742,7 @@ class TestIntegerKernel:
                 for i in range(n):
                     term = term * rows[i][perm[i]]
                 expected = expected + (-term if inversions % 2 else term)
-            assert scalar_det(rows) == expected
+            assert (len(scalar_echelon(rows)[0]) == n) == bool(expected)
             singular += not expected
         assert singular > 5
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from weierforge import exact, padic
-from weierforge.exact import GF, scalar_det
+from weierforge.exact import GF, scalar_echelon
 from weierforge.numsg import NumericalSemigroup
 from weierforge.padic import (
     OrderSequence,
@@ -76,7 +76,7 @@ def brute_force_minimal_sequence(exponents, p):
         if cand[0] != 0:
             continue
         rows = [[field(binom_mod_p(a, e, p)) for a in exponents] for e in cand]
-        if scalar_det(rows):
+        if len(scalar_echelon(rows)[0]) == s:
             best = cand
             break
     return best

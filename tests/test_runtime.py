@@ -41,3 +41,20 @@ def test_every_imported_name_is_used():
         else:
             used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - used, (path.name, sorted(imported - used))
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level _name is read in the package outside its own
+    # definition, so a helper goes when its last caller goes; references
+    # are names in the code (Name and Attribute nodes), not in comments or
+    # docstrings
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(weierforge.__file__).parent.glob("*.py"))}
+    refs = [(ref.id if isinstance(ref, ast.Name) else ref.attr, id(ref))
+            for tree in trees.values() for ref in ast.walk(tree)
+            if isinstance(ref, (ast.Name, ast.Attribute))]
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                inside = {id(n) for n in ast.walk(node)}
+                assert any(ref == node.name and i not in inside for ref, i in refs), (name, node.name)
