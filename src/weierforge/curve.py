@@ -24,7 +24,7 @@ from .exact import (
     RationalFunction,
     TruncationError,
     _from_ints,
-    _mul_mod_p,
+    _mul_trunc,
     binomial,
     int_echelon,
     quotient_rows,
@@ -313,7 +313,7 @@ def _ansatz(X):
                 if v < -c:    # e holds s^v .. s^(v+c-1), short of s^-1
                     raise TruncationError("ansatz expansion known only below s^%d" % (v + c))
                 block.append([e[j - v] * dt ** (n - 1 - k) if j >= v else 0 for j in range(-c, 0)])
-                e, v = (_mul_mod_p(ts, e, p) + [0] * c)[:c], v + vt
+                e, v = _mul_trunc(ts, e, c, p), v + vt
             parts.append((block, de * dt ** (n - 1)))
         d = math.lcm(*(dk for _block, dk in parts))
         windows.append([[x * (d // dk) for block, dk in parts for x in block[k]]
@@ -351,7 +351,7 @@ def _expand(factors, terms, p):
         else:
             v, coeffs = v + e, [alpha ** e]
         c, dc = scalar_ints(coeffs, p)
-        out, den = _mul_mod_p(out, c, p)[:terms], den * dc
+        out, den = _mul_trunc(out, c, terms, p), den * dc
     g = math.gcd(den, *out)
     return v, [x // g for x in out] + [0] * (terms - len(out)), den // g
 

@@ -659,6 +659,16 @@ def _mul_mod_p(a, b, p):
     return _mod_p(out, p)
 
 
+def _mul_trunc(a, b, n, p):
+    """The first n coefficients of a b mod p (p = 0: over ZZ), zeros past its end included."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                out[j] += x * y
+    return [c % p for c in out] if p else out
+
+
 def _dot_mod_p(xs, ys, p):
     """The sum of the products a * b over the pairs of lists in zip(xs, ys)."""
     out = [0] * max((len(a) + len(b) - 1 for a, b in zip(xs, ys) if a and b), default=0)
@@ -1180,7 +1190,7 @@ def series_det_order(rows, p, K):
         for r, row in enumerate(work):
             f = row.pop(c)[v:]
             if f:    # a and b vanish below x^v: as first factors, their zeros are skipped
-                row = [_sub_mod_p(_mul_mod_p(a, unit, p)[:K], _mul_mod_p(b, f, p)[:K], p)
+                row = [_sub_mod_p(_mul_trunc(a, unit, K, p), _mul_trunc(b, f, K, p), p)
                        for a, b in zip(row, top)]
                 g = 0 if p else math.gcd(*(x for a in row for x in a))
                 work[r] = [[x // g for x in a] for a in row] if g > 1 else row
@@ -1231,37 +1241,48 @@ def echelon_insert(pivots, rows, vec, p):
     pivots and rows are parallel lists sorted by pivot column, updated in
     place.  Returns False, changing nothing, when vec already lies in the
     span.  vec is not modified."""
-    v = span_reduce(pivots, rows, vec, p)
-    c = next((i for i, x in enumerate(v) if x), None)
-    if c is None:
+    k = triangular_insert(pivots, rows, vec, p)
+    if k is None:
         return False
-    if p:
-        inv = pow(v[c], -1, p)
-        v = [x * inv % p for x in v]
-    else:
-        g = math.gcd(*v) if v[c] > 0 else -math.gcd(*v)
-        v = [x // g for x in v]
+    c, v = pivots[k], rows[k]
     for i, row in enumerate(rows):
-        if row[c]:
-            rows[i] = span_reduce([c], [v], row, p)
-    k = bisect.bisect(pivots, c)
-    pivots.insert(k, c)
-    rows.insert(k, v)
+        if i != k and row[c]:
+            row = span_reduce([c], [v], row, p)
+            rows[i] = row if p else _primitive(row)
     return True
 
 
+def triangular_insert(pivots, rows, vec, p):
+    """echelon_insert without clearing the new pivot column from the other
+    rows; returns the new row's index, or None when vec lies in the span."""
+    v = span_reduce(pivots, rows, vec, p)
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is None:
+        return None
+    unit = pow(v[c], -1, p) if p else (1 if v[c] > 0 else -1)
+    v = [x * unit % p for x in v] if p else _primitive([x * unit for x in v])
+    k = bisect.bisect(pivots, c)
+    pivots.insert(k, c)
+    rows.insert(k, v)
+    return k
+
+
 def span_reduce(pivots, rows, vec, p):
-    """Reduce an int vector against a reduced echelon form on int rows: by
-    v - f row over GF(p), by a v - f row made primitive over ZZ.  A zero
-    result means the vector lies in their span."""
+    """Reduce an int vector against an echelon form on int rows sorted by
+    pivot, reduced or not: by v - f row over GF(p) and over ZZ at a pivot
+    entry 1, otherwise by a v - f row made primitive.  A zero result means
+    the vector lies in their span; over ZZ any other may keep a content."""
     v = list(vec)
     for pc, row in zip(pivots, rows):
         f = v[pc]
         if f and p:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
+            v[pc:] = [(x - f * y) % p for x, y in zip(v[pc:], row[pc:])]
+        elif f and row[pc] == 1:
+            v[pc:] = [x - f * y for x, y in zip(v[pc:], row[pc:])]
         elif f:
             g = math.gcd(row[pc], f)
-            v = _primitive([row[pc] // g * x - f // g * y for x, y in zip(v, row)])
+            a, b = row[pc] // g, f // g
+            v = _primitive([a * x - b * y for x, y in zip(v, row)])
     return v
 
 

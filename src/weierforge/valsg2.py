@@ -16,13 +16,14 @@ from .exact import (
     TruncatedSeries,
     _dot_mod_p,
     _from_ints,
-    _mul_mod_p,
+    _mul_trunc,
     _primitive,
     echelon_insert,
     field_rows,
     int_echelon,
     scalar_echelon,
     span_reduce,
+    triangular_insert,
     window_ints,
 )
 from .numsg import NumericalSemigroup
@@ -173,13 +174,12 @@ def closed_span(vectors, conductor, windows, p):
 
 
 def _product(a, b, windows, p):
-    """Product of two int vectors block by block, each an integer truncated
-    convolution cut to its window; over ZZ divided by its content, which
-    leaves span membership unchanged."""
+    """Product of two int vectors block by block, each block the product
+    truncated to its window; over ZZ divided by its content, which leaves
+    span membership unchanged."""
     v, s = [], 0
     for w in windows:
-        c = _mul_mod_p(a[s:s + w], b[s:s + w], p)[:w]
-        v += c + [0] * (w - len(c))
+        v += _mul_trunc(a[s:s + w], b[s:s + w], w, p)
         s += w
     return v if p else _primitive(v)
 
@@ -605,16 +605,19 @@ def ring_from_generators(field, generators, window=16):
             raise ValueError("branch constant terms differ: the ring would not be local")
         gens.append(window_ints((gt, gu), (w1, w2), p))
     one = [int(j in (0, w1)) for j in range(w1 + w2)]
-    # worklist closure on int rows: every element that enlarges the span is
-    # multiplied by each generator once
-    pivots, echelon = [], []
-    pending = [e for e in [one] + gens if echelon_insert(pivots, echelon, e, p)]
+    # worklist closure on int rows: each row inserted into a triangular form
+    # is multiplied by each generator once (truncation is a ring map, so these
+    # close the same span as the raw products); it is reduced once at the end
+    pivots, rows = [], []
+    pending = [rows[k] for k in (triangular_insert(pivots, rows, e, p) for e in [one] + gens)
+               if k is not None]
     while pending:
         e = pending.pop()
         for g in gens:
-            product = _product(e, g, (w1, w2), p)
-            if echelon_insert(pivots, echelon, product, p):
-                pending.append(product)
+            k = triangular_insert(pivots, rows, _product(e, g, (w1, w2), p), p)
+            if k is not None:
+                pending.append(rows[k])
+    pivots, echelon = int_echelon(rows[::-1], p)
 
     # a side's conductor exponent is the least m with every unit vector from
     # m to the window's end in the span; in a reduced echelon form e_j lies

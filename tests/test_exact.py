@@ -24,6 +24,9 @@ from weierforge.exact import (
     _cleared,
     _from_ints,
     _is_prime,
+    _mul_mod_p,
+    _mul_trunc,
+    _sub_mod_p,
     coprime_refinement,
     echelon_insert,
     field_rows,
@@ -34,6 +37,7 @@ from weierforge.exact import (
     scalar_nullspace,
     series_det_order,
     span_reduce,
+    triangular_insert,
 )
 from conftest import derivative, random_polynomial, random_rational_function, valuation_at_zero
 
@@ -701,6 +705,31 @@ class TestIntegerKernel:
             assert (f * g).exact_div(g) == f
 
     @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_truncated_product_is_the_cut_full_product(self, field):
+        # the full product cut to n and padded with zeros to n, as valsg2's
+        # blocks and curve's ansatz pad it, for n below, at and past the
+        # product's length; series_det_order's difference of two cut products
+        # strips its trailing zeros either way
+        p = field.characteristic
+        rng = random.Random(1150 + p)
+
+        def ints():
+            body = [rng.randrange(p) if p else rng.choice([0, 1, -1, 3, 2 ** 40, -7])
+                    for _ in range(rng.randint(0, 7))]
+            return [0] * rng.randint(0, 3) + body + [0] * rng.randint(0, 2)
+
+        pairs = [([], []), ([], [1, 2]), ([5], []), ([0, 0], [0, 3])]
+        pairs += [(ints(), ints()) for _ in range(80)]
+        for a, b in pairs:
+            full = len(a) + len(b) - 1
+            for n in sorted({0, 1, max(full - 2, 0), max(full, 0), full + 3}):
+                cut = _mul_mod_p(a, b, p)[:n]
+                assert _mul_trunc(a, b, n, p) == cut + [0] * (n - len(cut)), (a, b, n)
+                c, d = ints(), ints()
+                assert _sub_mod_p(_mul_trunc(a, b, n, p), _mul_trunc(c, d, n, p), p) == \
+                    _sub_mod_p(cut, _mul_mod_p(c, d, p)[:n], p)
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
     def test_bareiss_matches_schoolbook(self, field):
         rng = random.Random(1200 + field.characteristic)
         shapes = 0
@@ -972,6 +1001,59 @@ class TestReducedEchelon:
             for probe in _echelon_matrix(rng, field, 4, n) + rows:
                 assert (not any(span_reduce(pivots, ints, scalar_ints(probe, p)[0], p))) is (
                     not any(_ref_span_reduce(ref_pivots, ref_rows, probe)))
+
+    def test_back_reduction_by_a_unit_pivot_row_keeps_rows_primitive(self):
+        # clearing column 1 of (2, 1, 1) with the unit-pivot row (0, 1, -1)
+        # leaves (2, 0, 2), stored as (1, 0, 1)
+        assert int_echelon([[2, 1, 1], [0, 1, -1]], 0) == ([0, 1], [[1, 0, 1], [0, 1, -1]])
+        rng = random.Random(460)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            # leading entries 1 and 2: unit and scaled steps both clear columns
+            rows = [[0] * k + [rng.choice([1, 2, -1])]
+                    + [rng.choice([0, 1, 2, -1, -2]) for _ in range(n - k - 1)]
+                    for k in (rng.randrange(n) for _ in range(rng.randint(1, n)))]
+            pivots, ech = [], []
+            for r in rows:
+                echelon_insert(pivots, ech, r, 0)
+                _assert_int_reduced(pivots, ech, 0)
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_span_reduce_decides_membership_on_a_triangular_form(self, field):
+        p = field.characteristic
+        rng = random.Random(465 + p)
+        inside = outside = unreduced = 0
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            rows = [scalar_ints(r, p)[0] for r in _echelon_matrix(rng, field, rng.randint(0, 6), n)]
+            # small entries, so that over ZZ many pivot entries are 1
+            rows += [[rng.randint(-2, 2) % p if p else rng.randint(-2, 2) for _ in range(n)]
+                     for _ in range(rng.randint(0, 3))]
+            rng.shuffle(rows)
+            tri_pivots, tri = [], []
+            for r in rows:
+                before = (list(tri_pivots), [list(t) for t in tri])
+                k = triangular_insert(tri_pivots, tri, r, p)
+                if k is None:
+                    assert (tri_pivots, tri) == before
+                    continue
+                pc, row = tri_pivots[k], tri[k]
+                assert tri_pivots == sorted(set(tri_pivots)) and not any(row[:pc])
+                assert row[pc] == 1 if p else row[pc] > 0 and math.gcd(*row) == 1
+            pivots, ech = int_echelon(rows, p)
+            assert tri_pivots == pivots
+            unreduced += tri != ech
+            # one insertion pass in descending pivot order reduces it
+            assert int_echelon(tri[::-1], p) == (pivots, ech)
+            members = [[sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+                       for coeffs in ([rng.randint(-3, 3) for _ in rows] for _ in range(3))]
+            probes = [scalar_ints(r, p)[0] for r in _echelon_matrix(rng, field, 4, n)]
+            for probe in probes + [[x % p for x in m] if p else m for m in members]:
+                member = not any(span_reduce(pivots, ech, probe, p))
+                assert (not any(span_reduce(tri_pivots, tri, probe, p))) is member
+                inside += member
+                outside += not member
+        assert inside > 40 and outside > 40 and unreduced > 5
 
     @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
     def test_unit_vector_lies_in_the_span_iff_its_pivot_row_is_a_single_entry(self, field):

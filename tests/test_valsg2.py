@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from weierforge.valsg2 import (
     EliminationStuck,
     NotClosed,
     NotGorenstein,
+    _product,
     adapted_basis,
     edge_points,
     expected_smooth_count,
@@ -517,16 +519,88 @@ class TestRingFromGenerators:
                 c = rng.randint(1, 5)
                 x = tuple([c + x0[0]] + x0[1:] for x0 in x)
             window = rng.choice([5, 7, 9, 11])
-            outcomes = []
-            for build in (ring_from_generators, _ref_ring_from_generators):
-                try:
-                    outcomes.append(build(field, [x, y], window=window).to_json())
-                except ValueError as exc:
-                    outcomes.append((type(exc), str(exc)))
-            assert outcomes[0] == outcomes[1], (x, y, window)
-            closed += isinstance(outcomes[0], dict)
-            rejected += not isinstance(outcomes[0], dict)
+            outcome = _closure_against_the_reference(field, [x, y], window)
+            closed += isinstance(outcome, dict)
+            rejected += not isinstance(outcome, dict)
         assert closed >= 3 and rejected >= 3
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
+    def test_closure_matches_the_reference_at_the_benchmark_window(self, field):
+        rng = random.Random(940 + field.characteristic)
+        closed = 0
+        for _ in range(10):
+            (a1, b1), (a2, b2) = rng.choice(_BRANCH_ORDERS), rng.choice(_BRANCH_ORDERS)
+            x = (_branch_series(rng, a1), _branch_series(rng, a2))
+            y = (_branch_series(rng, b1), _branch_series(rng, b2))
+            closed += isinstance(_closure_against_the_reference(field, [x, y], 14), dict)
+        assert closed >= 6
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
+    def test_closure_matches_the_reference_on_a_wide_germ(self, field):
+        # branches <2,5> and <3,4>, both tangent to y = 0: I = min(5*3, 4*2)
+        # = 8, conductor (8 + 2*2, 8 + 2*3) = (12, 14) and delta 8 + 2 + 3;
+        # tails of 24 random terms carry the entries of the closure's rows
+        rng = random.Random(950 + field.characteristic)
+
+        def branch(order):
+            s = _branch_series(rng, order, 24)
+            s[order] = 1    # a leading term that survives mod 2
+            return s
+
+        x, y = (branch(2), branch(3)), (branch(5), branch(4))
+        outcome = _closure_against_the_reference(field, [x, y], 24)
+        assert outcome["conductor"] == [12, 14] and outcome["delta"] == 13
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
+    def test_closure_matches_the_reference_with_three_generators(self, field):
+        rng = random.Random(960 + field.characteristic)
+        closed = rejected = 0
+        for _ in range(10):
+            (a1, b1), (a2, b2) = rng.choice(_BRANCH_ORDERS), rng.choice(_BRANCH_ORDERS)
+            x = (_branch_series(rng, a1), _branch_series(rng, a2))
+            y = (_branch_series(rng, b1), _branch_series(rng, b2))
+            z = (_branch_series(rng, rng.randint(1, 5)), _branch_series(rng, rng.randint(1, 5)))
+            outcome = _closure_against_the_reference(field, [x, y, z], rng.choice([7, 9, 11, 14]))
+            closed += isinstance(outcome, dict)
+            rejected += not isinstance(outcome, dict)
+        assert closed >= 3 and rejected >= 3
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
+    def test_block_product_with_unequal_windows(self, field):
+        # closed_span multiplies in the windows (xi1 + 2, xi2 + 2): each block
+        # is the product cut to its own window, over ZZ divided by its content
+        p = field.characteristic
+        rng = random.Random(970 + p)
+        for windows in [(3, 7), (8, 4), (1, 5), (6, 6)]:
+            for _ in range(10):
+                a, b = ([rng.choice([0, 0, 1, -1, 2, 6]) for _ in range(sum(windows))]
+                        for _ in range(2))
+                if p:
+                    a, b = [x % p for x in a], [x % p for x in b]
+                ref, s = [], 0
+                for w in windows:
+                    ref += _truncated_product([field(x) for x in a[s:s + w]],
+                                              [field(x) for x in b[s:s + w]], w, field)
+                    s += w
+                v = _product(a, b, windows, p)
+                if not p:
+                    content = math.gcd(*map(int, ref)) or 1
+                    ref = [x / content for x in ref]
+                    assert math.gcd(*v) in (0, 1)
+                assert [field(x) for x in v] == ref
+
+
+def _closure_against_the_reference(field, generators, window):
+    """The closed ring's JSON, or the (type, message) of its ValueError,
+    asserted equal for ring_from_generators and the field-scalar reference."""
+    outcomes = []
+    for build in (ring_from_generators, _ref_ring_from_generators):
+        try:
+            outcomes.append(build(field, generators, window=window).to_json())
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], (generators, window)
+    return outcomes[0]
 
 
 def _truncated_product(a, b, w, field):
