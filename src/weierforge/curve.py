@@ -152,7 +152,8 @@ class UnibranchSingularity(_Singularity):
         self.conductor_exponent = c
         self.location = location
         self.delta = c - len(series)
-        assert self.delta == self.semigroup.genus and self.semigroup.is_symmetric()
+        if self.delta != self.semigroup.genus or not self.semigroup.is_symmetric():
+            raise AssertionError("delta %d against semigroup %s" % (self.delta, self.semigroup))
 
     def describe(self):
         return "unibranch (semigroup %s) at %s" % (self.semigroup, point_str(self.location))
@@ -473,13 +474,14 @@ def _local_order(rows, q, p):
 
 class WeightReport:
     """Full weight accounting for a curve: orders of the dualizing system,
-    singular weights, the smooth wronskian divisor, and the global total."""
+    singular weights, the smooth wronskian divisor, the global total, and
+    the system's reduced wronskian, whose sizes are the problem's."""
 
     __slots__ = ("curve", "orders", "N", "singular_weights", "smooth_divisor",
-                 "total", "expected")
+                 "total", "expected", "wronskian")
 
     def __init__(self, curve, orders, N, singular_weights, smooth_divisor,
-                 total, expected):
+                 total, expected, wronskian):
         self.curve = curve
         self.orders = orders
         self.N = N
@@ -487,6 +489,7 @@ class WeightReport:
         self.smooth_divisor = smooth_divisor
         self.total = total
         self.expected = expected
+        self.wronskian = wronskian
 
     def to_json(self):
         curve = self.curve
@@ -513,15 +516,18 @@ def weight_report(X):
     V = basis._system
     eps = order_sequence(V)
     N = eps.N
-    w_raw = wronskian(V)
+    excluded = X.singular_locations()
+    divisor = wronski.weight_divisor(V, excluded_points=excluded)
+    raw_order = dict(zip(map(point_str, excluded), divisor.excluded_orders))
 
     singular_weights = []
     for si, sing in enumerate(X.singularities):
         w = singular_weight(X, si, basis)
-        # cross-check against the raw wronskian: the determinant of the
-        # trivialized tuple is gen^(-s) times the raw one
+        # cross-check against the raw wronskian, whose orders weight_divisor
+        # read off det and D: the determinant of the trivialized tuple is
+        # gen^(-s) times the raw one
         gen = basis.generator(si)
-        direct = (sum(w_raw.valuation(br.location) for br in sing.branches())
+        direct = (sum(raw_order[point_str(br.location)] for br in sing.branches())
                   - (g + N) * sum(gen.valuation(br.location) for br in sing.branches()))
         if direct != w:
             raise TotalMismatch(
@@ -531,13 +537,11 @@ def weight_report(X):
             raise TotalMismatch("weight below conductor lower bound")
         singular_weights.append(w)
 
-    excluded = X.singular_locations()
-    divisor = wronski.weight_divisor(V, excluded_points=excluded)
     total = sum(singular_weights) + divisor.degree
     expected = wronski.global_weight_total(g, 2 * g - 2, g, N)
     if total != expected:
         raise TotalMismatch("weights total %d, expected %d" % (total, expected))
-    return WeightReport(X, eps, N, singular_weights, divisor, total, expected)
+    return WeightReport(X, eps, N, singular_weights, divisor, total, expected, wronskian(V))
 
 
 def smooth_weight_at(X, q):
@@ -569,7 +573,8 @@ def monomial_curve_weights(S, p):
     orders = monomial_order_sequence(small, p)
     w_p = sum(n - e for n, e in zip(small, orders)) + 2 * g * orders.N
     w_inf = sum(l - 1 - e for l, e in zip(S.gaps, orders))
-    assert w_p + w_inf == (2 * g - 2) * (g + orders.N)
+    if w_p + w_inf != (2 * g - 2) * (g + orders.N):
+        raise AssertionError("monomial weights %d + %d miss the total" % (w_p, w_inf))
     return w_p, w_inf, orders
 
 
@@ -608,7 +613,8 @@ def two_monomial_weights(S1, S2, case):
         smooth = S1.weight() + S2.weight()
     else:
         raise ValueError("case must be 1, 2 or 3")
-    assert w1 + w2 + smooth == g ** 3 - g
+    if w1 + w2 + smooth != g ** 3 - g:
+        raise AssertionError("two-singularity weights %d + %d + %d miss g^3 - g" % (w1, w2, smooth))
     return w1, w2, smooth
 
 

@@ -496,18 +496,20 @@ class Polynomial:
         return _from_ints(self.field, (0,) * (n - self.degree) + self._c[::-1], self._d)
 
     def root_multiplicity(self, a):
-        """Multiplicity of t = a as a root: on the stored ints q and a = u / w,
-        divide q by w t - u (exact in ZZ[t] by Gauss's lemma) while
-        w^n q(a) = 0."""
-        if self.is_zero():
-            return math.inf
+        """Multiplicity of t = a as a root; inf for the zero polynomial."""
+        return math.inf if self.is_zero() else self.strip_root(a)[0]
+
+    def strip_root(self, a):
+        """(m, self / (t - a)^m) for the nonzero self, m the multiplicity of
+        t = a as a root: on the stored ints q and a = u / w, divide q by
+        w t - u (exact in ZZ[t] by Gauss's lemma) while w^n q(a) = 0."""
         a, p, q = self.field(a), self.field.characteristic, self._c
         u, w = (a.value, 1) if p else (a.numerator, a.denominator)
         m = 0
         while not (_horner(q, u, p) if p else _homogeneous(q, u, w)):
             q = _exact_div_mod_p(q, _mod_p([-u, w], p), p)
             m += 1
-        return m
+        return m, _from_ints(self.field, [x * w ** m for x in q], self._d)
 
     def multiplicity_of_factor(self, g):
         """Largest e with g^e dividing self (g nonconstant)."""
@@ -1365,5 +1367,10 @@ def coprime_refinement(polys):
             out.append(lin)
         if b.degree >= 1:
             out.append(b)
-    out.sort(key=lambda q: (q.degree, [str(c) for c in q.coeffs]))
+    out.sort(key=place_key)
     return out
+
+
+def place_key(q):
+    """The order of places in a divisor report: by degree, then by the printed coefficients."""
+    return q.degree, [str(c) for c in q.coeffs]

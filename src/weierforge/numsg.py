@@ -83,7 +83,8 @@ class NumericalSemigroup:
         c = self.conductor
         mirror = all((m in self) != (c - 1 - m in self) for m in range(c))
         counting = c == 2 * self.genus
-        assert mirror == counting
+        if mirror != counting:
+            raise AssertionError("symmetry by mirror and by c = 2g disagree")
         return mirror
 
     def weight(self):

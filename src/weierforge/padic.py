@@ -153,7 +153,8 @@ def classicality_product_test(gaps, p):
         for j in range(i):
             num *= gaps[i] - gaps[j]
             den *= i - j
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("gap determinant %d / %d is not an integer" % (num, den))
     return (num // den) % p != 0
 
 

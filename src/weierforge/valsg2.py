@@ -292,8 +292,8 @@ def value_semigroup(ring):
     infinite_horizontal = {y for y in range(xi2 + 1) if dim[(xi1, y)] > dim[(xi1, y + 1)]}
 
     # declared conductor is minimal (cross-check with validate_ring)
-    assert (xi1 - 1) not in infinite_vertical or xi1 == 0
-    assert (xi2 - 1) not in infinite_horizontal or xi2 == 0
+    if (xi1 and xi1 - 1 in infinite_vertical) or (xi2 and xi2 - 1 in infinite_horizontal):
+        raise AssertionError("declared conductor (%d, %d) is not minimal" % (xi1, xi2))
 
     maximals = [(x, y) for (x, y) in sorted(finite_points)
                 if x not in infinite_vertical and y not in infinite_horizontal

@@ -13,6 +13,7 @@ import math
 
 from .exact import (
     INF,
+    Polynomial,
     RationalFunction,
     _bareiss_mod_p,
     _from_ints,
@@ -22,6 +23,7 @@ from .exact import (
     coprime_refinement,
     fraction_free_rank_det,
     int_echelon,
+    place_key,
     shared_denominator,
 )
 from .padic import OrderSequence, binom_mod_p
@@ -35,12 +37,14 @@ class LinearSystem:
     """Tuple of linearly independent rational functions over one field.
 
     The system is also held as polynomial numerators over one shared
-    denominator, f_j = numerators[j] / denominator; the order sequence and
-    the wronskian are computed from that form.
+    denominator D, the monic lcm of the reduced denominators, with
+    f_j = numerators[j] / D; the order sequence and the wronskian are
+    computed from that form.  order_sequence stores _det, the determinant
+    of the numerator rows over its scale, so the wronskian is _det / D^s.
     """
 
     __slots__ = ("functions", "field", "denominator", "numerators",
-                 "_orders", "_wronskian")
+                 "_orders", "_det")
 
     def __init__(self, functions):
         functions = tuple(f if isinstance(f, RationalFunction) else RationalFunction(f)
@@ -58,7 +62,7 @@ class LinearSystem:
         self.denominator = denominator
         self.numerators = tuple(numerators)
         self._orders = None
-        self._wronskian = None
+        self._det = None
 
     @property
     def characteristic(self):
@@ -93,7 +97,9 @@ def order_sequence(V):
     det(D^(eps_i) n_j) / D^s (Stoehr-Voloch), so the search and the
     wronskian both run on the polynomial rows D^(e) n_j.  With n_j = c_j / d_j
     stored as ints, column j is taken as D^(e) c_j: the scaling keeps the
-    rank, and the determinant is divided by the product of the d_j.
+    rank.  The Bareiss determinant of those rows, divided by its scale (the
+    product of the d_j), is stored once as V._det, unreduced: the wronskian
+    is V._det / D^s.
     """
     if V._orders is not None:
         return V._orders
@@ -117,9 +123,7 @@ def order_sequence(V):
     if rank < s:
         raise AssertionError("greedy order sequence failed determinant verification")
     V._orders = orders
-    V._wronskian = RationalFunction(_from_ints(V.field, [x * sign for x in det],
-                                               math.prod(d for _c, d in cleared)),
-                                    V.denominator ** s)
+    V._det = _from_ints(V.field, [x * sign for x in det], math.prod(d for _c, d in cleared))
     return orders
 
 
@@ -140,14 +144,15 @@ def wronskian(V, eps=None):
     """det(D^(eps_i) f_j); with eps omitted, at the order sequence of V
     (where it is nonzero).
 
-    At the order sequence this is the value order_sequence computed from
-    the numerators; any other eps is fraction_free_rank_det on the rows of
-    hasse_list entries, the zero function when they are dependent.
+    At the order sequence this is the determinant order_sequence stored,
+    over D^s, reduced on each call; any other eps is fraction_free_rank_det
+    on the rows of hasse_list entries, the zero function when they are
+    dependent.
     """
     terms = None if eps is None else tuple(eps)    # eps may be an iterator
     if terms is None or order_sequence(V) == terms:
         order_sequence(V)
-        return V._wronskian
+        return RationalFunction(V._det, V.denominator ** len(V))
     if len(terms) != len(V):
         raise ValueError("sequence length does not match the system dimension")
     if min(terms) < 0:
@@ -174,19 +179,19 @@ def differential_weight_at(V, q):
     f_j(t) dt, sections of L = (regular differentials)(pole divisor).
 
     The wronskian section lives in L^s tensor omega^N, so its order at q is
-    ord_q(det) - s*ord_q(local L generator) - N*ord_q(local omega
+    ord_q(W) - s*ord_q(local L generator) - N*ord_q(local omega
     generator), with dt generating omega at finite q and du = -dt/t^2 at
-    INF.  The value is invariant under scaling the whole tuple by one
-    rational function.
+    INF; ord_q W = ord_q det - s*ord_q D is read off the unreduced
+    W = det / D^s.  The value is invariant under scaling the whole tuple by
+    one rational function.
     """
     eps = order_sequence(V)
-    w = wronskian(V)
-    s = len(V)
+    det, D, s = V._det, V.denominator, len(V)
     if q is INF:
         pole = min(0, min(f.valuation(INF) for f in V.functions) - 2)
-        return w.valuation(INF) - s * (pole + 2) - 2 * eps.N
+        return s * D.degree - det.degree - s * (pole + 2) - 2 * eps.N
     pole = min(0, min(f.valuation(q) for f in V.functions))
-    return w.valuation(q) - s * pole
+    return det.root_multiplicity(q) - s * (D.root_multiplicity(q) + pole)
 
 
 def smooth_weight(V, q):
@@ -195,20 +200,18 @@ def smooth_weight(V, q):
     Returns (weight, bound, attained) where bound = sum(eps_i(q) - eps_i)
     and attained reports whether det C(eps_j(q), eps_i) != 0 mod p, which
     by the smooth theory is equivalent to weight == bound.  In
-    characteristic 0 the two always agree (asserted).
+    characteristic 0 the two always agree (checked).
     """
     eps = order_sequence(V)
     qorders = vq_orders(V, q)
     weight = differential_weight_at(V, q)
     bound = sum(a - b for a, b in zip(qorders, eps))
     p = V.characteristic
-    if p == 0:
-        assert weight == bound
-        return weight, bound, True
-    matrix = [[binom_mod_p(qo, e, p) for qo in qorders] for e in eps]
-    attained = len(int_echelon(matrix, p)[0]) == len(eps)
-    assert weight >= bound
-    assert (weight == bound) == attained
+    attained = not p or len(int_echelon([[binom_mod_p(qo, e, p) for qo in qorders]
+                                         for e in eps], p)[0]) == len(eps)
+    if weight < bound or (weight == bound) != attained:
+        raise AssertionError("smooth weight %d against bound %d, attained %s"
+                             % (weight, bound, attained))
     return weight, bound, attained
 
 
@@ -219,12 +222,14 @@ def global_weight_total(s, degL, g, N):
 
 class WronskianDivisor:
     """Zero divisor of a wronskian section: (place, multiplicity) pairs where
-    a place is a monic squarefree-refined polynomial factor or INF."""
+    a place is a monic squarefree-refined polynomial factor or INF, and
+    excluded_orders, ord_q W at each excluded point in the order given."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "excluded_orders")
 
-    def __init__(self, entries):
+    def __init__(self, entries, excluded_orders):
         self.entries = tuple(entries)
+        self.excluded_orders = tuple(excluded_orders)
 
     @property
     def degree(self):
@@ -249,30 +254,39 @@ def weight_divisor(V, excluded_points=()):
     coprime polynomial places, excluding the given finite points and INF
     when listed.
 
-    Candidate places are the zeros and poles of the wronskian and the poles
-    of the functions; everywhere else the weight vanishes.
+    With W = det / D^s as order_sequence stores it, the weight vanishes
+    off the zeros of det and of D.  Each excluded point, then each root in
+    the field of what is left of D (a pole not excluded), is stripped from
+    det and from D by repeated exact division by w t - u, which gives
+    ord_q det and ord_q D; excluded_orders reads ord_q W off them.  What is
+    left of det is refined into coprime places, together with the f_j's
+    denominators when D keeps factors with no root in the field.  The
+    weight at a place is ord W - s * (the least order of the f_j there,
+    when negative), that least order read only where D vanishes.
     """
-    eps = order_sequence(V)
-    w = wronskian(V)
-    s = len(V)
-    candidates = [w.num, w.den] + [f.den for f in V.functions]
-    places = coprime_refinement(candidates)
-    field = V.field
-    excluded_finite = [p for p in excluded_points if p is not INF]
-    entries = []
-    for place in places:
-        if place.degree == 1 and any(place.root_multiplicity(pt) for pt in excluded_finite):
-            continue
-        pole = min(0, min(f.multiplicity_of_factor(place) for f in V.functions))
-        weight = w.multiplicity_of_factor(place) - s * pole
-        if weight < 0:
-            raise AssertionError("negative weight at a non-excluded place")
-        if weight > 0:
-            entries.append((place, weight))
+    order_sequence(V)
+    det, D, s, field = V._det, V.denominator, len(V), V.field
+    finite = [field(q) for q in excluded_points if q is not INF]
+    orders, weights = {INF: s * D.degree - det.degree}, []
+    for q in dict.fromkeys(finite):
+        (m, det), (k, D) = det.strip_root(q), D.strip_root(q)
+        orders[q] = m - s * k
+    for q in D.rational_roots():    # the poles left
+        (m, det), (k, D) = det.strip_root(q), D.strip_root(q)
+        pole = min(0, min(f.valuation(q) for f in V.functions))
+        weights.append((Polynomial(field, [-q, 1]), m - s * (k + pole)))
+    # the f_j's denominators split D's places: each has one order in every f_j
+    for place in coprime_refinement([det] + ([f.den for f in V.functions] if D.degree else [])):
+        k = D.multiplicity_of_factor(place)    # where it is 0, no f_j has a pole
+        pole = min(0, min(f.multiplicity_of_factor(place) for f in V.functions)) if k else 0
+        weights.append((place, det.multiplicity_of_factor(place) - s * (k + pole)))
+    if any(w < 0 for _place, w in weights):
+        raise AssertionError("negative weight at a non-excluded place")
+    entries = sorted(((place, w) for place, w in weights if w), key=lambda e: place_key(e[0]))
     if INF not in excluded_points:
         winf = differential_weight_at(V, INF)
         if winf < 0:
             raise AssertionError("negative weight at infinity")
         if winf > 0:
             entries.append((INF, winf))
-    return WronskianDivisor(entries)
+    return WronskianDivisor(entries, [orders[q if q is INF else field(q)] for q in excluded_points])

@@ -335,6 +335,34 @@ class TestRootFinding:
             assert f.rational_roots() == roots
             assert calls.count(0) == integer_gcds
 
+    @pytest.mark.parametrize("p, factors", [
+        (3, [(0, 3), (1, 1)]),                    # t^3 (t - 1)
+        (2, [(0, 2), (1, 4)]),                    # t^2 (t + 1)^4
+        (3, [(2, 6), (0, 1), (1, 9)]),            # (t - 2)^6 t (t - 1)^9
+        (5, [(4, 10), (3, 5)]),
+    ])
+    def test_roots_of_multiplicity_divisible_by_p(self, p, factors):
+        # f / gcd(f, f') drops every root whose multiplicity p divides, as
+        # D' = 0 there; the roots and strip_root's counts keep them
+        field = GF(p)
+        t = t_over(field)
+        f = Polynomial(field, [1])
+        for r, m in factors:
+            f = f * (t - r) ** m
+        assert [r.value for r in f.rational_roots()] == sorted(r for r, _m in factors)
+        for r, m in factors:
+            count, rest = f.strip_root(field(r))
+            assert count == m == f.root_multiplicity(r)
+            assert rest * (t - r) ** m == f and rest(field(r))
+
+    def test_strip_root_keeps_the_cofactor_exact_over_qq(self):
+        # a = u / w divides by w t - u on the ints; the cofactor is f / (t - a)^m
+        t = t_over(QQ)
+        a, cofactor = Fraction(-2, 3), 5 * t ** 2 + Fraction(1, 7)
+        f = Fraction(3, 4) * (t - a) ** 3 * cofactor
+        assert f.strip_root(a) == (3, Fraction(3, 4) * cofactor)
+        assert f.strip_root(Fraction(1, 2)) == (0, f)
+
     def test_constants_have_no_roots(self):
         for field in _ROOT_FIELDS:
             assert Polynomial(field, [-1]).rational_roots() == []

@@ -24,6 +24,14 @@ def test_package_imports_only_the_stdlib():
             assert name == "weierforge" or name in sys.stdlib_module_names, (path.name, name)
 
 
+def test_no_assert_statement_survives_in_the_package():
+    # python -O drops assert statements; invariant checks raise
+    # AssertionError themselves, which the CLI maps to exit 3
+    for path in sorted(pathlib.Path(weierforge.__file__).parent.glob("*.py")):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)
+
 
 def test_every_imported_name_is_used():
     # a name a module imports is read in that module; the package's

@@ -13,6 +13,7 @@ from weierforge.exact import (
     _bareiss_mod_p,
     _cleared,
     _from_ints,
+    coprime_refinement,
     fraction_free_rank_det,
     quotient_rows,
     scalar_echelon,
@@ -28,6 +29,16 @@ from weierforge.wronski import (
     weight_divisor,
     wronskian,
 )
+from weierforge.curve import (
+    MonomialSingularity,
+    RationalCurve,
+    TwoBranchSingularity,
+    UnibranchSingularity,
+    dualizing_basis,
+    weight_report,
+)
+from weierforge.numsg import NumericalSemigroup
+from weierforge.valsg2 import validate_ring
 from conftest import derivative, random_polynomial
 
 
@@ -490,3 +501,108 @@ class TestInvariance:
         assert differential_weight_at(W, GF(2)(0)) == differential_weight_at(V, INF)
         assert differential_weight_at(W, INF) == differential_weight_at(V, GF(2)(0))
         assert differential_weight_at(W, GF(2)(1)) == differential_weight_at(V, GF(2)(1))
+
+
+def reference_weight_divisor(V, excluded_points=()):
+    """The divisor entries as weight_divisor found them on the reduced
+    wronskian W: places from coprime_refinement of W's numerator and
+    denominator and of every f_j's denominator, the place of each excluded
+    finite point dropped, the weight ord W - s * (least pole order of the
+    f_j) at each place and the differential weight at INF."""
+    w, s = wronskian(V), len(V)
+    excluded = [q for q in excluded_points if q is not INF]
+    entries = []
+    for place in coprime_refinement([w.num, w.den] + [f.den for f in V.functions]):
+        if place.degree == 1 and any(place.root_multiplicity(q) for q in excluded):
+            continue
+        pole = min(0, min(f.multiplicity_of_factor(place) for f in V.functions))
+        weight = w.multiplicity_of_factor(place) - s * pole
+        assert weight >= 0
+        if weight:
+            entries.append((place, weight))
+    if INF not in excluded_points:
+        pole = min(0, min(f.valuation(INF) for f in V.functions) - 2)
+        weight = w.valuation(INF) - s * (pole + 2) - 2 * order_sequence(V).N
+        assert weight >= 0
+        if weight:
+            entries.append((INF, weight))
+    return entries
+
+
+def assert_divisor_matches_the_reference(V, excluded_points):
+    divisor = weight_divisor(V, excluded_points=excluded_points)
+    assert list(divisor) == reference_weight_divisor(V, excluded_points)
+    w = wronskian(V)
+    assert divisor.excluded_orders == tuple(w.valuation(q) for q in excluded_points)
+    return divisor
+
+
+def divisor_curves(field):
+    """Monomial, cusp and two-branch curves over the field, with branches
+    at finite points and at INF."""
+    def mono(gens, q):
+        return MonomialSingularity(field, NumericalSemigroup.from_generators(gens), q)
+
+    def cusp(q):
+        return UnibranchSingularity(field, [[1], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1]], 6, q)
+
+    tacnode = validate_ring(field, [([1, 0], [1, 0]), ([0, 1], [0, 1])], (2, 2))
+    return [RationalCurve(field, sings) for sings in (
+        [mono([3, 4], field(0))],
+        [mono([3, 5], field(0)), mono([2, 3], field(1))],
+        [mono([4, 5, 6], field(1))],
+        [cusp(field(1))],
+        [cusp(field(0)), mono([2, 5], field(1))],
+        [mono([3, 4], field(0)), mono([3, 5], INF)],
+        [cusp(INF)],
+        [TwoBranchSingularity(tacnode, (field(0), INF))])]
+
+
+class TestWeightDivisorStrip:
+    """weight_divisor strips the excluded points and the poles from the
+    unreduced det and D; the reference refines the reduced wronskian."""
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 7])
+    def test_curves_match_the_reduced_wronskian_route(self, p):
+        field = GF(p) if p else QQ
+        nonclassical = 0
+        for X in divisor_curves(field):
+            V = dualizing_basis(X)._system
+            excluded = X.singular_locations()
+            divisor = assert_divisor_matches_the_reference(V, excluded)
+            assert divisor.degree == weight_report(X).smooth_divisor.degree
+            nonclassical += tuple(order_sequence(V)) != tuple(range(len(V)))
+        assert nonclassical > 0 or p in (0, 7)
+
+    def test_ring_corpus_curves(self, ring_corpus):
+        for ring in ring_corpus:
+            X = RationalCurve(QQ, [TwoBranchSingularity(ring, (Fraction(0), Fraction(1)))])
+            assert_divisor_matches_the_reference(dualizing_basis(X)._system,
+                                                 X.singular_locations())
+
+    def test_perturbed_system_with_and_without_excluded_points(self):
+        # poles at 1 and -1; det vanishes at 0, which is not a pole, and
+        # at the roots of t^2 - 6; 2 is neither
+        V = perturbed_system()
+        for excluded in ([], [Fraction(0)], [Fraction(1)], [Fraction(-1), Fraction(0)],
+                         [Fraction(2)], [INF], [Fraction(0), INF, Fraction(0)]):
+            divisor = assert_divisor_matches_the_reference(V, excluded)
+            if Fraction(0) not in excluded:
+                assert (Polynomial(QQ, [0, 1]), 4) in list(divisor)
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5])
+    def test_seeded_systems_with_poles_off_the_field(self, p):
+        # shared denominators with and without roots in the field, each
+        # excluded point a root of D, a zero of det, or neither
+        field = GF(p) if p else QQ
+        t = Polynomial.variable(field)
+        D = (t - 1) ** 2 * (t ** 2 + 2)
+        systems = seeded_systems(field, 800 + p, 8) + [
+            LinearSystem([one(field) / D, t ** 3 / D, (t ** 5 - t ** 2) / D,
+                          (t ** 4 + 2 * t) / one(field)])]
+        rng = random.Random(850 + p)
+        for V in systems:
+            points = (V.denominator.rational_roots() + wronskian(V).num.rational_roots()
+                      + [field(rng.randint(0, 9))])
+            assert_divisor_matches_the_reference(V, [])
+            assert_divisor_matches_the_reference(V, rng.sample(points, min(2, len(points))))
