@@ -1117,9 +1117,10 @@ def shared_denominator(functions):
 def fraction_free_rank_det(rows):
     """Rank over the function field and, for square input, the exact
     determinant as a RationalFunction, of a matrix of Polynomial,
-    RationalFunction or field scalar entries: _bareiss_mod_p on the rows
-    cleared of denominators, each row scaled once to ints (residues over
-    GF(p))."""
+    RationalFunction or field scalar entries.  Each row is cleared of
+    denominators once, to ints (residues over GF(p)), and inserted by
+    _bareiss_insert: the rank is the number of pivots, and a square matrix
+    of full rank has the signed last pivot over the scales as determinant."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0, None
@@ -1136,12 +1137,15 @@ def fraction_free_rank_det(rows):
     cleared = [shared_denominator([x if isinstance(x, RationalFunction) else RationalFunction(x, one)
                                    for x in r]) for r in rows]
     ints = [_cleared(nums) for _common, nums in cleared]
-    rank, det, sign = _bareiss_mod_p([c for c, _d in ints], field.characteristic)
+    pivots = []
+    for c, _d in ints:
+        _bareiss_insert(pivots, c, field.characteristic)
+    rank = len(pivots)
     if len(rows) != ncols:
         return rank, None
     if rank < ncols:
         return rank, RationalFunction(Polynomial(field, []))
-    return rank, RationalFunction(_from_ints(field, [x * sign for x in det],
+    return rank, RationalFunction(_from_ints(field, _signed_last_pivot(pivots),
                                              math.prod(d for _c, d in ints)),
                                   math.prod(common for common, _nums in cleared))
 
@@ -1199,31 +1203,39 @@ def series_det_order(rows, p, K):
     return order
 
 
-def _bareiss_mod_p(work, p):
-    """Fraction-free elimination in place on int lists in ZZ[t] (GF(p)[t]),
-    each division exact (Sylvester's identity) and checked: (rank, last
-    pivot, sign)."""
-    m, n = len(work), len(work[0])
-    prev, sign, r = [1], 1, 0
-    for c in range(n):
-        if r >= m:
-            break
-        pivot_row = next((i for i in range(r, m) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            sign = -sign
-        top = work[r]
-        for row in work[r + 1:]:
-            for j in range(c + 1, n):
-                row[j] = _exact_div_mod_p(_sub_mod_p(_mul_mod_p(top[c], row[j], p),
-                                                     _mul_mod_p(row[c], top[j], p), p),
-                                          prev, p)
-            row[c] = []
-        prev = top[c]
-        r += 1
-    return r, prev, sign
+def _bareiss_insert(pivots, row, p):
+    """One row of fraction-free elimination on int lists in ZZ[t]
+    (GF(p)[t]): reduce the row against the (column, row) pivots taken so
+    far, in order, by Sylvester's step row_j <- (a row_j - row_c top_j) /
+    (previous pivot), a = top_c, each division exact and checked, skipping
+    the pivot columns, where the entries are zero.  After k steps entry j
+    is the (k+1)-minor on the pivot rows and columns and on j (Bareiss),
+    so a row left zero is dependent over the function field: False.
+    Otherwise the row is appended with its first nonzero column.  The row
+    is not modified."""
+    row, live, prev = list(row), list(range(len(row))), [1]
+    for c, top in pivots:
+        live.remove(c)
+        a, b = top[c], row[c]
+        for j in live:
+            row[j] = _exact_div_mod_p(_sub_mod_p(_mul_mod_p(a, row[j], p),
+                                                 _mul_mod_p(b, top[j], p), p), prev, p)
+        row[c], prev = [], a
+    c = next((j for j in live if row[j]), None)
+    if c is None:
+        return False
+    pivots.append((c, row))
+    return True
+
+
+def _signed_last_pivot(pivots):
+    """The determinant of the square matrix of full rank whose rows were
+    inserted by _bareiss_insert: the last pivot times the sign of the
+    permutation of the pivot columns."""
+    cols = [c for c, _row in pivots]
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    c, row = pivots[-1]
+    return [-x for x in row[c]] if inversions % 2 else row[c]
 
 
 def int_echelon(rows, p):

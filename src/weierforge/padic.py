@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import GF, scalar_echelon
+from .exact import GF, scalar_echelon, triangular_insert
 
 
 class OrderSequence:
@@ -106,7 +106,8 @@ def monomial_order_sequence(exponents, p):
     """Order sequence of t -> (t^a0 : ... : t^an).
 
     The result is the lexicographically minimal strictly increasing (eps_i)
-    with det(C(a_j, eps_i)) != 0 mod p, found greedily over GF(p) and then
+    with det(C(a_j, eps_i)) != 0 mod p, found greedily over GF(p), each
+    candidate row of residues inserted once into one echelon form, and then
     verified by the full rank of that matrix.  For p = 0 it is (0, ..., n).
     """
     exponents = tuple(exponents)
@@ -120,18 +121,14 @@ def monomial_order_sequence(exponents, p):
     if p == 0:
         return OrderSequence(range(s), 0)
     field = GF(p)
-    chosen = []
-    echelon_rows = []
+    chosen, pivots, rows = [], [], []
     eps = -1
     while len(chosen) < s:
         eps += 1
         if eps > exponents[-1]:
             raise AssertionError("order search exceeded the exponent bound")
-        row = [field(binom_mod_p(a, eps, p)) for a in exponents]
-        _, reduced = scalar_echelon(echelon_rows + [row])
-        if len(reduced) > len(echelon_rows):
+        if triangular_insert(pivots, rows, [binom_mod_p(a, eps, p) for a in exponents], p) is not None:
             chosen.append(eps)
-            echelon_rows = reduced
     matrix = [[field(binom_mod_p(a, e, p)) for a in exponents] for e in chosen]
     if len(scalar_echelon(matrix)[0]) < s:
         raise AssertionError("greedy order sequence failed determinant verification")

@@ -15,11 +15,10 @@ from .exact import (
     INF,
     Polynomial,
     RationalFunction,
-    _bareiss_mod_p,
+    _bareiss_insert,
     _from_ints,
     _hasse_mod_p,
-    _homogeneous,
-    _horner,
+    _signed_last_pivot,
     coprime_refinement,
     fraction_free_rank_det,
     int_echelon,
@@ -40,7 +39,8 @@ class LinearSystem:
     denominator D, the monic lcm of the reduced denominators, with
     f_j = numerators[j] / D; the order sequence and the wronskian are
     computed from that form.  order_sequence stores _det, the determinant
-    of the numerator rows over its scale, so the wronskian is _det / D^s.
+    of the numerator rows over its scale, read off the last pivot of the
+    elimination that chose the orders, so the wronskian is _det / D^s.
     """
 
     __slots__ = ("functions", "field", "denominator", "numerators",
@@ -89,17 +89,18 @@ def _pivots(polys):
 
 
 def order_sequence(V):
-    """Greedy-minimal (eps_i) with det(D^(eps_i) f_j) != 0, verified by a
-    final determinant evaluation.
+    """Greedy-minimal (eps_i) with det(D^(eps_i) f_j) != 0.
 
     The order sequence does not change when every f_j is multiplied by the
     shared denominator D, and at it det(D^(eps_i)(n_j / D)) equals
     det(D^(eps_i) n_j) / D^s (Stoehr-Voloch), so the search and the
     wronskian both run on the polynomial rows D^(e) n_j.  With n_j = c_j / d_j
     stored as ints, column j is taken as D^(e) c_j: the scaling keeps the
-    rank.  The Bareiss determinant of those rows, divided by its scale (the
-    product of the d_j), is stored once as V._det, unreduced: the wronskian
-    is V._det / D^s.
+    rank.  Each candidate row is inserted once into one fraction-free
+    elimination (_bareiss_insert), which accepts e when the row is left
+    nonzero; the signed last pivot is then the determinant of the rows, and
+    divided by its scale (the product of the d_j) it is stored as V._det,
+    unreduced: the wronskian is V._det / D^s.
     """
     if V._orders is not None:
         return V._orders
@@ -108,36 +109,17 @@ def order_sequence(V):
     # generous search cap; can never bind for independent functions
     spread = sum(f.num.degree + f.den.degree for f in V.functions) + s + 2
     chosen = []
-    accepted = []
+    pivots = []
     eps = -1
     while len(chosen) < s:
         eps += 1
         if chosen and eps > chosen[-1] + spread:
             raise AssertionError("order sequence search exceeded its degree bound")
-        row = [_hasse_mod_p(c, eps, p) for c, _d in cleared]
-        if _extends_rank(accepted, row, p):
+        if _bareiss_insert(pivots, [_hasse_mod_p(c, eps, p) for c, _d in cleared], p):
             chosen.append(eps)
-            accepted.append(row)
-    orders = OrderSequence(chosen, p)
-    rank, det, sign = _bareiss_mod_p([list(r) for r in accepted], p)
-    if rank < s:
-        raise AssertionError("greedy order sequence failed determinant verification")
-    V._orders = orders
-    V._det = _from_ints(V.field, [x * sign for x in det], math.prod(d for _c, d in cleared))
-    return orders
-
-
-def _extends_rank(accepted, row, p):
-    """Does the int polynomial row extend the row span over the function
-    field?  Full rank of the values at t = 2..7 over QQ, or at the first six
-    residues over GF(p), is a one-sided certificate of independence;
-    fraction-free elimination decides the remaining cases."""
-    rows = accepted + [row]
-    for x in range(min(p, 6)) if p else range(2, 8):
-        values = [[_horner(c, x, p) if p else _homogeneous(c, x, 1) for c in r] for r in rows]
-        if len(int_echelon(values, p)[0]) == len(rows):
-            return True
-    return _bareiss_mod_p([list(r) for r in rows], p)[0] == len(rows)
+    V._orders = OrderSequence(chosen, p)
+    V._det = _from_ints(V.field, _signed_last_pivot(pivots), math.prod(d for _c, d in cleared))
+    return V._orders
 
 
 def wronskian(V, eps=None):

@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from weierforge.exact import GF, QQ, Polynomial, RationalFunction, TruncatedSeries
+from weierforge.exact import (
+    GF,
+    QQ,
+    Polynomial,
+    RationalFunction,
+    TruncatedSeries,
+    _exact_div_mod_p,
+    _mul_mod_p,
+    _sub_mod_p,
+)
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import ring_from_generators
 
@@ -47,6 +56,34 @@ def derivative(f):
 def valuation_at_zero(f):
     """Order of vanishing of a polynomial at t = 0, read off its coefficients."""
     return next((v for v, c in enumerate(f.coeffs) if c), math.inf)
+
+
+def bareiss_mod_p(work, p):
+    """Column-ordered fraction-free elimination in place on int lists in
+    ZZ[t] (GF(p)[t]), with row swaps, each division exact (Sylvester's
+    identity) and checked: (rank, last pivot, sign).  The elimination the
+    package ran before it inserted rows one at a time, kept as a reference."""
+    m, n = len(work), len(work[0])
+    prev, sign, r = [1], 1, 0
+    for c in range(n):
+        if r >= m:
+            break
+        pivot_row = next((i for i in range(r, m) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
+        top = work[r]
+        for row in work[r + 1:]:
+            for j in range(c + 1, n):
+                row[j] = _exact_div_mod_p(_sub_mod_p(_mul_mod_p(top[c], row[j], p),
+                                                     _mul_mod_p(row[c], top[j], p), p),
+                                          prev, p)
+            row[c] = []
+        prev = top[c]
+        r += 1
+    return r, prev, sign
 
 
 def symmetric_semigroups(max_genus):

@@ -29,7 +29,6 @@ from weierforge.exact import (
     QQ,
     Polynomial,
     RationalFunction,
-    _bareiss_mod_p,
     _from_ints,
     fraction_free_rank_det,
     quotient_rows,
@@ -53,7 +52,7 @@ from weierforge.gallery import (
     quartic_cusp_curve,
     tacnode_curve,
 )
-from conftest import derivative, symmetric_semigroups, valuation_at_zero
+from conftest import bareiss_mod_p, derivative, symmetric_semigroups, valuation_at_zero
 
 S34 = NumericalSemigroup.from_generators([3, 4])
 S23 = NumericalSemigroup.from_generators([2, 3])
@@ -450,7 +449,7 @@ def _global_minor_weight(X, si, basis):
     gi = basis.generator_index[si]
     nums, G = basis.numerators, basis.numerators[gi]
     rows = quotient_rows(X.field, nums[:gi] + nums[gi + 1:], G, orders.terms[1:])
-    rank, minor, _sign = _bareiss_mod_p(rows, X.characteristic)
+    rank, minor, _sign = bareiss_mod_p(rows, X.characteristic)
     assert rank == len(rows)
     minor, G = _from_ints(X.field, minor), _from_ints(X.field, G)
     k = orders.N + len(orders) - 1

@@ -20,12 +20,13 @@ from weierforge.exact import (
     RationalFunction,
     TruncatedSeries,
     TruncationError,
-    _bareiss_mod_p,
+    _bareiss_insert,
     _cleared,
     _from_ints,
     _is_prime,
     _mul_mod_p,
     _mul_trunc,
+    _signed_last_pivot,
     _sub_mod_p,
     coprime_refinement,
     echelon_insert,
@@ -39,7 +40,7 @@ from weierforge.exact import (
     span_reduce,
     triangular_insert,
 )
-from conftest import derivative, random_polynomial, random_rational_function, valuation_at_zero
+from conftest import bareiss_mod_p, derivative, random_polynomial, random_rational_function, valuation_at_zero
 
 
 def t_over(field):
@@ -772,12 +773,49 @@ class TestIntegerKernel:
             rank, pivot, sign = _ref_bareiss(rows)
             assert fraction_free_rank_det(rows) == (rank, None if m != n else RationalFunction(
                 pivot * sign if rank == n else Polynomial(field, [])))
-            # the int kernel on the rows cleared to one scale each
+            # the int kernel on the rows cleared to one scale each, inserted
+            # one at a time; the rows are not modified
             ints = [_cleared(r)[0] for r in rows]
+            kept = [[list(c) for c in r] for r in ints]
             rank, pivot, sign = _ref_bareiss([[_from_ints(field, c) for c in r] for r in ints])
-            int_rank, last, int_sign = _bareiss_mod_p(ints, field.characteristic)
+            pivots = []
+            accepted = [_bareiss_insert(pivots, r, field.characteristic) for r in ints]
+            assert ints == kept
+            assert len(pivots) == sum(accepted) == rank
+            if m == n == rank:
+                assert _from_ints(field, _signed_last_pivot(pivots)) == pivot * sign
+            # the column-ordered int reference the other tests use
+            int_rank, last, int_sign = bareiss_mod_p(kept, field.characteristic)
             assert (int_rank, _from_ints(field, last), int_sign) == (rank, pivot, sign)
         assert shapes > 10
+
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    def test_row_insertion_reads_the_signed_determinant(self, field):
+        # zero entries put the pivot columns out of order; the determinant
+        # is the last pivot times the sign of their permutation, checked
+        # against the Leibniz formula on polynomials
+        rng = random.Random(1230 + field.characteristic)
+        zero, odd = Polynomial(field, []), 0
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            rows = [[zero if rng.random() < 0.4 else _kernel_polynomial(rng, field, 2)
+                     for _ in range(n)] for _ in range(n)]
+            expected = zero
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(perm[j] > perm[i] for i in range(n) for j in range(i))
+                term = Polynomial(field, [(-1) ** inversions])
+                for i in range(n):
+                    term = term * rows[i][perm[i]]
+                expected = expected + term
+            rank, det = fraction_free_rank_det(rows)
+            assert det == RationalFunction(expected)
+            assert (rank == n) == (not expected.is_zero())
+            pivots = []
+            for r in rows:
+                _bareiss_insert(pivots, _cleared(r)[0], field.characteristic)
+            cols = [c for c, _row in pivots]
+            odd += rank == n and sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2
+        assert odd > 5
 
     @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
     def test_scalar_det_matches_the_leibniz_formula(self, field):

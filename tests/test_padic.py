@@ -82,6 +82,23 @@ def brute_force_minimal_sequence(exponents, p):
     return best
 
 
+def echelon_rerun_order_sequence(exponents, p):
+    """monomial_order_sequence's search before it inserted each row once:
+    scalar_echelon re-run on FpElement rows, the reduced rows so far plus
+    the candidate, for every eps."""
+    field = GF(p)
+    exponents = [a - exponents[0] for a in exponents]
+    chosen, echelon_rows, eps = [], [], -1
+    while len(chosen) < len(exponents):
+        eps += 1
+        row = [field(binom_mod_p(a, eps, p)) for a in exponents]
+        _, reduced = scalar_echelon(echelon_rows + [row])
+        if len(reduced) > len(echelon_rows):
+            chosen.append(eps)
+            echelon_rows = reduced
+    return tuple(chosen)
+
+
 class TestMonomialOrderSequence:
     def test_example_char2(self):
         assert monomial_order_sequence((0, 3, 4), 2) == (0, 1, 4)
@@ -132,6 +149,20 @@ class TestMonomialOrderSequence:
             shifted = tuple(a - exponents[0] for a in exponents)
             got = monomial_order_sequence(exponents, p)
             assert tuple(got) == brute_force_minimal_sequence(shifted, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_echelon_rerun_search(self, p):
+        # the gallery's semigroups, then seeded exponents
+        cases = [NumericalSemigroup.from_generators(g).small_elements()
+                 for g in ([3, 4], [3, 5], [4, 5], [4, 6, 11])]
+        rng = random.Random(70 + p)
+        cases += [sorted(rng.sample(range(3, 30), rng.randint(2, 8))) for _ in range(30)]
+        nonclassical = 0
+        for exponents in cases:
+            got = tuple(monomial_order_sequence(exponents, p))
+            assert got == echelon_rerun_order_sequence(exponents, p)
+            nonclassical += got != tuple(range(len(exponents)))
+        assert nonclassical > 5
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_output_satisfies_criterion(self, p):

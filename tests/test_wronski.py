@@ -10,11 +10,16 @@ from weierforge.exact import (
     QQ,
     Polynomial,
     RationalFunction,
-    _bareiss_mod_p,
+    _bareiss_insert,
     _cleared,
     _from_ints,
+    _hasse_mod_p,
+    _homogeneous,
+    _horner,
+    _signed_last_pivot,
     coprime_refinement,
     fraction_free_rank_det,
+    int_echelon,
     quotient_rows,
     scalar_echelon,
 )
@@ -39,7 +44,7 @@ from weierforge.curve import (
 )
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import validate_ring
-from conftest import derivative, random_polynomial
+from conftest import bareiss_mod_p, derivative, random_polynomial
 
 
 def one(field):
@@ -197,7 +202,7 @@ def quotient_wronskian(V, eps):
     D^(e)(n_j / G), over G^(N+s), N + s the sum of the eps_i + 1."""
     (*numerators, G), _d = _cleared(V.numerators + (V.denominator,))
     rows = quotient_rows(V.field, numerators, G, eps)
-    rank, det, sign = _bareiss_mod_p(rows, V.characteristic)
+    rank, det, sign = bareiss_mod_p(rows, V.characteristic)
     if rank < len(rows):
         return RationalFunction(Polynomial(V.field, []))
     return RationalFunction(_from_ints(V.field, [x * sign for x in det]),
@@ -352,6 +357,75 @@ class TestIntRowSearch:
         # the last system reaches the Bareiss fallback, which finds the
         # order-1 row independent
         assert decided > 0 and eps[:2] == (0, 1)
+
+
+def certified_order_sequence(V):
+    """The order-sequence search before each candidate row was inserted
+    once: the int row D^(e) c_j extends the accepted rows when their values
+    at t = 2..7 over QQ, or at the first six residues over GF(p), have full
+    rank, and otherwise when Bareiss on all of them keeps full rank; a final
+    Bareiss gives the signed determinant over the scale.  Returns the
+    orders, that determinant and how many candidates were dependent."""
+    s, p = len(V), V.characteristic
+    cleared = [n._ints() for n in V.numerators]
+    chosen, accepted, dependent, eps = [], [], 0, -1
+    while len(chosen) < s:
+        eps += 1
+        rows = accepted + [[_hasse_mod_p(c, eps, p) for c, _d in cleared]]
+        if any(len(int_echelon([[_horner(c, x, p) if p else _homogeneous(c, x, 1) for c in r]
+                                for r in rows], p)[0]) == len(rows)
+               for x in (range(min(p, 6)) if p else range(2, 8))) \
+                or bareiss_mod_p([list(r) for r in rows], p)[0] == len(rows):
+            chosen.append(eps)
+            accepted = rows
+        else:
+            dependent += 1
+    rank, det, sign = bareiss_mod_p([list(r) for r in accepted], p)
+    assert rank == s
+    return (tuple(chosen), _from_ints(V.field, [x * sign for x in det],
+                                      math.prod(d for _c, d in cleared)), dependent)
+
+
+class TestRowInsertionSearch:
+    @pytest.mark.parametrize("p", [0, 2, 3, 7])
+    def test_orders_and_signed_det_match_the_certified_search(self, p):
+        field = GF(p) if p else QQ
+        systems = seeded_systems(field, 800 + p, 12)
+        if p < 7:    # its antiderivative needs a unit 7 over GF(7)
+            systems.append(singular_at_every_point(field))
+        if p:
+            systems += [quartic_cusp_system(p), monomial_system(field, [0, 1, p, p + 2]),
+                        monomial_system(field, [0, 4, 5, 8, 9, 10])]
+        dependent = 0
+        for V in systems:
+            eps, det, rejected = certified_order_sequence(V)
+            assert tuple(order_sequence(V)) == eps
+            assert V._det == det
+            dependent += rejected
+        # small characteristic: non-classical systems, whose search meets
+        # dependent candidates between accepted ones
+        assert dependent > 0 if p else dependent == 0
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_pivot_columns_out_of_order_give_the_sign(self, p):
+        # (1, t^p, t) / (t + 1): the order-1 numerator row (0, 0, 1) takes
+        # pivot column 2, orders 2..p-1 give zero rows, and order p takes
+        # column 1, so the pivot columns (0, 2, 1) are an odd permutation
+        field = GF(p)
+        t = Polynomial.variable(field)
+        V = LinearSystem([1 / (t + 1), t ** p / (t + 1), t / (t + 1)])
+        eps, det, rejected = certified_order_sequence(V)
+        assert tuple(order_sequence(V)) == eps == (0, 1, p) and rejected == p - 2
+        pivots = []
+        for e in eps:
+            assert _bareiss_insert(pivots, [_hasse_mod_p(n._ints()[0], e, p)
+                                            for n in V.numerators], p)
+        assert [c for c, _row in pivots] == [0, 2, 1]
+        c, last = pivots[-1]
+        assert last[c] == [1] and _signed_last_pivot(pivots) == [-1]
+        # det [[1, t^p, t], [0, 0, 1], [0, 1, 0]] = -1
+        assert V._det == det == Polynomial(field, [-1])
+        assert wronskian(V) == reference_orders_and_wronskian(V)[1] == -1 / (t + 1) ** 3
 
 
 class TestVQOrders:
