@@ -32,11 +32,10 @@ from .exact import (
     scalar_nullspace,
     series_det_order,
     span_reduce,
-    window_ints,
 )
 from .numsg import NumericalSemigroup
 from .padic import monomial_order_sequence
-from .valsg2 import TwoBranchRing, _basis_rows, _product, closed_span
+from .valsg2 import TwoBranchRing, _basis_rows, _elements, _product, closed_span
 from . import wronski
 from .wronski import LinearSystem, order_sequence, wronskian
 
@@ -141,17 +140,17 @@ class UnibranchSingularity(_Singularity):
         # with equality exactly when it is Gorenstein: a longer conductor is
         # refused before any series is expanded, and once the span checks
         # pass, c = 2n makes the value semigroup symmetric
+        basis = _elements([(b,) for b in basis], 1, "basis element %d is not a series")
         if basis and c > 2 * len(basis):
             raise ValueError("value semigroup is not symmetric: the ring is not Gorenstein")
-        series, self._rows = _basis_rows(field, [(b,) for b in basis], (c,), (c,),
-                                         ["basis series not known to the conductor exponent"])
+        self._rows = _basis_rows(field, basis, (c,),
+                                 ["basis series not known to the conductor exponent"])
         pivots, _echelon = closed_span(self._rows, (c,), (c,), field.characteristic)
         # the values below c are the leading exponents of the span: its pivots
         self.semigroup = NumericalSemigroup([n for n in range(1, c) if n not in pivots])
-        self.basis = tuple(b for (b,) in series)
         self.conductor_exponent = c
         self.location = location
-        self.delta = c - len(series)
+        self.delta = c - len(self._rows)
         if self.delta != self.semigroup.genus or not self.semigroup.is_symmetric():
             raise AssertionError("delta %d against semigroup %s" % (self.delta, self.semigroup))
 
@@ -171,8 +170,7 @@ class TwoBranchSingularity(_Singularity):
         self.uniformizers = self._place(ring.field, (q1, q2), uniformizers, ring.conductor)
         self.ring = ring
         self.delta = ring.delta
-        self._rows = [window_ints(pair, ring.conductor, ring.field.characteristic)
-                      for pair in ring.basis]
+        self._rows = ring._rows
 
     def describe(self):
         return "two-branch (delta %d) at %s,%s" % (

@@ -605,13 +605,6 @@ def scalar_ints(xs, p):
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def window_ints(series, windows, p):
-    """The coefficients of each series below its window, concatenated and
-    cleared to one int vector (residues over GF(p))."""
-    return scalar_ints([s.coefficient(i) for s, w in zip(series, windows)
-                        for i in range(w)], p)[0]
-
-
 def _cleared(polys):
     """([c_j], d): polys[j] = c_j / d, the c_j int lists over one d > 0
     (residues over GF(p), d = 1)."""
@@ -1064,7 +1057,7 @@ class TruncatedSeries:
     __slots__ = ("field", "offset", "coeffs", "truncation")
 
     def __init__(self, field, offset, coeffs, truncation):
-        cs = [field(c) if not isinstance(c, (Fraction, FpElement)) else c for c in coeffs]
+        cs = [field(c) for c in coeffs]
         if truncation is not None:
             cs = cs[:max(0, truncation - offset)]
         while cs and not cs[0]:

@@ -22,9 +22,9 @@ from .exact import (
     field_rows,
     int_echelon,
     scalar_echelon,
+    scalar_ints,
     span_reduce,
     triangular_insert,
-    window_ints,
 )
 from .numsg import NumericalSemigroup
 
@@ -43,48 +43,48 @@ class EliminationStuck(RuntimeError):
 
 
 class TwoBranchRing:
-    """Validated local ring given by basis-mod-conductor series pairs."""
+    """Validated local ring: its basis modulo the conductor ideal as int rows
+    (residues over GF(p)), one block of conductor[k] coordinates per branch."""
 
-    __slots__ = ("field", "basis", "conductor", "delta", "gorenstein", "_window", "_echelon")
+    __slots__ = ("field", "conductor", "delta", "gorenstein", "_rows", "_echelon")
 
-    def __init__(self, field, basis, conductor, delta, gorenstein, window, echelon):
+    def __init__(self, field, conductor, delta, gorenstein, rows, echelon):
         self.field = field
-        self.basis = tuple(basis)
         self.conductor = tuple(conductor)
         self.delta = delta
         self.gorenstein = gorenstein
-        self._window = window
-        # (pivots, rows): reduced echelon form of the basis and the
-        # conductor tail inside the window
+        self._rows = rows
+        # (pivots, int rows): reduced echelon form of the basis and the
+        # conductor tail inside the windows of conductor[k] + 2 coordinates
         self._echelon = echelon
 
     def to_json(self):
+        """The ring with the reduced echelon basis of its span modulo C, each
+        row divided by its pivot entry, conductor[k] + 2 entries per branch."""
+        (xi1, xi2), w1 = self.conductor, self.conductor[0] + 2
+        kept = [(pc, row) for pc, row in zip(*self._echelon) if pc < xi1 or w1 <= pc < w1 + xi2]
+        rows = field_rows(*zip(*kept), self.field.characteristic)
         return {
             "characteristic": self.field.characteristic,
             "conductor": list(self.conductor),
             "delta": self.delta,
             "gorenstein": self.gorenstein,
-            "basis": [[_series_coeff_strings(bt, self.conductor[0] + 2),
-                       _series_coeff_strings(bu, self.conductor[1] + 2)]
-                      for bt, bu in self.basis],
+            "basis": [[[str(x) for x in row[:w1]], [str(x) for x in row[w1:]]] for row in rows],
         }
-
-
-def _series_coeff_strings(s, upto):
-    return [str(s.coefficient(i)) for i in range(min(upto, s.truncation if s.truncation is not None else upto))]
 
 
 def validate_ring(field, basis_pairs, conductor, strict=True):
     """Check a declared two-branch ring and compute its delta invariant.
 
-    basis_pairs: (t-side series, u-side series) pairs spanning the ring
-    modulo C; each side must be known out to its conductor exponent.
+    basis_pairs: pairs of a TruncatedSeries or coefficient list per branch
+    spanning the ring modulo C, each known out to its conductor exponent.
     With strict=True a failed Gorenstein dimension count raises; otherwise
     the ring is admitted flagged non-Gorenstein (semigroup-only analysis).
     """
     xi1, xi2 = conductor
     if xi1 < 1 or xi2 < 1:
         raise ValueError("conductor exponents must be positive")
+    basis_pairs = _elements(basis_pairs, 2, "basis element %d is not a pair of branch series")
     # dim(normalization/conductor) <= 2 delta for every ring, with equality
     # exactly when it is Gorenstein, so the count needs no expansion.  A ring
     # failing it is refused first (as not Gorenstein when strict) if a
@@ -98,20 +98,31 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
             xi > max(_extent(pair[k]) for pair in basis_pairs) for k, xi in enumerate(conductor)):
         raise refusal if strict else ValueError(
             "conductor: past every coefficient given on its branch; extend the basis series to it")
-    w1, w2 = xi1 + 2, xi2 + 2
-    basis, vectors = _basis_rows(field, basis_pairs, conductor, (w1, w2), [
+    rows = _basis_rows(field, basis_pairs, conductor, [
         "%s-branch series not known to order %d" % side for side in zip(("first", "second"),
                                                                         conductor)])
-    if any(v[0] != v[w1] for v in vectors):
+    if any(v[0] != v[xi1] for v in rows):
         raise ValueError("branch constant terms differ: the ring would not be local")
-    p = field.characteristic
-    pivots, ech = closed_span(vectors, (xi1, xi2), (w1, w2), p)
+    # the windows reach two past the conductor, where value_semigroup reads V(x, y)
+    echelon = closed_span([v[:xi1] + [0, 0] + v[xi1:] + [0, 0] for v in rows], (xi1, xi2),
+                          (xi1 + 2, xi2 + 2), field.characteristic)
     if delta < 1:
         raise ValueError("delta invariant must be at least 1")
     if refusal and strict:
         raise refusal
-    return TwoBranchRing(field, basis, (xi1, xi2), delta, gorenstein, (w1, w2),
-                         (pivots, field_rows(pivots, ech, p)))
+    return TwoBranchRing(field, (xi1, xi2), delta, gorenstein, rows, echelon)
+
+
+def _elements(items, branches, message):
+    """The items as a list, item n checked to give one series per branch (a
+    TruncatedSeries or a list or tuple of scalars), else ValueError(message % n)."""
+    items = list(items)
+    for n, item in enumerate(items):
+        if not (isinstance(item, (tuple, list)) and len(item) == branches and all(
+                isinstance(s, TruncatedSeries) or isinstance(s, (tuple, list)) and not any(
+                    isinstance(x, (tuple, list, TruncatedSeries)) for x in s) for s in item)):
+            raise ValueError(message % n)
+    return items
 
 
 def _extent(s):
@@ -119,24 +130,22 @@ def _extent(s):
     return s.offset + len(s.coeffs) if isinstance(s, TruncatedSeries) else len(s)
 
 
-def _basis_rows(field, elements, conductor, windows, short):
-    """(series, rows) for a basis of a local ring modulo its conductor, each
-    element given as one series or coefficient list per branch: the series
-    cut below the conductor exponents, known to the windows, and their int
-    rows (residues over GF(p)), one block of windows[k] coordinates per
-    branch.  short[k] is the error for a series on branch k known to fewer
-    terms than its conductor exponent."""
-    series = []
+def _basis_rows(field, elements, conductor, short):
+    """Int rows of elements checked by _elements (residues over GF(p), cleared
+    over QQ): per branch its coefficients below conductor[k], ints or coerced
+    by the field; short[k] is the error for a series known to fewer terms."""
+    p, rows = field.characteristic, []
     for element in elements:
-        cut = []
-        for s, xi, w, message in zip(element, conductor, windows, short):
-            if not isinstance(s, TruncatedSeries):
-                s = TruncatedSeries(field, 0, list(s), None)
-            if s.truncation is not None and s.truncation < xi:
-                raise ValueError(message)
-            cut.append(TruncatedSeries(field, 0, [s.coefficient(i) for i in range(xi)], w))
-        series.append(tuple(cut))
-    return series, [window_ints(e, windows, field.characteristic) for e in series]
+        row = []
+        for s, xi, message in zip(element, conductor, short):
+            if isinstance(s, TruncatedSeries):
+                if s.truncation is not None and s.truncation < xi:
+                    raise ValueError(message)
+                s = [s.coefficient(i) for i in range(min(xi, _extent(s)))]
+            row += list(s[:xi]) + [0] * (xi - len(s))
+        rows.append([x % p if type(x) is int else field(x).value for x in row] if p else
+                    scalar_ints([x if type(x) is int else field(x) for x in row], 0)[0])
+    return rows
 
 
 def closed_span(vectors, conductor, windows, p):
@@ -275,8 +284,8 @@ def value_semigroup(ring):
     """Compute the value semigroup from the dimension table of the spaces
     V(x,y) = {f in O : v1(f) >= x, v2(f) >= y}."""
     xi1, xi2 = ring.conductor
-    w1 = ring._window[0]
-    pivots, rows = ring._echelon
+    w1 = xi1 + 2
+    pivots, rows = ring._echelon[0], field_rows(*ring._echelon, ring.field.characteristic)
     # V(x,0) is spanned by the echelon rows with pivot >= x; inside it, each
     # pivot of their u-window echelon below y is one more condition of V(x,y)
     dim = {}
@@ -593,17 +602,16 @@ def ring_from_generators(field, generators, window=16):
     """
     w1 = w2 = window
     p = field.characteristic
-    gens = []
+    generators = _elements(generators, 2, "generator %d is not a pair of branch series")
     for k, pair in enumerate(generators):
-        gt, gu = (s if isinstance(s, TruncatedSeries) else TruncatedSeries(field, 0, list(s), None)
-                  for s in pair)
-        known = min(window if s.truncation is None else s.truncation for s in (gt, gu))
+        known = min(s.truncation if isinstance(s, TruncatedSeries) and s.truncation is not None
+                    else window for s in pair)
         if known < window:
             raise ValueError("generator %d is known only to order %d, inside the window %d"
                              % (k, known, window))
-        if gt.coefficient(0) != gu.coefficient(0):
-            raise ValueError("branch constant terms differ: the ring would not be local")
-        gens.append(window_ints((gt, gu), (w1, w2), p))
+    gens = _basis_rows(field, generators, (w1, w2), (None, None))
+    if any(g[0] != g[w1] for g in gens):
+        raise ValueError("branch constant terms differ: the ring would not be local")
     one = [int(j in (0, w1)) for j in range(w1 + w2)]
     # worklist closure on int rows: each row inserted into a triangular form
     # is multiplied by each generator once (truncation is a ring map, so these
@@ -632,7 +640,7 @@ def ring_from_generators(field, generators, window=16):
 
     # the rows with pivots past the conductor are the unit vectors of C, so
     # the other rows, cut to the mod-C window, are its reduced echelon form
+    # (over ZZ unit multiples of the field rows, spanning the same)
     kept = [k for k, pc in enumerate(pivots) if pc < xi1 or w1 <= pc < w1 + xi2]
-    rows = field_rows([pivots[k] for k in kept], [echelon[k] for k in kept], p)
-    basis_pairs = [(row[:xi1], row[w1:w1 + xi2]) for row in rows]
-    return validate_ring(field, basis_pairs, (xi1, xi2))
+    return validate_ring(field, [(echelon[k][:xi1], echelon[k][w1:w1 + xi2]) for k in kept],
+                         (xi1, xi2))

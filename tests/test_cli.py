@@ -119,6 +119,23 @@ class TestCurveCommand:
         assert data["weights"] == [{"location": "0/1", "weight": 4}]
         assert data["total"] == 6
 
+    def test_two_branch_scaling_file(self, capsys):
+        # the closure of (t^3, u^2), (t^4, u^5) over GF(7), as the CI
+        # scaling step runs it
+        from weierforge.exact import GF
+        from weierforge.valsg2 import ring_from_generators, validate_ring
+
+        path = Path(__file__).parent / "data" / "scale-two-branch-gf7.json"
+        (spec,) = json.loads(path.read_text())["singularities"]
+        ring = ring_from_generators(GF(7), [([0, 0, 0, 1], [0, 0, 1]),
+                                            ([0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1])], window=24)
+        assert ring.conductor == (14, 12) and ring.delta == 13
+        assert validate_ring(GF(7), spec["basis"], tuple(spec["conductor"])).to_json() \
+            == ring.to_json()
+        code, data = run_json(capsys, ["curve", str(path), "--format", "json"])
+        assert code == 0
+        assert data["genus"] == 13 and data["total"] == data["expected"]
+
     def test_missing_file(self, capsys):
         assert main(["curve", "/nonexistent/path.json"]) == 2
 

@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from weierforge.exact import GF, INF, QQ, TruncatedSeries, scalar_echelon
+from weierforge.exact import (
+    GF,
+    INF,
+    QQ,
+    TruncatedSeries,
+    field_rows,
+    int_echelon,
+    scalar_echelon,
+    scalar_ints,
+)
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import (
     AdaptedBasis,
@@ -13,6 +22,7 @@ from weierforge.valsg2 import (
     NotGorenstein,
     _product,
     adapted_basis,
+    closed_span,
     edge_points,
     expected_smooth_count,
     ring_from_generators,
@@ -28,6 +38,17 @@ from conftest import _BRANCH_ORDERS, _branch_series
 from test_exact import _ref_echelon_insert, _ref_span_reduce
 
 
+def _reduced_basis(ring):
+    """The reduced echelon basis of the ring modulo its conductor as
+    (t-side, u-side) lists of field scalars, each row divided by its pivot
+    entry and cut below the conductor exponents."""
+    (xi1, xi2), w1 = ring.conductor, ring.conductor[0] + 2
+    kept = [(pc, row) for pc, row in zip(*ring._echelon) if pc < xi1 or w1 <= pc < w1 + xi2]
+    rows = field_rows([pc for pc, _row in kept], [row for _pc, row in kept],
+                      ring.field.characteristic)
+    return [(row[:xi1], row[w1:w1 + xi2]) for row in rows]
+
+
 def curve_of(ring):
     return RationalCurve(QQ, [TwoBranchSingularity(ring, (Fraction(0), Fraction(1)))])
 
@@ -37,8 +58,8 @@ def semigroup_membership_witness(ring, x, y):
     pick a basis of V(x,y) and dodge the two one-step subspaces (a space is
     never the union of two proper subspaces)."""
     xi1, xi2 = ring.conductor
-    w1, w2 = ring._window
-    rows = ring._echelon[1]
+    w1, w2 = xi1 + 2, xi2 + 2
+    rows = field_rows(*ring._echelon, ring.field.characteristic)
 
     def basis_of(a, b):
         # vectors in the row span vanishing on the first a t-columns and
@@ -153,14 +174,15 @@ class TestValueSemigroup:
         rng = random.Random(55)
         for ring in ring_corpus[:5]:
             S = value_semigroup(ring)
-            n = len(ring.basis)
+            basis = _reduced_basis(ring)
+            n = len(basis)
             # random invertible transform of the basis
             while True:
                 mat = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
                        for _ in range(n)]
                 if len(scalar_echelon(mat)[0]) == n:
                     break
-            new_basis = [tuple([sum(mat[i][j] * ring.basis[j][side].coefficient(k)
+            new_basis = [tuple([sum(mat[i][j] * basis[j][side][k]
                                     for j in range(n)) for k in range(xi)]
                                for side, xi in enumerate(ring.conductor))
                          for i in range(n)]
@@ -335,9 +357,14 @@ class TestAdaptedBasis:
 def _seeded_germs(field, count, seed):
     """Two-branch rings over the field generated by two random series pairs
     (plane-curve germs, so Gorenstein), delta at most 5."""
+    return [ring for _generators, ring in _germs_with_generators(field, count, seed)]
+
+
+def _germs_with_generators(field, count, seed):
+    """(generators, ring) for the rings of _seeded_germs."""
     rng = random.Random(seed)
-    rings = []
-    while len(rings) < count:
+    out = []
+    while len(out) < count:
         x, y = [tuple(_branch_series(rng, order) for order in rng.choice(_BRANCH_ORDERS))
                 for _ in range(2)]
         try:
@@ -345,8 +372,8 @@ def _seeded_germs(field, count, seed):
         except ValueError:
             continue
         if ring.delta <= 5:
-            rings.append(ring)
-    return rings
+            out.append(([x, y], ring))
+    return out
 
 
 def _leading_coefficient(f, q):
@@ -474,9 +501,9 @@ class TestRingFromGenerators:
                     for xs, ys in powers:
                         pair.extend(_truncated_product(xs[a], ys[b], w, QQ))
                     monomials.append(pair)
-            closure = [[bt.coefficient(i) if i < xi1 else QQ.zero for i in range(w)]
-                       + [bu.coefficient(i) if i < xi2 else QQ.zero for i in range(w)]
-                       for bt, bu in ring.basis]
+            closure = [[bt[i] if i < xi1 else QQ.zero for i in range(w)]
+                       + [bu[i] if i < xi2 else QQ.zero for i in range(w)]
+                       for bt, bu in _reduced_basis(ring)]
             for j in list(range(xi1, w)) + list(range(w + xi2, 2 * w)):
                 closure.append([QQ.one if i == j else QQ.zero for i in range(2 * w)])
             assert scalar_echelon(monomials) == scalar_echelon(closure)
@@ -616,9 +643,15 @@ def _truncated_product(a, b, w, field):
 
 
 def _ref_ring_from_generators(field, generators, window):
-    """The closure as it ran on field scalars: truncated products of the
-    series' coefficient lists, the field-scalar reduced echelon insertion,
-    and the conductor found by reducing each unit vector."""
+    """The closure as it ran on field scalars, validated."""
+    return validate_ring(field, *_ref_closure(field, generators, window))
+
+
+def _ref_closure(field, generators, window):
+    """(basis pairs, conductor) of the closure on field scalars: truncated
+    products of the series' coefficient lists, the field-scalar reduced
+    echelon insertion, and the conductor found by reducing each unit
+    vector; the basis is the reduced echelon basis modulo C."""
     w1 = w2 = window
 
     def window_of(s, w):
@@ -651,4 +684,174 @@ def _ref_ring_from_generators(field, generators, window):
         raise ValueError("window too small for the conductor (%d, %d)" % (xi1, xi2))
     basis_pairs = [(row[:xi1], row[w1:w1 + xi2]) for pc, row in zip(pivots, echelon)
                    if pc < xi1 or w1 <= pc < w1 + xi2]
-    return validate_ring(field, basis_pairs, (xi1, xi2))
+    return basis_pairs, (xi1, xi2)
+
+
+# ---------------------------------------------------------------------------
+# The int-row representation against the field-scalar route it replaced
+# ---------------------------------------------------------------------------
+
+def _old_route(field, basis_pairs, conductor):
+    """A declared ring as the field-scalar route carried it: each series cut
+    below its conductor exponent as a TruncatedSeries known to the window
+    xi + 2, cleared to one int row per element (the coefficients below each
+    window, concatenated, through scalar_ints), and the reduced echelon form
+    of the span as field rows.  Returns (rows in conductor blocks, cut
+    coefficient pairs, field rows)."""
+    p = field.characteristic
+    windows = tuple(xi + 2 for xi in conductor)
+
+    def cut(s, xi, w):
+        if not isinstance(s, TruncatedSeries):
+            s = TruncatedSeries(field, 0, list(s), None)
+        return TruncatedSeries(field, 0, [s.coefficient(i) for i in range(xi)], w)
+
+    def window_ints(series, ws):
+        return scalar_ints([s.coefficient(i) for s, w in zip(series, ws) for i in range(w)], p)[0]
+
+    series = [tuple(cut(s, xi, w) for s, xi, w in zip(pair, conductor, windows))
+              for pair in basis_pairs]
+    pivots, ech = closed_span([window_ints(e, windows) for e in series], conductor, windows, p)
+    coefficients = [tuple([s.coefficient(i) for i in range(xi)] for s, xi in zip(e, conductor))
+                    for e in series]
+    return [window_ints(e, conductor) for e in series], coefficients, field_rows(pivots, ech, p)
+
+
+def _declared_gallery_rings(monkeypatch):
+    """(ring, declared basis pairs, conductor) for each gallery ring, the
+    basis read off its validate_ring call."""
+    import weierforge.gallery as gallery
+
+    out = []
+
+    def spy(field, pairs, conductor, strict=True):
+        ring = validate_ring(field, pairs, conductor, strict)
+        out.append((ring, pairs, conductor))
+        return ring
+
+    monkeypatch.setattr(gallery, "validate_ring", spy)
+    for build in (node_ring, tacnode_ring, asymmetric_branch_ring):
+        build()
+    return out
+
+
+def _invertible(rng, field, n):
+    while True:
+        mat = [[field(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if len(scalar_echelon(mat)[0]) == n:
+            return mat
+
+
+def _check_against_the_old_route(field, ring, basis_pairs, conductor, rng):
+    p = field.characteristic
+    rows, coefficients, old_rows = _old_route(field, basis_pairs, conductor)
+    sing = TwoBranchSingularity(ring, (field(0), field(1)))
+    # one span: the singularity's int rows against the old route's
+    assert int_echelon(sing._rows, p) == int_echelon(rows, p)
+    # the reduced echelon form: the old field rows, cleared
+    assert tuple(ring._echelon) == int_echelon([scalar_ints(r, p)[0] for r in old_rows], p)
+    # another basis of the span prints the same ring
+    mat = _invertible(rng, field, len(coefficients))
+    other = [tuple([sum((mat[i][j] * coefficients[j][side][k] for j in range(len(mat))),
+                        field.zero) for k in range(xi)]
+                   for side, xi in enumerate(conductor))
+             for i in range(len(mat))]
+    assert validate_ring(field, other, conductor).to_json() == ring.to_json()
+
+
+class TestIntRowRepresentation:
+    def test_gallery_rings(self, monkeypatch):
+        rng = random.Random(70)
+        declared = _declared_gallery_rings(monkeypatch)
+        assert len(declared) == 3
+        for ring, pairs, conductor in declared:
+            _check_against_the_old_route(QQ, ring, pairs, conductor, rng)
+
+    def test_ring_corpus(self, germ_corpus):
+        rng = random.Random(71)
+        for generators, ring in germ_corpus:
+            pairs, conductor = _ref_closure(QQ, generators, 14)
+            assert conductor == ring.conductor
+            _check_against_the_old_route(QQ, ring, pairs, conductor, rng)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=repr)
+    def test_seeded_germs(self, field):
+        rng = random.Random(72 + field.characteristic)
+        for generators, ring in _germs_with_generators(field, 4, 980 + field.characteristic):
+            pairs, conductor = _ref_closure(field, generators, 14)
+            assert conductor == ring.conductor
+            # the closure's printed basis is the reduced echelon basis it declared
+            assert ring.to_json()["basis"] == [
+                [[str(c) for c in side] + ["0", "0"] for side in pair] for pair in pairs]
+            _check_against_the_old_route(field, ring, pairs, conductor, rng)
+
+    def test_hand_written_basis_prints_its_reduced_echelon_basis(self):
+        ring = validate_ring(QQ, [([2, 3], [2, 3]), ([0, 1], [0, 1])], (2, 2))
+        assert ring.to_json()["basis"] == [[["1", "0", "0", "0"], ["1", "0", "0", "0"]],
+                                           [["0", "1", "0", "0"], ["0", "1", "0", "0"]]]
+
+    def test_list_inputs_build_no_truncated_series(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a TruncatedSeries was built")
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+        for field in (QQ, GF(2), GF(7)):
+            ring = validate_ring(field, [([1, 0], [1, 0]), ([0, 1], [0, 1])], (2, 2))
+            assert ring.delta == 2 and value_semigroup(ring).I == 2
+            ring.to_json()
+            # a cusp (t^2, t^3) on one branch, a smooth branch on the other
+            ring = ring_from_generators(field, [([0, 0, 1], [0, 1]), ([0, 0, 0, 1], [0, 0, 1])],
+                                        window=10)
+            assert ring.delta == value_semigroup(ring).delta
+            TwoBranchSingularity(ring, (field(0), field(1)))
+            ring.to_json()
+
+
+class TestBoundaryInputs:
+    def test_coefficients_are_coerced_into_the_field(self):
+        half = Fraction(1, 2)
+        for pair in [([half], [half]), (TruncatedSeries(GF(5), 0, [half], None), [half]),
+                     ([half], TruncatedSeries(QQ, 0, [half], 4))]:
+            ring = validate_ring(GF(5), [pair], (1, 1))
+            assert ring.delta == 1
+            assert ring.to_json()["basis"] == [[["1", "0", "0"], ["1", "0", "0"]]]
+        assert TruncatedSeries(GF(5), 0, [0, half], None).coeffs == (GF(5)(3),)
+
+    def test_an_element_of_another_field_is_refused(self):
+        gens = [([0, 1], [0, 1]), ([0, 0, 1], [0, 0, 0, 1])]
+        with pytest.raises(TypeError, match="into QQ"):
+            TruncatedSeries(QQ, 0, [0, GF(7)(1)], None)
+        with pytest.raises(TypeError, match="into QQ"):
+            ring_from_generators(QQ, [([0, GF(7)(1)], [0, 1])] + gens[1:], window=8)
+        with pytest.raises(ValueError, match="^element of GF\\(7\\) in GF\\(5\\)$"):
+            TruncatedSeries(GF(5), 0, [0, GF(7)(1)], None)
+        with pytest.raises(ValueError, match="^element of GF\\(7\\) in GF\\(5\\)$"):
+            ring_from_generators(GF(5), [([0, GF(7)(1)], [0, 1])] + gens[1:], window=8)
+        for side in ([GF(7)(1)], TruncatedSeries(GF(7), 0, [1], None)):
+            with pytest.raises(ValueError, match="^element of GF\\(7\\) in GF\\(5\\)$"):
+                validate_ring(GF(5), [(side, [1])], (1, 1))
+        # the same generators in their own field close
+        assert ring_from_generators(GF(5), gens, window=8).conductor == (2, 2)
+
+    def test_basis_elements_of_the_wrong_arity_are_named(self):
+        message = "^basis element %d is not a pair of branch series$"
+        for basis, bad in [([([1],)], 0), ([([1], [1], [5])], 0), ([([1], [1]), [1, 1]], 1),
+                           ([([1], [1]), ([[1]], [1])], 1), ([([1], [1]), 1], 1)]:
+            with pytest.raises(ValueError, match=message % bad):
+                validate_ring(QQ, basis, (1, 1))
+
+    def test_generators_of_the_wrong_arity_are_named(self):
+        with pytest.raises(ValueError, match="^generator 1 is not a pair of branch series$"):
+            ring_from_generators(QQ, [([0, 1], [0, 1]), ([0, 0, 1],)], window=8)
+        with pytest.raises(ValueError, match="^generator 0 is not a pair of branch series$"):
+            ring_from_generators(QQ, [[0, 1]], window=8)
+
+    def test_unibranch_basis_elements_must_be_series(self):
+        from weierforge.curve import UnibranchSingularity
+
+        # <2, 3>: basis 1 modulo t^2
+        assert UnibranchSingularity(QQ, [[1]], 2, 0).delta == 1
+        for basis, bad in [([[1], ([1], [1])], 1), ([([0, 0, 1], [0, 0, 1])], 0),
+                           ([[1], [[0, 1]]], 1)]:
+            with pytest.raises(ValueError, match="^basis element %d is not a series$" % bad):
+                UnibranchSingularity(QQ, basis, 2, 0)
