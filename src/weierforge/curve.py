@@ -167,7 +167,7 @@ class TwoBranchSingularity(_Singularity):
         q1, q2 = locations
         if q1 == q2 or (q1 is INF and q2 is INF):
             raise ValueError("branch locations must be distinct")
-        self.uniformizers = self._place(ring.field, (q1, q2), uniformizers, ring.conductor)
+        self._place(ring.field, (q1, q2), uniformizers, ring.conductor)
         self.ring = ring
         self.delta = ring.delta
         self._rows = ring._rows
@@ -206,33 +206,29 @@ class RationalCurve:
 # ---------------------------------------------------------------------------
 
 class DualizingBasis:
-    """Basis of global dualizing differentials tau_i = r_i(t) dt, with the
-    index of a generator of the dualizing stalk at each singularity, the
-    numerators of the r_i over the ansatz denominator as int lists, their
-    window vectors at each singularity (_windows[si][i], as _ansatz lays
-    them out) and the differentials as one LinearSystem, whose order
-    sequence and wronskian every weight shares."""
+    """Basis of global dualizing differentials tau_i = r_i(t) dt, held as one
+    LinearSystem (the r_i as numerators over the ansatz denominator), whose
+    order sequence and wronskian every weight shares, with the index of a
+    generator of the dualizing stalk at each singularity, the numerators as
+    int lists and their window vectors at each singularity (_windows[si][i],
+    as _ansatz lays them out)."""
 
-    __slots__ = ("curve", "differentials", "generator_index", "numerators", "_windows",
-                 "_system")
+    __slots__ = ("curve", "generator_index", "numerators", "_windows", "_system")
 
-    def __init__(self, curve, differentials, generator_index, numerators, windows):
+    def __init__(self, curve, system, generator_index, numerators, windows):
         self.curve = curve
-        self.differentials = tuple(differentials)
+        self._system = system
         self.generator_index = dict(generator_index)
         self.numerators = tuple(numerators)
         self._windows = windows
-        self._system = LinearSystem(self.differentials)
+
+    @property
+    def differentials(self):
+        return self._system.functions
 
     def generator(self, singularity_index):
-        return self.differentials[self.generator_index[singularity_index]]
-
-
-def differential_order_at(r, point):
-    """Order of r(t) dt at a point of the line: the valuation of r, shifted
-    by -2 at INF where dt = -du/u^2."""
-    v = r.valuation(point)
-    return v - 2 if point is INF else v
+        V = self._system
+        return RationalFunction(V.numerators[self.generator_index[singularity_index]], V.denominator)
 
 
 def dualizing_basis(X):
@@ -262,16 +258,20 @@ def dualizing_basis(X):
     if len(null) != X.genus:
         raise SolutionDimensionMismatch("residue conditions cut dimension %d, expected genus %d"
                                         % (len(null), X.genus))
-    differentials = [RationalFunction(Polynomial(field, vec), denominator) for vec in null]
-    numerators = [scalar_ints(vec, p)[0] for vec in null]
+    cleared = [scalar_ints(vec, p) for vec in null]
+    numerators = [c for c, _d in cleared]
+    polys = [_from_ints(field, c, d) for c, d in cleared]
     local = _local_windows(windows, numerators, p)
     generator_index = {si: _find_generator(sing, local[si])
                        for si, sing in enumerate(X.singularities)}
-    # order the basis by pole order at the first singularity, deepest first
-    first = X.singularities[0].branches()[0]
+    # order the basis by pole order at the first branch, deepest first: all
+    # share the denominator, so by numerator order there (-degree at INF)
+    q = X.singularities[0].branches()[0].location
     order = sorted(range(len(null)),
-                   key=lambda i: differential_order_at(differentials[i], first.location))
-    basis = DualizingBasis(X, [differentials[i] for i in order],
+                   key=lambda i: -polys[i].degree if q is INF else polys[i].root_multiplicity(q))
+    # each generator has the full pole on every branch, so no factor of the
+    # denominator divides every numerator: it is their lcm
+    basis = DualizingBasis(X, LinearSystem.over(denominator, [polys[i] for i in order]),
                            {si: order.index(gi) for si, gi in generator_index.items()},
                            [numerators[i] for i in order],
                            [[vs[i] for i in order] for vs in local])

@@ -98,10 +98,6 @@ def asymmetric_branch_ring():
     ], (7, 3))
 
 
-def asymmetric_branch_curve():
-    return RationalCurve(QQ, [TwoBranchSingularity(asymmetric_branch_ring(), (Fraction(0), Fraction(1)))])
-
-
 # ---------------------------------------------------------------------------
 # Scenario runners
 # ---------------------------------------------------------------------------
@@ -173,16 +169,13 @@ def run_semigroup_4_5():
     return _run_full_weight_semigroup([4, 5], 5)
 
 
-def _run_two_branch(name, ring_builder, curve_builder, expected_weight,
-                    expected_smooth):
-    ring = ring_builder()
-    S2 = value_semigroup(ring)
+def _run_two_branch(name, ring, S2, expected_weight, expected_smooth):
     sym, witness = symmetry_check(S2)
     _expect(sym, "value semigroup symmetric")
     _expect(S2.conductor == (S2.I + 2 * S2.delta1, S2.I + 2 * S2.delta2),
             "conductor coordinates")
     _expect(S2.delta == S2.I + S2.delta1 + S2.delta2, "delta decomposition")
-    X = curve_builder()
+    X = RationalCurve(QQ, [TwoBranchSingularity(ring, (Fraction(0), Fraction(1)))])
     rep = weight_report(X)
     _expect(rep.singular_weights == [expected_weight], "singular weight")
     _expect(rep.smooth_divisor.degree == expected_smooth, "smooth count")
@@ -194,11 +187,13 @@ def _run_two_branch(name, ring_builder, curve_builder, expected_weight,
 
 
 def run_node():
-    return _run_two_branch("node", node_ring, node_curve, 0, 0)
+    ring = node_ring()
+    return _run_two_branch("node", ring, value_semigroup(ring), 0, 0)
 
 
 def run_tacnode():
-    return _run_two_branch("tacnode", tacnode_ring, tacnode_curve, 4, 2)
+    ring = tacnode_ring()
+    return _run_two_branch("tacnode", ring, value_semigroup(ring), 4, 2)
 
 
 def run_example_4_10():
@@ -207,8 +202,7 @@ def run_example_4_10():
     _expect(not S2.S1.is_symmetric(), "first branch semigroup not symmetric")
     _expect(S2.conductor == (7, 3) and S2.I == 3 and S2.delta1 == 2
             and S2.delta2 == 0 and S2.delta == 5, "semigroup invariants")
-    result = _run_two_branch("example-4.10", asymmetric_branch_ring, asymmetric_branch_curve, 108, 12)
-    return result
+    return _run_two_branch("example-4.10", ring, S2, 108, 12)
 
 
 SCENARIOS = {

@@ -33,50 +33,57 @@ class DependentFunctionsError(ValueError):
 
 
 class LinearSystem:
-    """Tuple of linearly independent rational functions over one field.
-
-    The system is also held as polynomial numerators over one shared
-    denominator D, the monic lcm of the reduced denominators, with
-    f_j = numerators[j] / D; the order sequence and the wronskian are
-    computed from that form.  order_sequence stores _det, the determinant
-    of the numerator rows over its scale, read off the last pivot of the
+    """Linearly independent rational functions over one field, held as
+    polynomial numerators over one shared denominator D: f_j =
+    numerators[j] / D, with D monic and no factor of D common to every
+    numerator, so that D is the lcm of the reduced denominators.  The order
+    sequence and the wronskian are computed from that form; functions are
+    built from it on demand.  order_sequence stores _det, the determinant of
+    the numerator rows over its scale, read off the last pivot of the
     elimination that chose the orders, so the wronskian is _det / D^s.
     """
 
-    __slots__ = ("functions", "field", "denominator", "numerators",
-                 "_orders", "_det")
+    __slots__ = ("field", "denominator", "numerators", "_orders", "_det")
 
     def __init__(self, functions):
         functions = tuple(f if isinstance(f, RationalFunction) else RationalFunction(f)
                           for f in functions)
         if not functions:
             raise ValueError("empty linear system")
-        field = functions[0].field
-        if any(f.field != field for f in functions):
+        if any(f.field != functions[0].field for f in functions):
             raise ValueError("mixed coefficient fields")
-        denominator, numerators = shared_denominator(functions)
-        if len(_pivots(numerators)) < len(functions):
+        self._set(*shared_denominator(functions))
+
+    @classmethod
+    def over(cls, denominator, numerators):
+        """The system numerators[j] / denominator, for a monic denominator
+        sharing no factor with every numerator (the caller's guarantee)."""
+        V = cls.__new__(cls)
+        V._set(denominator, numerators)
+        return V
+
+    def _set(self, denominator, numerators):
+        if len(_pivots(numerators)) < len(numerators):
             raise DependentFunctionsError("functions are linearly dependent over the base field")
-        self.functions = functions
-        self.field = field
+        self.field = denominator.field
         self.denominator = denominator
         self.numerators = tuple(numerators)
         self._orders = None
         self._det = None
 
     @property
-    def characteristic(self):
-        return self.field.characteristic
+    def functions(self):
+        return tuple(RationalFunction(n, self.denominator) for n in self.numerators)
 
     @property
-    def dimension(self):
-        return len(self.functions)
+    def characteristic(self):
+        return self.field.characteristic
 
     def __iter__(self):
         return iter(self.functions)
 
     def __len__(self):
-        return len(self.functions)
+        return len(self.numerators)
 
 
 def _pivots(polys):
@@ -106,14 +113,14 @@ def order_sequence(V):
         return V._orders
     s, p = len(V), V.characteristic
     cleared = [n._ints() for n in V.numerators]
-    # generous search cap; can never bind for independent functions
-    spread = sum(f.num.degree + f.den.degree for f in V.functions) + s + 2
+    # past the largest numerator degree every row D^(e) n_j is zero
+    top = max(n.degree for n in V.numerators)
     chosen = []
     pivots = []
     eps = -1
     while len(chosen) < s:
         eps += 1
-        if chosen and eps > chosen[-1] + spread:
+        if eps > top:
             raise AssertionError("order sequence search exceeded its degree bound")
         if _bareiss_insert(pivots, [_hasse_mod_p(c, eps, p) for c, _d in cleared], p):
             chosen.append(eps)
@@ -164,16 +171,17 @@ def differential_weight_at(V, q):
     ord_q(W) - s*ord_q(local L generator) - N*ord_q(local omega
     generator), with dt generating omega at finite q and du = -dt/t^2 at
     INF; ord_q W = ord_q det - s*ord_q D is read off the unreduced
-    W = det / D^s.  The value is invariant under scaling the whole tuple by
-    one rational function.
+    W = det / D^s.  As D is the lcm of the reduced denominators, the least
+    order of the f_j at a finite q is -ord_q D, so the weight there is
+    ord_q det; at INF the least order of the f_j dt is
+    deg D - (largest numerator degree) - 2.  The value is invariant under
+    scaling the whole tuple by one rational function.
     """
     eps = order_sequence(V)
-    det, D, s = V._det, V.denominator, len(V)
-    if q is INF:
-        pole = min(0, min(f.valuation(INF) for f in V.functions) - 2)
-        return s * D.degree - det.degree - s * (pole + 2) - 2 * eps.N
-    pole = min(0, min(f.valuation(q) for f in V.functions))
-    return det.root_multiplicity(q) - s * (D.root_multiplicity(q) + pole)
+    if q is not INF:
+        return V._det.root_multiplicity(q)
+    top = max(n.degree for n in V.numerators)
+    return len(V) * max(V.denominator.degree - 2, top) - V._det.degree - 2 * eps.N
 
 
 def smooth_weight(V, q):
@@ -236,15 +244,14 @@ def weight_divisor(V, excluded_points=()):
     coprime polynomial places, excluding the given finite points and INF
     when listed.
 
-    With W = det / D^s as order_sequence stores it, the weight vanishes
-    off the zeros of det and of D.  Each excluded point, then each root in
+    With W = det / D^s as order_sequence stores it, and D the lcm of the
+    reduced denominators, the weight at a finite place is the order of det
+    there (differential_weight_at).  Each excluded point, then each root in
     the field of what is left of D (a pole not excluded), is stripped from
     det and from D by repeated exact division by w t - u, which gives
     ord_q det and ord_q D; excluded_orders reads ord_q W off them.  What is
     left of det is refined into coprime places, together with the f_j's
-    denominators when D keeps factors with no root in the field.  The
-    weight at a place is ord W - s * (the least order of the f_j there,
-    when negative), that least order read only where D vanishes.
+    denominators when D keeps factors with no root in the field.
     """
     order_sequence(V)
     det, D, s, field = V._det, V.denominator, len(V), V.field
@@ -254,16 +261,11 @@ def weight_divisor(V, excluded_points=()):
         (m, det), (k, D) = det.strip_root(q), D.strip_root(q)
         orders[q] = m - s * k
     for q in D.rational_roots():    # the poles left
-        (m, det), (k, D) = det.strip_root(q), D.strip_root(q)
-        pole = min(0, min(f.valuation(q) for f in V.functions))
-        weights.append((Polynomial(field, [-q, 1]), m - s * (k + pole)))
+        (m, det), (_k, D) = det.strip_root(q), D.strip_root(q)
+        weights.append((Polynomial(field, [-q, 1]), m))
     # the f_j's denominators split D's places: each has one order in every f_j
     for place in coprime_refinement([det] + ([f.den for f in V.functions] if D.degree else [])):
-        k = D.multiplicity_of_factor(place)    # where it is 0, no f_j has a pole
-        pole = min(0, min(f.multiplicity_of_factor(place) for f in V.functions)) if k else 0
-        weights.append((place, det.multiplicity_of_factor(place) - s * (k + pole)))
-    if any(w < 0 for _place, w in weights):
-        raise AssertionError("negative weight at a non-excluded place")
+        weights.append((place, det.multiplicity_of_factor(place)))
     entries = sorted(((place, w) for place, w in weights if w), key=lambda e: place_key(e[0]))
     if INF not in excluded_points:
         winf = differential_weight_at(V, INF)

@@ -9,6 +9,7 @@ import pytest
 
 from weierforge.exact import (
     GF,
+    INF,
     QQ,
     Polynomial,
     RationalFunction,
@@ -19,6 +20,7 @@ from weierforge.exact import (
 )
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import ring_from_generators
+from weierforge.wronski import order_sequence
 
 
 def random_semigroup(rng):
@@ -56,6 +58,20 @@ def derivative(f):
 def valuation_at_zero(f):
     """Order of vanishing of a polynomial at t = 0, read off its coefficients."""
     return next((v for v, c in enumerate(f.coeffs) if c), math.inf)
+
+
+def pole_term_weight_at(V, q):
+    """wronski.differential_weight_at as it read the weight before the
+    system was taken as numerators over the lcm of its denominators:
+    ord_q W minus s times the least order of the f_j at q (of the f_j dt at
+    INF) where that is negative, the orders taken function by function."""
+    eps = order_sequence(V)
+    det, D, s = V._det, V.denominator, len(V)
+    if q is INF:
+        pole = min(0, min(f.valuation(INF) for f in V.functions) - 2)
+        return s * D.degree - det.degree - s * (pole + 2) - 2 * eps.N
+    pole = min(0, min(f.valuation(q) for f in V.functions))
+    return det.root_multiplicity(q) - s * (D.root_multiplicity(q) + pole)
 
 
 def bareiss_mod_p(work, p):

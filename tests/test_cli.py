@@ -136,6 +136,16 @@ class TestCurveCommand:
         assert code == 0
         assert data["genus"] == 13 and data["total"] == data["expected"]
 
+    def test_branch_at_infinity_scaling_file(self, capsys):
+        # <3,4> at INF, 0 and 1 over GF(7), as the CI scaling step runs it:
+        # the basis is sorted by degree, and INF's pole is read off it
+        path = Path(__file__).parent / "data" / "scale-3-4-at-inf-0-1-gf7.json"
+        code, data = run_json(capsys, ["curve", str(path), "--format", "json"])
+        assert code == 0
+        assert data["genus"] == 9 and data["orders"] == [0, 1, 2, 3, 4, 5, 7, 8, 9]
+        assert [w["weight"] for w in data["weights"]] == [253, 255, 260]
+        assert data["smooth"] == [] and data["total"] == data["expected"] == 768
+
     def test_missing_file(self, capsys):
         assert main(["curve", "/nonexistent/path.json"]) == 2
 

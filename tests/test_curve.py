@@ -12,7 +12,6 @@ from weierforge.curve import (
     TwoBranchSingularity,
     UnibranchSingularity,
     detect_two_singularity_case,
-    differential_order_at,
     dualizing_basis,
     monomial_curve_weights,
     singular_weight,
@@ -44,18 +43,32 @@ from weierforge.valsg2 import (
     validate_ring,
     value_semigroup,
 )
-from weierforge.wronski import LinearSystem, order_sequence
+from weierforge.wronski import LinearSystem, differential_weight_at, order_sequence
 from weierforge.gallery import (
+    asymmetric_branch_ring,
     double_cusp_curve,
     node_curve,
     perturbed_cusp_curve,
     quartic_cusp_curve,
     tacnode_curve,
 )
-from conftest import bareiss_mod_p, derivative, symmetric_semigroups, valuation_at_zero
+from conftest import (
+    bareiss_mod_p,
+    derivative,
+    pole_term_weight_at,
+    symmetric_semigroups,
+    valuation_at_zero,
+)
 
 S34 = NumericalSemigroup.from_generators([3, 4])
 S23 = NumericalSemigroup.from_generators([2, 3])
+
+
+def differential_order_at(r, point):
+    """Order of r(t) dt at a point of the line: the valuation of r, shifted
+    by -2 at INF where dt = -du/u^2."""
+    v = r.valuation(point)
+    return v - 2 if point is INF else v
 
 
 def _lying_curve():
@@ -228,7 +241,7 @@ class TestDualizingBasis:
             shallow = max(range(len(basis.differentials)),
                           key=lambda i: differential_order_at(basis.differentials[i], q))
             with pytest.raises(GeneratorNotFound):
-                _verify_generators(X, DualizingBasis(X, basis.differentials, {0: shallow},
+                _verify_generators(X, DualizingBasis(X, basis._system, {0: shallow},
                                                      basis.numerators, basis._windows))
 
     def test_non_gorenstein_ring_has_no_generator(self):
@@ -320,7 +333,7 @@ class TestDualizingBasis:
         shallow = max(range(len(basis.differentials)),
                       key=lambda i: differential_order_at(basis.differentials[i], q))
         with pytest.raises(GeneratorNotFound):
-            _verify_generators(X, DualizingBasis(X, [basis.differentials[shallow]], {0: 0},
+            _verify_generators(X, DualizingBasis(X, LinearSystem([basis.differentials[shallow]]), {0: 0},
                                                  [basis.numerators[shallow]],
                                                  [[basis._windows[0][shallow]]]))
 
@@ -527,6 +540,67 @@ class TestSingularWeightAgreement:
         orders = [curve_module._local_order(rows, q, p)
                   for q in (field(1), field(0), field(-2), field(4), INF)]
         assert orders == [20, 3, 1, 0, -24]
+
+
+def _system_curves(p):
+    """The TestSingularWeightAgreement curves over QQ or GF(p) and <3,4> at
+    INF, 0 and 1, whose first singularity sits at INF; for p None, the
+    gallery's curves."""
+    if p is None:
+        def mono(gens, q):
+            return RationalCurve(GF(q), [MonomialSingularity(
+                GF(q), NumericalSemigroup.from_generators(gens), GF(q)(0))])
+        return [quartic_cusp_curve(2), perturbed_cusp_curve(0), perturbed_cusp_curve(2),
+                perturbed_cusp_curve(3), double_cusp_curve(), node_curve(), tacnode_curve(),
+                RationalCurve(QQ, [TwoBranchSingularity(asymmetric_branch_ring(),
+                                                        (Fraction(0), Fraction(1)))]),
+                mono([4, 6, 11], 2), mono([3, 5], 3), mono([4, 5], 5)]
+    field = GF(p) if p else QQ
+    return _agreement_curves(field) + [RationalCurve(
+        field, [MonomialSingularity(field, S34, q) for q in (INF, field(0), field(1))])]
+
+
+class TestOneLinearSystem:
+    """dualizing_basis hands its numerators over the ansatz denominator to
+    LinearSystem.over; the reduced differentials give the same system."""
+
+    @pytest.mark.parametrize("p", [None, 0, 2, 3, 7], ids=["gallery", "QQ", "GF2", "GF3", "GF7"])
+    def test_same_system_both_ways(self, p, monkeypatch):
+        nulls = []
+
+        def recording(*args):
+            nulls.append(scalar_nullspace(*args))
+            return nulls[-1]
+
+        monkeypatch.setattr(curve_module, "scalar_nullspace", recording)
+        for X in _system_curves(p):
+            basis = dualizing_basis(X)
+            V, W = basis._system, LinearSystem(basis.differentials)
+            assert V.denominator == W.denominator and V.numerators == W.numerators
+            common = V.denominator
+            for n in V.numerators:
+                common = common.gcd(n)
+            assert common.degree == 0
+            # the sort before: the nullspace's differentials, reduced, by
+            # their order at the first branch
+            q = X.singularities[0].branches()[0].location
+            reduced = [RationalFunction(Polynomial(X.field, vec), V.denominator)
+                       for vec in nulls[-1]]
+            assert basis.differentials == tuple(
+                sorted(reduced, key=lambda r: differential_order_at(r, q)))
+            for si, gi in basis.generator_index.items():
+                assert basis.generator(si) == basis.differentials[gi]
+
+    @pytest.mark.parametrize("p", [None, 0, 2, 3, 7], ids=["gallery", "QQ", "GF2", "GF3", "GF7"])
+    def test_weights_match_the_pole_term_formula(self, p):
+        rng = random.Random(1900 + (p or 1))
+        for X in _system_curves(p):
+            V = dualizing_basis(X)._system
+            order_sequence(V)
+            points = (X.singular_locations() + [INF] + V._det.rational_roots()
+                      + [X.field(rng.randint(-9, 9)) for _ in range(3)])
+            for q in points:
+                assert differential_weight_at(V, q) == pole_term_weight_at(V, q)
 
 
 class TestWeightReport:

@@ -44,7 +44,7 @@ from weierforge.curve import (
 )
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import validate_ring
-from conftest import bareiss_mod_p, derivative, random_polynomial
+from conftest import bareiss_mod_p, derivative, pole_term_weight_at, random_polynomial
 
 
 def one(field):
@@ -114,6 +114,13 @@ class TestOrderSequence:
         t = Polynomial.variable(QQ)
         with pytest.raises(DependentFunctionsError):
             LinearSystem([t / one(QQ), (2 * t) / one(QQ)])
+        # numerators over a given denominator are ranked the same way
+        for field in (QQ, GF(2), GF(7)):
+            t = Polynomial.variable(field)
+            with pytest.raises(DependentFunctionsError):
+                LinearSystem.over(t ** 2 + 1, [t, t ** 3 + 1, t ** 3 + 2 * t + 1])
+            with pytest.raises(DependentFunctionsError):
+                LinearSystem.over(t - 1, [t, Polynomial(field, [])])
 
     def test_monomial_exponent_match(self):
         # the order sequence of a monomial tuple matches the binomial-matrix
@@ -680,3 +687,6 @@ class TestWeightDivisorStrip:
                       + [field(rng.randint(0, 9))])
             assert_divisor_matches_the_reference(V, [])
             assert_divisor_matches_the_reference(V, rng.sample(points, min(2, len(points))))
+            # the weight without per-function pole terms, as D is their lcm
+            for q in points + [INF]:
+                assert differential_weight_at(V, q) == pole_term_weight_at(V, q)
