@@ -189,11 +189,14 @@ def _field(data, path, key, kind, default=_REQUIRED):
 
 
 def _read(convert, path, value):
-    """convert(value); a value it rejects is reported with the field's path."""
+    """convert(value); a value it rejects, or one too large to allocate, is
+    reported with the field's path."""
     try:
         return convert(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError("%s: invalid value %r (%s)" % (path, value, exc)) from None
+    except MemoryError:
+        raise ValueError("%s: value %r is too large to allocate" % (path, value)) from None
 
 
 def _load_point(field, path, value):

@@ -61,7 +61,7 @@ def point_str(point):
 def _parse_point(field, text):
     if text in ("inf", "infinity", "oo"):
         return INF
-    return field(text if isinstance(text, str) else text)
+    return field(text)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +209,25 @@ class DualizingBasis:
     """Basis of global dualizing differentials tau_i = r_i(t) dt, held as one
     LinearSystem (the r_i as numerators over the ansatz denominator), whose
     order sequence and wronskian every weight shares, with the index of a
-    generator of the dualizing stalk at each singularity, the numerators as
-    int lists and their window vectors at each singularity (_windows[si][i],
-    as _ansatz lays them out)."""
+    generator of the dualizing stalk at each singularity and the window
+    vectors of the numerators' stored int lists at each singularity
+    (_windows[si][i], as _ansatz lays them out)."""
 
-    __slots__ = ("curve", "generator_index", "numerators", "_windows", "_system")
+    __slots__ = ("curve", "generator_index", "_windows", "_system")
 
-    def __init__(self, curve, system, generator_index, numerators, windows):
+    def __init__(self, curve, system, generator_index, windows):
         self.curve = curve
         self._system = system
         self.generator_index = dict(generator_index)
-        self.numerators = tuple(numerators)
         self._windows = windows
 
     @property
     def differentials(self):
         return self._system.functions
+
+    @property
+    def numerators(self):
+        return tuple(n._ints()[0] for n in self._system.numerators)
 
     def generator(self, singularity_index):
         V = self._system
@@ -273,7 +276,6 @@ def dualizing_basis(X):
     # denominator divides every numerator: it is their lcm
     basis = DualizingBasis(X, LinearSystem.over(denominator, [polys[i] for i in order]),
                            {si: order.index(gi) for si, gi in generator_index.items()},
-                           [numerators[i] for i in order],
                            [[vs[i] for i in order] for vs in local])
     _verify_generators(X, basis)
     X._dualizing_basis = basis
@@ -523,10 +525,11 @@ def weight_report(X):
         w = singular_weight(X, si, basis)
         # cross-check against the raw wronskian, whose orders weight_divisor
         # read off det and D: the determinant of the trivialized tuple is
-        # gen^(-s) times the raw one
-        gen = basis.generator(si)
-        direct = (sum(raw_order[point_str(br.location)] for br in sing.branches())
-                  - (g + N) * sum(gen.valuation(br.location) for br in sing.branches()))
+        # gen^(-s) times the raw one, gen = G / D with G its numerator
+        G, D = V.numerators[basis.generator_index[si]], V.denominator
+        direct = sum(raw_order[point_str(q)] - (g + N) * (
+            D.degree - G.degree if q is INF else G.root_multiplicity(q) - D.root_multiplicity(q))
+            for q in sing.locations)
         if direct != w:
             raise TotalMismatch(
                 "singular weight disagreement at %s: %d vs %d"

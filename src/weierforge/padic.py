@@ -91,14 +91,26 @@ def p_adically_smaller(mu, eps, p):
 
 
 def satisfies_p_adic_criterion(seq, p):
-    """True when the set is closed under taking p-adically smaller values."""
-    terms = set(seq)
-    if len(terms) != len(tuple(seq)):
+    """True when the set is closed under taking p-adically smaller values:
+    those below each term are enumerated digit by digit, and a term with
+    more of them than there are terms fails at once."""
+    GF(p)    # rejects a p that is not prime before any digit is taken
+    terms = tuple(seq)
+    members = set(terms)
+    if len(members) != len(terms):
         raise ValueError("terms must be distinct")
+    if any(eps < 0 for eps in terms):
+        raise ValueError("terms must be nonnegative")
     for eps in terms:
-        for mu in range(eps + 1):
-            if p_adically_smaller(mu, eps, p) and mu not in terms:
+        below, place = [0], 1
+        while eps:
+            eps, digit = divmod(eps, p)
+            below = [mu + d * place for mu in below for d in range(digit + 1)]
+            if len(below) > len(terms):
                 return False
+            place *= p
+        if not members.issuperset(below):
+            return False
     return True
 
 

@@ -10,9 +10,11 @@ since a vector space is never the union of two proper subspaces.
 
 from __future__ import annotations
 
+import functools
+
 from .exact import (
     INF,
-    RationalFunction,
+    Polynomial,
     TruncatedSeries,
     _dot_mod_p,
     _from_ints,
@@ -27,6 +29,7 @@ from .exact import (
     triangular_insert,
 )
 from .numsg import NumericalSemigroup
+from .wronski import LinearSystem, differential_weight_at
 
 
 class NotClosed(ValueError):
@@ -46,7 +49,8 @@ class TwoBranchRing:
     """Validated local ring: its basis modulo the conductor ideal as int rows
     (residues over GF(p)), one block of conductor[k] coordinates per branch."""
 
-    __slots__ = ("field", "conductor", "delta", "gorenstein", "_rows", "_echelon")
+    __slots__ = ("field", "conductor", "delta", "gorenstein", "_rows", "_echelon",
+                 "_value_semigroup")
 
     def __init__(self, field, conductor, delta, gorenstein, rows, echelon):
         self.field = field
@@ -57,6 +61,7 @@ class TwoBranchRing:
         # (pivots, int rows): reduced echelon form of the basis and the
         # conductor tail inside the windows of conductor[k] + 2 coordinates
         self._echelon = echelon
+        self._value_semigroup = None    # set by value_semigroup
 
     def to_json(self):
         """The ring with the reduced echelon basis of its span modulo C, each
@@ -282,7 +287,9 @@ class ValueSemigroup2:
 
 def value_semigroup(ring):
     """Compute the value semigroup from the dimension table of the spaces
-    V(x,y) = {f in O : v1(f) >= x, v2(f) >= y}."""
+    V(x,y) = {f in O : v1(f) >= x, v2(f) >= y}, once per ring."""
+    if ring._value_semigroup is not None:
+        return ring._value_semigroup
     xi1, xi2 = ring.conductor
     w1 = xi1 + 2
     pivots, rows = ring._echelon[0], field_rows(*ring._echelon, ring.field.characteristic)
@@ -314,9 +321,10 @@ def value_semigroup(ring):
     S1 = NumericalSemigroup([n for n in range(1, xi1) if n not in s1_vals])
     S2 = NumericalSemigroup([n for n in range(1, xi2) if n not in s2_vals])
 
-    return ValueSemigroup2(ring, (xi1, xi2), frozenset(finite_points),
-                           frozenset(infinite_vertical), frozenset(infinite_horizontal),
-                           tuple(maximals), S1, S2)
+    ring._value_semigroup = ValueSemigroup2(ring, (xi1, xi2), frozenset(finite_points),
+                                            frozenset(infinite_vertical),
+                                            frozenset(infinite_horizontal), tuple(maximals), S1, S2)
+    return ring._value_semigroup
 
 
 def symmetry_check(S2):
@@ -404,19 +412,24 @@ class AdaptedBasis:
     """Dualizing differentials echelonized by value pairs at a two-branch
     singularity: one differential per maximal point with that exact value
     pair, one per top-edge point (exact first value, second at least xi2),
-    one per right-edge point (first at least xi1, exact second value)."""
+    one per right-edge point (first at least xi1, exact second value), held
+    as one LinearSystem over the dualizing basis's denominator."""
 
-    __slots__ = ("differentials", "value_pairs", "maximal_indices",
+    __slots__ = ("system", "value_pairs", "maximal_indices",
                  "top_edge_indices", "right_edge_indices", "generator_index")
 
-    def __init__(self, differentials, value_pairs, maximal_indices,
+    def __init__(self, system, value_pairs, maximal_indices,
                  top_edge_indices, right_edge_indices, generator_index):
-        self.differentials = tuple(differentials)
+        self.system = system
         self.value_pairs = tuple(value_pairs)
         self.maximal_indices = dict(maximal_indices)
         self.top_edge_indices = dict(top_edge_indices)
         self.right_edge_indices = dict(right_edge_indices)
         self.generator_index = generator_index
+
+    @property
+    def differentials(self):
+        return self.system.functions
 
 
 def adapted_basis(X):
@@ -514,24 +527,23 @@ def adapted_basis(X):
                 "second-branch value overshot the maximal point (%d, %d)" % (v1, target))
         fixed.append(item)
 
-    # each result is one numerator combination over the ansatz denominator,
-    # the shared denominator of the basis (every generator has the full pole)
-    field, D = X.field, basis._system.denominator
-    nums, gen = basis.numerators, basis.numerators[basis.generator_index[0]]
+    # each result is one numerator combination over the ansatz denominator D,
+    # their lcm: the one of value pair (0, 0) has the full pole on both branches
+    V, nums = basis._system, basis.numerators
+    gen = V.numerators[basis.generator_index[0]]
 
-    def order(num, q):
-        f = _from_ints(field, num)
+    def order(f, q):
         return -f.degree if q is INF else f.root_multiplicity(q)
 
-    differentials = []
+    numerators = []
     value_pairs = []
     maximal_indices = {}
     top_indices = {}
     right_indices = {}
     generator_index = None
     for idx, (vec, pair) in enumerate(fixed):
-        num = _dot_mod_p([[c] for c in vec[:g]], nums, p)
-        differentials.append(RationalFunction(_from_ints(field, num), D))
+        num = _from_ints(X.field, _dot_mod_p([[c] for c in vec[:g]], nums, p))
+        numerators.append(num)
         pair = tuple(v if v < c else order(num, q) - order(gen, q)
                      for v, (_s, c), q in zip(pair, blocks, sing.locations))
         value_pairs.append(pair)
@@ -549,8 +561,8 @@ def adapted_basis(X):
         raise EliminationStuck("value elimination missed a maximal point")
     if len(top_indices) != S2.delta1 or len(right_indices) != S2.delta2:
         raise EliminationStuck("value elimination missed an edge point")
-    return AdaptedBasis(differentials, value_pairs, maximal_indices,
-                        top_indices, right_indices, generator_index)
+    return AdaptedBasis(LinearSystem.over(V.denominator, numerators), value_pairs,
+                        maximal_indices, top_indices, right_indices, generator_index)
 
 
 def v_systems_weights(X):
@@ -559,22 +571,19 @@ def v_systems_weights(X):
     Q1), V2 by the top-edge differentials (regular at Q2).  Degenerate spans
     give weight 0.
     """
-    from .wronski import LinearSystem, differential_weight_at
-
     sing = _single_two_branch(X)
     adapted = adapted_basis(X)
-    q1, q2 = sing.locations
-    w1 = 0
-    if adapted.right_edge_indices:
-        V1 = LinearSystem([adapted.differentials[i]
-                           for i in sorted(adapted.right_edge_indices.values())])
-        w1 = differential_weight_at(V1, q1)
-    w2 = 0
-    if adapted.top_edge_indices:
-        V2 = LinearSystem([adapted.differentials[i]
-                           for i in sorted(adapted.top_edge_indices.values())])
-        w2 = differential_weight_at(V2, q2)
-    return w1, w2
+    D = adapted.system.denominator
+
+    def weight(indices, q):
+        # D and the span's numerators over their one gcd: D's quotient is the lcm
+        nums = [adapted.system.numerators[i] for i in sorted(indices.values())]
+        common = functools.reduce(Polynomial.gcd, nums, D)
+        return differential_weight_at(LinearSystem.over(
+            D.exact_div(common), [n.exact_div(common) for n in nums]), q) if nums else 0
+
+    return (weight(adapted.right_edge_indices, sing.locations[0]),
+            weight(adapted.top_edge_indices, sing.locations[1]))
 
 
 def _single_two_branch(X):

@@ -10,6 +10,7 @@ import pytest
 
 import weierforge
 from weierforge.cli import main
+from weierforge.numsg import NumericalSemigroup
 
 
 def run_json(capsys, argv):
@@ -51,6 +52,17 @@ class TestPadicAndOrders:
                                        "--format", "json"])
         assert code == 0 and data["satisfies_criterion"] is True
 
+    def test_criterion_on_a_large_power_of_p(self, capsys):
+        start = time.perf_counter()
+        code, data = run_json(capsys, ["padic", "--seq", "0,1099511627776", "--p", "2",
+                                       "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and data["satisfies_criterion"] is True
+
+    def test_negative_term_exits_2(self, capsys):
+        assert main(["padic", "--seq=-1,0", "--p", "2"]) == 2
+        assert "error: terms must be nonnegative" in capsys.readouterr().err
+
     def test_gap_tests(self, capsys):
         code, data = run_json(capsys, ["padic", "--gaps", "1,2,5", "--p", "2",
                                        "--format", "json"])
@@ -66,6 +78,24 @@ class TestPadicAndOrders:
     def test_characteristic_beyond_the_primality_range(self, capsys):
         assert main(["orders", "--exponents", "0,3,4", "--p", str(10 ** 25 + 13)]) == 2
         assert "error: characteristic" in capsys.readouterr().err
+
+
+def test_generators_too_large_to_allocate_exit_2_naming_the_field(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the generator sieve of <a, b> holds (a - 1)(b - 1) + 1 entries
+    def exhausted(generators):
+        raise MemoryError
+
+    monkeypatch.setattr(NumericalSemigroup, "from_generators", exhausted)
+    assert main(["semigroup", "--gens", "100000,100001"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --gens: value [100000, 100001] is too large to allocate\n")
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"singularities": [
+        {"kind": "monomial", "location": "0", "generators": [100000, 100001]}]}))
+    assert main(["curve", str(path)]) == 2
+    assert "error: singularities[0].generators: value [100000, 100001] is too large" in (
+        capsys.readouterr().err)
 
 
 class TestCurveCommand:

@@ -242,7 +242,7 @@ class TestDualizingBasis:
                           key=lambda i: differential_order_at(basis.differentials[i], q))
             with pytest.raises(GeneratorNotFound):
                 _verify_generators(X, DualizingBasis(X, basis._system, {0: shallow},
-                                                     basis.numerators, basis._windows))
+                                                     basis._windows))
 
     def test_non_gorenstein_ring_has_no_generator(self):
         # Rosenlicht duality still produces g differentials, but no single
@@ -334,7 +334,6 @@ class TestDualizingBasis:
                       key=lambda i: differential_order_at(basis.differentials[i], q))
         with pytest.raises(GeneratorNotFound):
             _verify_generators(X, DualizingBasis(X, LinearSystem([basis.differentials[shallow]]), {0: 0},
-                                                 [basis.numerators[shallow]],
                                                  [[basis._windows[0][shallow]]]))
 
     def test_basis_is_built_once_per_curve(self, builds):

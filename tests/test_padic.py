@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -64,6 +65,44 @@ class TestCriterion:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             satisfies_p_adic_criterion([0, 1, 1], 2)
+
+    def test_negative_term_rejected(self):
+        for seq in ([-1, 0], [0, 1, -2]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                satisfies_p_adic_criterion(seq, 2)
+
+    def test_iterator_is_read_once(self):
+        assert satisfies_p_adic_criterion(iter([0, 1, 4, 5]), 2)
+        assert not satisfies_p_adic_criterion((e for e in [0, 3]), 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_against_the_scan_below_each_term(self, p):
+        # every set of at most five values below 10 holding 0, then seeded
+        # sets of values below 60
+        rng = random.Random(80 + p)
+        cases = [(0,) + c for k in range(5) for c in combinations(range(1, 10), k)]
+        cases += [tuple(rng.sample(range(60), rng.randint(1, 8))) for _ in range(200)]
+        outcomes = []
+        for seq in cases:
+            outcomes.append(satisfies_p_adic_criterion(seq, p))
+            assert outcomes[-1] == _scan_criterion(seq, p), seq
+        assert set(outcomes) == {True, False}
+
+    def test_large_terms_take_time_in_their_digits(self):
+        start = time.perf_counter()
+        assert satisfies_p_adic_criterion([0, 2 ** 40], 2)
+        assert satisfies_p_adic_criterion([0, 3 ** 30, 2 * 3 ** 30], 3)
+        assert not satisfies_p_adic_criterion([0, 2 ** 40 + 1], 2)
+        # 2^41 values lie below 2^41 - 1: far more than there are terms
+        assert not satisfies_p_adic_criterion([0, 1, 2 ** 41 - 1], 2)
+        assert time.perf_counter() - start < 1.0
+
+
+def _scan_criterion(seq, p):
+    """The criterion by testing every mu up to each term."""
+    terms = set(seq)
+    return all(mu in terms for eps in terms for mu in range(eps + 1)
+               if p_adically_smaller(mu, eps, p))
 
 
 def brute_force_minimal_sequence(exponents, p):

@@ -33,6 +33,8 @@ from weierforge.valsg2 import (
     value_semigroup,
 )
 from weierforge.curve import RationalCurve, TwoBranchSingularity, dualizing_basis, weight_report
+from weierforge.wronski import LinearSystem, differential_weight_at
+from weierforge import valsg2 as valsg2_module
 from weierforge.gallery import node_ring, asymmetric_branch_ring, tacnode_ring
 from conftest import _BRANCH_ORDERS, _branch_series
 from test_exact import _ref_echelon_insert, _ref_span_reduce
@@ -431,8 +433,8 @@ def _ref_adapted_basis(X):
             partner = next(f for f in fixed if f[1][0] > v1 and f[1][1] == item[1][1])
             cancel(item, partner, q2)
         fixed.append(item)
-    out = AdaptedBasis([f * r_gen for f, _pair in fixed], [pair for _f, pair in fixed],
-                       {}, {}, {}, None)
+    out = AdaptedBasis(LinearSystem([f * r_gen for f, _pair in fixed]),
+                       [pair for _f, pair in fixed], {}, {}, {}, None)
     for idx, (_f, (a, b)) in enumerate(fixed):
         if a < xi1 and a in maximal_x:
             out.maximal_indices[(a, maximal_x[a])] = idx
@@ -468,6 +470,67 @@ class TestWeightFormula:
         w1, w2 = v_systems_weights(X)
         assert two_branch_weight_formula(S, 5, w1, w2) == rep.singular_weights[0]
         assert rep.total == 5 ** 3 - 5
+
+    @pytest.mark.parametrize("locations", [(INF, 0), (0, INF), (2, -3)],
+                             ids=["inf-0", "0-inf", "2-minus-3"])
+    def test_formula_matches_the_pipeline_away_from_0_1(self, ring_corpus, locations):
+        # the branches at infinity, in either order, and at two finite
+        # points other than 0 and 1
+        rings = [node_ring(), tacnode_ring(), asymmetric_branch_ring()] + list(ring_corpus)
+        for ring in rings:
+            X = RationalCurve(QQ, [TwoBranchSingularity(
+                ring, tuple(q if q is INF else QQ(q) for q in locations))])
+            rep = weight_report(X)
+            formula = two_branch_weight_formula(value_semigroup(ring), X.genus,
+                                                *v_systems_weights(X))
+            assert formula == rep.singular_weights[0]
+
+
+class TestVSystems:
+    def test_value_semigroup_is_built_once_per_ring(self, monkeypatch):
+        tables = []
+
+        def counting(rows):
+            tables.append(rows)
+            return scalar_echelon(rows)
+
+        monkeypatch.setattr(valsg2_module, "scalar_echelon", counting)
+        ring = asymmetric_branch_ring()
+        S = value_semigroup(ring)
+        built = len(tables)
+        assert built and value_semigroup(ring) is S
+        v_systems_weights(curve_of(ring))
+        assert len(tables) == built
+        # a fresh ring builds its own table
+        assert value_semigroup(asymmetric_branch_ring()) is not S
+        assert len(tables) == 2 * built
+
+    def test_weights_match_the_reduced_differentials_route(self):
+        # seeded germs over GF(2), GF(3), GF(5) and GF(7), each at two
+        # finite branches and with either branch at infinity
+        nonzero = []
+        for p in (2, 3, 5, 7):
+            field = GF(p)
+            for ring in _seeded_germs(field, 8, seed=900 + p):
+                for locations in ((field(0), field(1)), (INF, field(0)), (field(1), INF)):
+                    X = RationalCurve(field, [TwoBranchSingularity(ring, locations)])
+                    weights = v_systems_weights(X)
+                    assert weights == _ref_v_systems_weights(X)
+                    if any(weights):
+                        nonzero.append((p, weights))
+        assert nonzero == [(3, (1, 0)), (5, (1, 0))]
+
+
+def _ref_v_systems_weights(X):
+    """The V-system weights as they ran on reduced differentials: each edge
+    span handed to LinearSystem, which recomputes the shared denominator."""
+    adapted = adapted_basis(X)
+    q1, q2 = X.singularities[0].locations
+    return tuple(
+        differential_weight_at(LinearSystem([adapted.differentials[i]
+                                             for i in sorted(indices.values())]), q)
+        if indices else 0
+        for indices, q in ((adapted.right_edge_indices, q1), (adapted.top_edge_indices, q2)))
 
 
 class TestRingFromGenerators:
