@@ -6,7 +6,6 @@ from .exact import (
     QQ,
     Polynomial,
     RationalFunction,
-    TruncatedSeries,
     field_of_characteristic,
     fraction_free_rank_det,
 )
@@ -14,7 +13,6 @@ from .numsg import NumericalSemigroup
 from .padic import (
     binom_mod_p,
     monomial_order_sequence,
-    p_adically_smaller,
     satisfies_p_adic_criterion,
 )
 from .wronski import LinearSystem, order_sequence, wronskian
@@ -29,13 +27,11 @@ __all__ = [
     "NumericalSemigroup",
     "Polynomial",
     "RationalFunction",
-    "TruncatedSeries",
     "binom_mod_p",
     "field_of_characteristic",
     "fraction_free_rank_det",
     "monomial_order_sequence",
     "order_sequence",
-    "p_adically_smaller",
     "satisfies_p_adic_criterion",
     "wronskian",
     "__version__",

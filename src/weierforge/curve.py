@@ -87,11 +87,13 @@ class _Singularity:
     coefficient of s^i.  The constructors below set both once."""
 
     def _place(self, field, locations, uniformizers, conductors):
-        """Set the field, the locations and the branches, and return the
-        uniformizers: by default t - q, or 1/t at INF, and each a degree-one
-        map of the line vanishing to order one at its location."""
+        """Set the field, the locations (each coerced into the field, INF
+        kept) and the branches, and return the uniformizers: by default t - q,
+        or 1/t at INF, and each a degree-one map of the line vanishing to
+        order one at its location."""
         t = Polynomial.variable(field)
-        self.field, self.locations, self._branches = field, tuple(locations), []
+        locations = tuple(q if q is INF else field(q) for q in locations)
+        self.field, self.locations, self._branches = field, locations, []
         for q, u, c in zip(locations, uniformizers, conductors):
             if u is None:
                 u = RationalFunction(Polynomial(field, [1]), t) if q is INF else RationalFunction(t - q)
@@ -119,7 +121,7 @@ class MonomialSingularity(_Singularity):
         c = 2 * semigroup.genus
         (self.uniformizer,) = self._place(field, (location,), (uniformizer,), (c,))
         self.semigroup = semigroup
-        self.location = location
+        self.location = self.locations[0]
         self.delta = semigroup.genus
         self._rows = [[int(i == n) for i in range(c)] for n in semigroup.small_elements()]
 
@@ -129,7 +131,7 @@ class MonomialSingularity(_Singularity):
 
 class UnibranchSingularity(_Singularity):
     """Unibranch singularity with an explicit basis of the local ring modulo
-    the conductor, as truncated series in the uniformizer."""
+    the conductor, as coefficient lists in the uniformizer."""
 
     def __init__(self, field, basis, conductor_exponent, location, uniformizer=None):
         c = conductor_exponent
@@ -143,13 +145,12 @@ class UnibranchSingularity(_Singularity):
         basis = _elements([(b,) for b in basis], 1, "basis element %d is not a series")
         if basis and c > 2 * len(basis):
             raise ValueError("value semigroup is not symmetric: the ring is not Gorenstein")
-        self._rows = _basis_rows(field, basis, (c,),
-                                 ["basis series not known to the conductor exponent"])
+        self._rows = _basis_rows(field, basis, (c,))
         pivots, _echelon = closed_span(self._rows, (c,), (c,), field.characteristic)
         # the values below c are the leading exponents of the span: its pivots
         self.semigroup = NumericalSemigroup([n for n in range(1, c) if n not in pivots])
         self.conductor_exponent = c
-        self.location = location
+        self.location = self.locations[0]
         self.delta = c - len(self._rows)
         if self.delta != self.semigroup.genus or not self.semigroup.is_symmetric():
             raise AssertionError("delta %d against semigroup %s" % (self.delta, self.semigroup))
@@ -165,9 +166,9 @@ class TwoBranchSingularity(_Singularity):
         if not isinstance(ring, TwoBranchRing):
             raise TypeError("expected a validated TwoBranchRing")
         q1, q2 = locations
-        if q1 == q2 or (q1 is INF and q2 is INF):
-            raise ValueError("branch locations must be distinct")
         self._place(ring.field, (q1, q2), uniformizers, ring.conductor)
+        if self.locations[0] == self.locations[1]:
+            raise ValueError("branch locations must be distinct")
         self.ring = ring
         self.delta = ring.delta
         self._rows = ring._rows
@@ -185,6 +186,10 @@ class RationalCurve:
         singularities = tuple(singularities)
         if not singularities:
             raise ValueError("a rational Gorenstein curve of positive genus needs a singularity")
+        for k, s in enumerate(singularities):
+            if s.field != field:
+                raise ValueError("singularity %d is over %r, the curve over %r"
+                                 % (k, s.field, field))
         self.field = field
         self.singularities = singularities
         locations = self.singular_locations()

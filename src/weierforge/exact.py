@@ -2,8 +2,8 @@
 
 Coefficient fields (arbitrary-precision rationals and prime fields),
 dense univariate polynomials, rational functions with valuations at
-finite points and at infinity, Hasse (iterative) derivatives, windows of
-truncated power series, fraction-free linear algebra over the function
+finite points and at infinity, Hasse (iterative) derivatives, truncated
+power-series products, fraction-free linear algebra over the function
 field, and reduced row echelon forms on int rows, p = 0 standing for ZZ.
 
 Everything here is immutable after construction and exact; there is no
@@ -1038,59 +1038,6 @@ class RationalFunction:
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)
-
-
-# ---------------------------------------------------------------------------
-# Truncated series
-# ---------------------------------------------------------------------------
-
-class TruncatedSeries:
-    """Coefficient window of an element of a declared local basis: sum of
-    coeffs[k] * t^(offset+k), guaranteed correct for exponents
-    [offset, truncation).
-
-    truncation None means the series is exactly known (all higher
-    coefficients vanish).  Reading a coefficient past the truncation
-    raises TruncationError instead of guessing.
-    """
-
-    __slots__ = ("field", "offset", "coeffs", "truncation")
-
-    def __init__(self, field, offset, coeffs, truncation):
-        cs = [field(c) for c in coeffs]
-        if truncation is not None:
-            cs = cs[:max(0, truncation - offset)]
-        while cs and not cs[0]:
-            cs.pop(0)
-            offset += 1
-        while cs and not cs[-1]:
-            cs.pop()
-        if not cs:
-            offset = 0
-        self.field = field
-        self.offset = offset
-        self.coeffs = tuple(cs)
-        self.truncation = truncation
-
-    def coefficient(self, i):
-        if self.truncation is not None and i >= self.truncation:
-            raise TruncationError("coefficient %d past truncation %d" % (i, self.truncation))
-        if self.offset <= i < self.offset + len(self.coeffs):
-            return self.coeffs[i - self.offset]
-        return self.field.zero
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.offset == other.offset and self.coeffs == other.coeffs
-                and self.truncation == other.truncation)
-
-    def __hash__(self):
-        return hash((self.offset, self.coeffs, self.truncation))
-
-    def __repr__(self):
-        return "TruncatedSeries(%r, %d, %r, %r)" % (
-            self.field, self.offset, list(self.coeffs), self.truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,14 @@ class NumericalSemigroup:
 
     __slots__ = ("gaps", "generators")
 
-    def __init__(self, gaps, generators=None, _validated=False):
+    def __init__(self, gaps, _validated=False):
         gaps = tuple(sorted(set(gaps)))
         if gaps and gaps[0] < 1:
             raise ValueError("gaps must be positive integers")
         if not _validated:
             _check_gap_closure(gaps)
         self.gaps = gaps
-        if generators is None:
-            generators = _minimal_generators(gaps)
-        self.generators = tuple(generators)
+        self.generators = tuple(_minimal_generators(gaps))
 
     # -- constructors -------------------------------------------------------
 
@@ -50,10 +48,6 @@ class NumericalSemigroup:
     @classmethod
     def from_gaps(cls, gaps):
         return cls(gaps)
-
-    @classmethod
-    def natural_numbers(cls):
-        return cls((), generators=(1,), _validated=True)
 
     # -- structure ----------------------------------------------------------
 

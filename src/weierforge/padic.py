@@ -8,6 +8,8 @@ member; equivalently binom(member, mu) != 0 mod p.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 
 from .exact import GF, scalar_echelon, triangular_insert
@@ -76,24 +78,10 @@ def binom_mod_p(n, k, p):
     return result
 
 
-def p_adically_smaller(mu, eps, p):
-    """True when every base-p digit of mu is at most the matching digit of
-    eps (and mu >= 0); equivalent to binom_mod_p(eps, mu, p) != 0."""
-    GF(p)
-    if mu < 0:
-        return False
-    while mu or eps:
-        if mu % p > eps % p:
-            return False
-        mu //= p
-        eps //= p
-    return True
-
-
 def satisfies_p_adic_criterion(seq, p):
     """True when the set is closed under taking p-adically smaller values:
-    those below each term are enumerated digit by digit, and a term with
-    more of them than there are terms fails at once."""
+    those below each term are enumerated in ascending order, at most one
+    more of them than there are terms, so a term with too many fails at once."""
     GF(p)    # rejects a p that is not prime before any digit is taken
     terms = tuple(seq)
     members = set(terms)
@@ -101,17 +89,8 @@ def satisfies_p_adic_criterion(seq, p):
         raise ValueError("terms must be distinct")
     if any(eps < 0 for eps in terms):
         raise ValueError("terms must be nonnegative")
-    for eps in terms:
-        below, place = [0], 1
-        while eps:
-            eps, digit = divmod(eps, p)
-            below = [mu + d * place for mu in below for d in range(digit + 1)]
-            if len(below) > len(terms):
-                return False
-            place *= p
-        if not members.issuperset(below):
-            return False
-    return True
+    return all(members.issuperset(itertools.islice(_p_adically_below(eps, p), len(terms) + 1))
+               for eps in terms)
 
 
 def monomial_order_sequence(exponents, p):
@@ -120,7 +99,9 @@ def monomial_order_sequence(exponents, p):
     The result is the lexicographically minimal strictly increasing (eps_i)
     with det(C(a_j, eps_i)) != 0 mod p, found greedily over GF(p), each
     candidate row of residues inserted once into one echelon form, and then
-    verified by the full rank of that matrix.  For p = 0 it is (0, ..., n).
+    verified by the full rank of that matrix.  A row is zero unless eps is
+    p-adically below some a_j, so only those eps are tried, in ascending
+    order.  For p = 0 it is (0, ..., n).
     """
     exponents = tuple(exponents)
     if any(b <= a for a, b in zip(exponents, exponents[1:])):
@@ -134,17 +115,39 @@ def monomial_order_sequence(exponents, p):
         return OrderSequence(range(s), 0)
     field = GF(p)
     chosen, pivots, rows = [], [], []
-    eps = -1
-    while len(chosen) < s:
-        eps += 1
-        if eps > exponents[-1]:
-            raise AssertionError("order search exceeded the exponent bound")
+    for eps, _ in itertools.groupby(heapq.merge(*(_p_adically_below(a, p) for a in exponents))):
         if triangular_insert(pivots, rows, [binom_mod_p(a, eps, p) for a in exponents], p) is not None:
             chosen.append(eps)
+            if len(chosen) == s:
+                break
+    else:
+        raise AssertionError("order search exceeded the exponent bound")
     matrix = [[field(binom_mod_p(a, e, p)) for a in exponents] for e in chosen]
     if len(scalar_echelon(matrix)[0]) < s:
         raise AssertionError("greedy order sequence failed determinant verification")
     return OrderSequence(chosen, p)
+
+
+def _p_adically_below(a, p):
+    """Every mu whose base-p digits are at most those of a, in ascending
+    order: a count in the mixed radix of a's digits, least significant first."""
+    digits, place = [], 1
+    while a:
+        a, d = divmod(a, p)
+        digits.append((d, place))
+        place *= p
+    mu, counts = 0, [0] * len(digits)
+    while True:
+        yield mu
+        i = 0
+        while i < len(digits) and counts[i] == digits[i][0]:
+            mu -= counts[i] * digits[i][1]
+            counts[i] = 0
+            i += 1
+        if i == len(digits):
+            return
+        counts[i] += 1
+        mu += digits[i][1]
 
 
 def classicality_product_test(gaps, p):

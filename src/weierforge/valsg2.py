@@ -15,7 +15,6 @@ import functools
 from .exact import (
     INF,
     Polynomial,
-    TruncatedSeries,
     _dot_mod_p,
     _from_ints,
     _mul_trunc,
@@ -81,8 +80,8 @@ class TwoBranchRing:
 def validate_ring(field, basis_pairs, conductor, strict=True):
     """Check a declared two-branch ring and compute its delta invariant.
 
-    basis_pairs: pairs of a TruncatedSeries or coefficient list per branch
-    spanning the ring modulo C, each known out to its conductor exponent.
+    basis_pairs: pairs of coefficient lists, one per branch, spanning the
+    ring modulo C; coefficients past a list's end are zero.
     With strict=True a failed Gorenstein dimension count raises; otherwise
     the ring is admitted flagged non-Gorenstein (semigroup-only analysis).
     """
@@ -100,12 +99,10 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
     refusal = None if gorenstein else NotGorenstein(
         "dim(normalization/conductor) = %d differs from 2*delta = %d" % (xi1 + xi2, 2 * delta))
     if refusal and basis_pairs and any(
-            xi > max(_extent(pair[k]) for pair in basis_pairs) for k, xi in enumerate(conductor)):
+            xi > max(len(pair[k]) for pair in basis_pairs) for k, xi in enumerate(conductor)):
         raise refusal if strict else ValueError(
             "conductor: past every coefficient given on its branch; extend the basis series to it")
-    rows = _basis_rows(field, basis_pairs, conductor, [
-        "%s-branch series not known to order %d" % side for side in zip(("first", "second"),
-                                                                        conductor)])
+    rows = _basis_rows(field, basis_pairs, conductor)
     if any(v[0] != v[xi1] for v in rows):
         raise ValueError("branch constant terms differ: the ring would not be local")
     # the windows reach two past the conductor, where value_semigroup reads V(x, y)
@@ -119,34 +116,25 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
 
 
 def _elements(items, branches, message):
-    """The items as a list, item n checked to give one series per branch (a
-    TruncatedSeries or a list or tuple of scalars), else ValueError(message % n)."""
+    """The items as a list, item n checked to give one coefficient list (a list
+    or tuple of scalars) per branch, else ValueError(message % n)."""
     items = list(items)
     for n, item in enumerate(items):
         if not (isinstance(item, (tuple, list)) and len(item) == branches and all(
-                isinstance(s, TruncatedSeries) or isinstance(s, (tuple, list)) and not any(
-                    isinstance(x, (tuple, list, TruncatedSeries)) for x in s) for s in item)):
+                isinstance(s, (tuple, list)) and not any(isinstance(x, (tuple, list)) for x in s)
+                for s in item)):
             raise ValueError(message % n)
     return items
 
 
-def _extent(s):
-    """How many coefficients a series or coefficient list spells out."""
-    return s.offset + len(s.coeffs) if isinstance(s, TruncatedSeries) else len(s)
-
-
-def _basis_rows(field, elements, conductor, short):
+def _basis_rows(field, elements, conductor):
     """Int rows of elements checked by _elements (residues over GF(p), cleared
-    over QQ): per branch its coefficients below conductor[k], ints or coerced
-    by the field; short[k] is the error for a series known to fewer terms."""
+    over QQ): per branch its coefficients below conductor[k], zero past the
+    end of its list, ints or coerced by the field."""
     p, rows = field.characteristic, []
     for element in elements:
         row = []
-        for s, xi, message in zip(element, conductor, short):
-            if isinstance(s, TruncatedSeries):
-                if s.truncation is not None and s.truncation < xi:
-                    raise ValueError(message)
-                s = [s.coefficient(i) for i in range(min(xi, _extent(s)))]
+        for s, xi in zip(element, conductor):
             row += list(s[:xi]) + [0] * (xi - len(s))
         rows.append([x % p if type(x) is int else field(x).value for x in row] if p else
                     scalar_ints([x if type(x) is int else field(x) for x in row], 0)[0])
@@ -604,21 +592,14 @@ def ring_from_generators(field, generators, window=16):
     validate the resulting ring.
 
     Rings generated by two elements are plane-curve germs, hence always pass
-    the Gorenstein check.  Raises ValueError when a generator is known to
-    fewer terms than the window or its branches' constant terms differ, and
-    when no conductor lies safely inside the window (non-finite delta or
-    window too small).
+    the Gorenstein check.  Raises ValueError when a generator's branches'
+    constant terms differ, and when no conductor lies safely inside the
+    window (non-finite delta or window too small).
     """
     w1 = w2 = window
     p = field.characteristic
     generators = _elements(generators, 2, "generator %d is not a pair of branch series")
-    for k, pair in enumerate(generators):
-        known = min(s.truncation if isinstance(s, TruncatedSeries) and s.truncation is not None
-                    else window for s in pair)
-        if known < window:
-            raise ValueError("generator %d is known only to order %d, inside the window %d"
-                             % (k, known, window))
-    gens = _basis_rows(field, generators, (w1, w2), (None, None))
+    gens = _basis_rows(field, generators, (w1, w2))
     if any(g[0] != g[w1] for g in gens):
         raise ValueError("branch constant terms differ: the ring would not be local")
     one = [int(j in (0, w1)) for j in range(w1 + w2)]

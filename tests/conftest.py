@@ -13,7 +13,6 @@ from weierforge.exact import (
     QQ,
     Polynomial,
     RationalFunction,
-    TruncatedSeries,
     _exact_div_mod_p,
     _mul_mod_p,
     _sub_mod_p,
@@ -119,11 +118,6 @@ def symmetric_semigroups(max_genus):
             if S.is_symmetric():
                 out.append(S)
     return out
-
-
-def _series_pair(field, tpart, upart):
-    return (TruncatedSeries(field, 0, tpart or [], None),
-            TruncatedSeries(field, 0, upart or [], None))
 
 
 # coprime (ord x, ord y) pairs; coprime orders keep each branch semigroup

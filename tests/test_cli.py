@@ -75,6 +75,13 @@ class TestPadicAndOrders:
                                        "--p", "2", "--format", "json"])
         assert code == 0 and data["orders"] == [0, 1, 4]
 
+    def test_orders_of_a_large_power_of_p(self, capsys):
+        start = time.perf_counter()
+        code, data = run_json(capsys, ["orders", "--exponents", "0,1099511627776", "--p", "2",
+                                       "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and data["orders"] == [0, 1099511627776]
+
     def test_characteristic_beyond_the_primality_range(self, capsys):
         assert main(["orders", "--exponents", "0,3,4", "--p", str(10 ** 25 + 13)]) == 2
         assert "error: characteristic" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -795,3 +796,42 @@ class TestConsistency:
         assert rep.smooth_divisor.to_json() == [
             {"factor": "t^2 - 1/6", "multiplicity": 1, "degree": 2}]
         assert rep.total == 24
+
+
+class TestLocationsAreCoercedIntoTheField:
+    """A location may be given as an int, a Fraction or a string, as any
+    coefficient may; it names the same point as the field element."""
+
+    def test_int_and_fraction_locations_over_gf7(self):
+        F7 = GF(7)
+        for given, point in [(3, F7(3)), (Fraction(1, 2), F7(4)), ("1/2", F7(4))]:
+            sing = MonomialSingularity(F7, S34, given)
+            assert sing.location == point and isinstance(sing.location, type(point))
+            expected = weight_report(RationalCurve(F7, [MonomialSingularity(F7, S34, point)]))
+            assert weight_report(RationalCurve(F7, [sing])).to_json() == expected.to_json()
+
+    def test_a_string_location_over_qq(self):
+        rep = weight_report(RationalCurve(QQ, [MonomialSingularity(QQ, S34, "1/2")]))
+        expected = weight_report(RationalCurve(QQ, [MonomialSingularity(QQ, S34, Fraction(1, 2))]))
+        assert rep.to_json() == expected.to_json()
+        assert rep.to_json()["weights"][0]["location"] == "1/2"
+
+    def test_locations_equal_in_the_field_collide(self):
+        F7 = GF(7)
+        cusp = NumericalSemigroup.from_generators([2, 3])
+        with pytest.raises(ValueError, match="^singularity locations must be pairwise distinct$"):
+            RationalCurve(F7, [MonomialSingularity(F7, cusp, 0), MonomialSingularity(F7, cusp, 7)])
+        node = validate_ring(F7, [([1], [1])], (1, 1))
+        with pytest.raises(ValueError, match="^branch locations must be distinct$"):
+            TwoBranchSingularity(node, (0, 7))
+        with pytest.raises(ValueError, match="^branch locations must be distinct$"):
+            TwoBranchSingularity(node, (INF, INF))
+        assert TwoBranchSingularity(node, (INF, 7)).locations == (INF, F7(0))
+
+    def test_a_singularity_over_another_field_is_refused(self):
+        cusp = NumericalSemigroup.from_generators([2, 3])
+        for sing_field, curve_field in [(QQ, GF(7)), (GF(5), GF(7)), (GF(7), QQ)]:
+            sing = MonomialSingularity(sing_field, cusp, 0)
+            message = "singularity 1 is over %r, the curve over %r" % (sing_field, curve_field)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                RationalCurve(curve_field, [MonomialSingularity(curve_field, cusp, 1), sing])

@@ -18,7 +18,6 @@ from weierforge.exact import (
     FpElement,
     Polynomial,
     RationalFunction,
-    TruncatedSeries,
     TruncationError,
     _bareiss_insert,
     _cleared,
@@ -429,13 +428,6 @@ class TestPrimality:
     def test_beyond_the_proven_range_raises(self):
         with pytest.raises(ValueError, match="characteristic"):
             GF(10 ** 25 + 13)
-
-
-class TestTruncatedSeries:
-    def test_read_past_truncation_raises(self):
-        a = TruncatedSeries(QQ, 0, [1], 3)
-        with pytest.raises(TruncationError):
-            a.coefficient(3)
 
 
 def _laplace_det_order(rows, p):

@@ -69,9 +69,6 @@ class TestWeight:
     def test_3_4(self):
         assert NumericalSemigroup.from_generators([3, 4]).weight() == 2
 
-    def test_natural_numbers(self):
-        assert NumericalSemigroup.natural_numbers().weight() == 0
-
     def test_4_6_11(self):
         assert NumericalSemigroup.from_generators([4, 6, 11]).weight() == 12
 

@@ -6,14 +6,14 @@ from itertools import combinations
 import pytest
 
 from weierforge import exact, padic
-from weierforge.exact import GF, scalar_echelon
+from weierforge.exact import GF, scalar_echelon, triangular_insert
 from weierforge.numsg import NumericalSemigroup
 from weierforge.padic import (
     OrderSequence,
+    _p_adically_below,
     binom_mod_p,
     classicality_product_test,
     monomial_order_sequence,
-    p_adically_smaller,
     satisfies_p_adic_criterion,
     uses_all_weight,
 )
@@ -37,23 +37,6 @@ class TestBinomModP:
         for n in range(65):
             for k in range(n + 1):
                 assert binom_mod_p(n, k, p) == math.comb(n, k) % p
-
-
-class TestPAdicallySmaller:
-    def test_examples(self):
-        assert p_adically_smaller(2, 6, 2)
-        assert not p_adically_smaller(1, 6, 2)
-        for eps in (0, 1, 5, 31):
-            assert p_adically_smaller(0, eps, 3)
-
-    def test_negative(self):
-        assert not p_adically_smaller(-1, 6, 2)
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_equivalence_with_binomials(self, p):
-        for eps in range(129):
-            for mu in range(eps + 1):
-                assert p_adically_smaller(mu, eps, p) == (binom_mod_p(eps, mu, p) != 0)
 
 
 class TestCriterion:
@@ -102,7 +85,7 @@ def _scan_criterion(seq, p):
     """The criterion by testing every mu up to each term."""
     terms = set(seq)
     return all(mu in terms for eps in terms for mu in range(eps + 1)
-               if p_adically_smaller(mu, eps, p))
+               if binom_mod_p(eps, mu, p) != 0)
 
 
 def brute_force_minimal_sequence(exponents, p):
@@ -136,6 +119,33 @@ def echelon_rerun_order_sequence(exponents, p):
             chosen.append(eps)
             echelon_rows = reduced
     return tuple(chosen)
+
+
+def scan_order_sequence(exponents, p):
+    """monomial_order_sequence's search before it tried only the eps
+    p-adically below an exponent: every eps from 0 up, each row inserted
+    once into one triangular form."""
+    exponents = [a - exponents[0] for a in exponents]
+    chosen, pivots, rows, eps = [], [], [], -1
+    while len(chosen) < len(exponents):
+        eps += 1
+        assert eps <= exponents[-1]
+        if triangular_insert(pivots, rows, [binom_mod_p(a, eps, p) for a in exponents], p) is not None:
+            chosen.append(eps)
+    return tuple(chosen)
+
+
+class TestPAdicallyBelow:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_against_the_binomial_filter(self, p):
+        for a in range(200):
+            assert list(_p_adically_below(a, p)) == [
+                mu for mu in range(a + 1) if binom_mod_p(a, mu, p) != 0]
+
+    def test_large_values_come_in_their_digits(self):
+        assert list(_p_adically_below(2 ** 40, 2)) == [0, 2 ** 40]
+        assert list(_p_adically_below(2 * 3 ** 30 + 1, 3)) == [
+            0, 1, 3 ** 30, 3 ** 30 + 1, 2 * 3 ** 30, 2 * 3 ** 30 + 1]
 
 
 class TestMonomialOrderSequence:
@@ -202,6 +212,25 @@ class TestMonomialOrderSequence:
             assert got == echelon_rerun_order_sequence(exponents, p)
             nonclassical += got != tuple(range(len(exponents)))
         assert nonclassical > 5
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_scan_over_every_eps(self, p):
+        rng = random.Random(90 + p)
+        nonclassical = 0
+        for _ in range(150):
+            exponents = sorted(rng.sample(range(60), rng.randint(1, 6)))
+            got = tuple(monomial_order_sequence(exponents, p))
+            assert got == scan_order_sequence(exponents, p), exponents
+            nonclassical += got != tuple(range(len(exponents)))
+        assert nonclassical > 20
+
+    def test_large_exponents_take_time_in_their_digits(self):
+        start = time.perf_counter()
+        assert monomial_order_sequence((0, 2 ** 40), 2) == (0, 2 ** 40)
+        assert monomial_order_sequence((5, 5 + 2 ** 40, 5 + 2 ** 41), 2) == (0, 2 ** 40, 2 ** 41)
+        assert monomial_order_sequence((0, 3 ** 30, 2 * 3 ** 30), 3) == (0, 3 ** 30, 2 * 3 ** 30)
+        assert monomial_order_sequence((0, 1, 7 ** 20 + 1), 7) == (0, 1, 7 ** 20)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_output_satisfies_criterion(self, p):

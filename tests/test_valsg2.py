@@ -8,7 +8,6 @@ from weierforge.exact import (
     GF,
     INF,
     QQ,
-    TruncatedSeries,
     field_rows,
     int_echelon,
     scalar_echelon,
@@ -586,17 +585,6 @@ class TestRingFromGenerators:
         ring = ring_from_generators(QQ, [([3, 1], [3]), ([0], [0, 1])], window=8)
         assert ring.conductor == (1, 1)
 
-    def test_generator_short_of_the_window_is_named(self):
-        short = TruncatedSeries(QQ, 0, [0, 0, 1], 5)
-        with pytest.raises(ValueError, match="^generator 1 is known only to order 5, "
-                                             "inside the window 8$"):
-            ring_from_generators(QQ, [([0, 1], [0, 1]), ([0, 0, 1], short)], window=8)
-        # a series known to the window is accepted, as is an exact one
-        ring = ring_from_generators(QQ, [(TruncatedSeries(QQ, 0, [0, 1], 8), [0]),
-                                         ([0], TruncatedSeries(QQ, 0, [0, 1], None))],
-                                    window=8)
-        assert ring.conductor == (1, 1)
-
     @pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(101)], ids=repr)
     def test_closure_matches_the_field_scalar_reference(self, field):
         rng = random.Random(900 + field.characteristic)
@@ -756,28 +744,26 @@ def _ref_closure(field, generators, window):
 
 def _old_route(field, basis_pairs, conductor):
     """A declared ring as the field-scalar route carried it: each series cut
-    below its conductor exponent as a TruncatedSeries known to the window
-    xi + 2, cleared to one int row per element (the coefficients below each
-    window, concatenated, through scalar_ints), and the reduced echelon form
-    of the span as field rows.  Returns (rows in conductor blocks, cut
-    coefficient pairs, field rows)."""
+    below its conductor exponent to field scalars, zero past the end of its
+    list and padded with zeros to the window xi + 2, cleared to one int row
+    per element (the coefficients below each window, concatenated, through
+    scalar_ints), and the reduced echelon form of the span as field rows.
+    Returns (rows in conductor blocks, cut coefficient pairs, field rows)."""
     p = field.characteristic
     windows = tuple(xi + 2 for xi in conductor)
 
-    def cut(s, xi, w):
-        if not isinstance(s, TruncatedSeries):
-            s = TruncatedSeries(field, 0, list(s), None)
-        return TruncatedSeries(field, 0, [s.coefficient(i) for i in range(xi)], w)
+    def cut(s, xi):
+        return [field(s[i]) if i < len(s) else field.zero for i in range(xi)]
 
     def window_ints(series, ws):
-        return scalar_ints([s.coefficient(i) for s, w in zip(series, ws) for i in range(w)], p)[0]
+        return scalar_ints([c for s, w in zip(series, ws)
+                            for c in s + [field.zero] * (w - len(s))], p)[0]
 
-    series = [tuple(cut(s, xi, w) for s, xi, w in zip(pair, conductor, windows))
-              for pair in basis_pairs]
-    pivots, ech = closed_span([window_ints(e, windows) for e in series], conductor, windows, p)
-    coefficients = [tuple([s.coefficient(i) for i in range(xi)] for s, xi in zip(e, conductor))
-                    for e in series]
-    return [window_ints(e, conductor) for e in series], coefficients, field_rows(pivots, ech, p)
+    coefficients = [tuple(cut(s, xi) for s, xi in zip(pair, conductor)) for pair in basis_pairs]
+    pivots, ech = closed_span([window_ints(e, windows) for e in coefficients], conductor,
+                              windows, p)
+    return ([window_ints(e, conductor) for e in coefficients], coefficients,
+            field_rows(pivots, ech, p))
 
 
 def _declared_gallery_rings(monkeypatch):
@@ -853,46 +839,23 @@ class TestIntRowRepresentation:
         assert ring.to_json()["basis"] == [[["1", "0", "0", "0"], ["1", "0", "0", "0"]],
                                            [["0", "1", "0", "0"], ["0", "1", "0", "0"]]]
 
-    def test_list_inputs_build_no_truncated_series(self, monkeypatch):
-        def refuse(self, *args):
-            raise AssertionError("a TruncatedSeries was built")
-
-        monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
-        for field in (QQ, GF(2), GF(7)):
-            ring = validate_ring(field, [([1, 0], [1, 0]), ([0, 1], [0, 1])], (2, 2))
-            assert ring.delta == 2 and value_semigroup(ring).I == 2
-            ring.to_json()
-            # a cusp (t^2, t^3) on one branch, a smooth branch on the other
-            ring = ring_from_generators(field, [([0, 0, 1], [0, 1]), ([0, 0, 0, 1], [0, 0, 1])],
-                                        window=10)
-            assert ring.delta == value_semigroup(ring).delta
-            TwoBranchSingularity(ring, (field(0), field(1)))
-            ring.to_json()
-
 
 class TestBoundaryInputs:
     def test_coefficients_are_coerced_into_the_field(self):
         half = Fraction(1, 2)
-        for pair in [([half], [half]), (TruncatedSeries(GF(5), 0, [half], None), [half]),
-                     ([half], TruncatedSeries(QQ, 0, [half], 4))]:
+        for pair in [([half], [half]), ((half,), ["1/2"]), ([GF(5)(3)], [half])]:
             ring = validate_ring(GF(5), [pair], (1, 1))
             assert ring.delta == 1
             assert ring.to_json()["basis"] == [[["1", "0", "0"], ["1", "0", "0"]]]
-        assert TruncatedSeries(GF(5), 0, [0, half], None).coeffs == (GF(5)(3),)
 
     def test_an_element_of_another_field_is_refused(self):
         gens = [([0, 1], [0, 1]), ([0, 0, 1], [0, 0, 0, 1])]
         with pytest.raises(TypeError, match="into QQ"):
-            TruncatedSeries(QQ, 0, [0, GF(7)(1)], None)
-        with pytest.raises(TypeError, match="into QQ"):
             ring_from_generators(QQ, [([0, GF(7)(1)], [0, 1])] + gens[1:], window=8)
         with pytest.raises(ValueError, match="^element of GF\\(7\\) in GF\\(5\\)$"):
-            TruncatedSeries(GF(5), 0, [0, GF(7)(1)], None)
-        with pytest.raises(ValueError, match="^element of GF\\(7\\) in GF\\(5\\)$"):
             ring_from_generators(GF(5), [([0, GF(7)(1)], [0, 1])] + gens[1:], window=8)
-        for side in ([GF(7)(1)], TruncatedSeries(GF(7), 0, [1], None)):
-            with pytest.raises(ValueError, match="^element of GF\\(7\\) in GF\\(5\\)$"):
-                validate_ring(GF(5), [(side, [1])], (1, 1))
+        with pytest.raises(ValueError, match="^element of GF\\(7\\) in GF\\(5\\)$"):
+            validate_ring(GF(5), [([GF(7)(1)], [1])], (1, 1))
         # the same generators in their own field close
         assert ring_from_generators(GF(5), gens, window=8).conductor == (2, 2)
 
