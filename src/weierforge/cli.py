@@ -7,8 +7,6 @@ Exit codes: 0 success, 2 invalid input, 3 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import decimal
 import functools
 import json
 import sys
@@ -20,10 +18,9 @@ from .curve import (
     TotalMismatch,
     TwoBranchSingularity,
     UnibranchSingularity,
-    _parse_point,
     weight_report,
 )
-from .exact import field_of_characteristic
+from .exact import _checked, _is_int, field_of_characteristic
 from .gallery import SCENARIOS, ScenarioMismatch
 from .numsg import NumericalSemigroup
 from .padic import (
@@ -95,8 +92,8 @@ def _emit(args, payload, text_lines):
 
 
 def _cmd_semigroup(args):
-    S = (_read(NumericalSemigroup.from_generators, "--gens", args.gens) if args.gens
-         else _read(NumericalSemigroup.from_gaps, "--gaps", args.gaps))
+    S = (_checked("--gens", NumericalSemigroup.from_generators, args.gens) if args.gens
+         else _checked("--gaps", NumericalSemigroup.from_gaps, args.gaps))
     data = S.to_json()
     lines = [
         "semigroup %s" % S,
@@ -137,123 +134,65 @@ def _cmd_orders(args):
 
 
 def _read_json_object(path, what):
-    """The top-level JSON object of a description file.  Non-integer
-    numbers are read as exact decimals, not rounded through floats."""
+    """The top-level JSON object of a description file.  A non-integer number
+    is read as the text it spells, which the field reads exactly."""
     with open(path) as fh:
-        data = json.load(fh, parse_float=decimal.Decimal)
+        data = json.load(fh, parse_float=str)
     if not isinstance(data, dict):
         raise ValueError("%s file: expected a JSON object" % what)
     return data
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_point(v):
-    return _is_int(v) or isinstance(v, str)
-
-
-def _list_of(ok, length=None):
-    return lambda v: isinstance(v, list) and length in (None, len(v)) and all(map(ok, v))
-
-
-_is_series = _list_of(lambda c: isinstance(c, (int, decimal.Decimal, str))
-                      and not isinstance(c, bool))
-
-# (check, description) of each kind of field a description file holds
+# (check, description) of each kind of field that only the command line
+# reads; the constructors check every other value they are given
 _INT = (_is_int, "an integer")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _STR = (lambda v: isinstance(v, str), "a string")
-_POINT = (_is_point, "an integer or a string")
-_POINT_PAIR = (_list_of(_is_point, 2), "a list of two integers or strings")
-_INTS = (_list_of(_is_int), "a list of integers")
-_INT_PAIR = (_list_of(_is_int, 2), "a list of two integers")
-_OBJECTS = (_list_of(lambda v: isinstance(v, dict)), "a list of objects")
-_SERIES_LIST = (_list_of(_is_series), "a list of coefficient lists")
-_SERIES_PAIRS = (_list_of(_list_of(_is_series, 2)), "a list of pairs of coefficient lists")
+_OBJECTS = (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+            "a list of objects")
 _REQUIRED = object()
 
 
-def _field(data, path, key, kind, default=_REQUIRED):
-    """data[key] after checking its type; errors name the field's path."""
-    path += key
+def _field(data, key, kind=None, default=_REQUIRED):
+    """data[key], checked to be of the kind if one is given; errors start
+    with the key."""
     if key not in data:
         if default is _REQUIRED:
-            raise ValueError("%s: missing" % path)
+            raise ValueError("%s: missing" % key)
         return default
-    ok, expected = kind
-    if not ok(data[key]):
-        raise ValueError("%s: expected %s" % (path, expected))
+    if kind and not kind[0](data[key]):
+        raise ValueError("%s: expected %s" % (key, kind[1]))
     return data[key]
 
 
-def _read(convert, path, value):
-    """convert(value); a value it rejects, or one too large to allocate, is
-    reported with the field's path."""
-    try:
-        return convert(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError("%s: invalid value %r (%s)" % (path, value, exc)) from None
-    except MemoryError:
-        raise ValueError("%s: value %r is too large to allocate" % (path, value)) from None
-
-
-def _load_point(field, path, value):
-    return _read(lambda v: _parse_point(field, v), path, value)
-
-
-def _load_series(field, path, data):
-    return [_read(field, "%s[%d]" % (path, k), str(c)) for k, c in enumerate(data)]
-
-
-def _load_pairs(field, path, data):
-    return [(_load_series(field, "%s[%d][0]" % (path, j), bt),
-             _load_series(field, "%s[%d][1]" % (path, j), bu))
-            for j, (bt, bu) in enumerate(data)]
-
-
-@contextlib.contextmanager
-def _named(at):
-    """Prefix a ValueError raised inside with the path at, minus its final dot."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (at[:-1], exc)) from None
+def _singularity(field, item):
+    kind = _field(item, "kind", _STR)
+    if kind == "monomial":
+        S = _checked("generators", NumericalSemigroup.from_generators, _field(item, "generators"))
+        return MonomialSingularity(field, S, _field(item, "location"))
+    if kind == "unibranch":
+        return UnibranchSingularity(field, _field(item, "basis"), _field(item, "conductor"),
+                                    _field(item, "location"))
+    if kind == "two-branch":
+        ring = validate_ring(field, _field(item, "basis"), _field(item, "conductor"))
+        return TwoBranchSingularity(ring, _field(item, "locations"))
+    raise ValueError("kind: unknown singularity kind %r" % kind)
 
 
 def _curve_from_json(data, char_override=None):
-    characteristic = _field(data, "", "characteristic", _INT, 0)
-    if char_override is not None:
-        characteristic = char_override
-    field = field_of_characteristic(characteristic)
+    characteristic = _field(data, "characteristic", _INT, 0)
+    field = (field_of_characteristic(char_override) if char_override is not None
+             else _checked("characteristic", field_of_characteristic, characteristic))
     singularities = []
-    for i, item in enumerate(_field(data, "", "singularities", _OBJECTS)):
-        at = "singularities[%d]." % i
-        kind = _field(item, at, "kind", _STR)
-        if kind == "monomial":
-            S = _read(NumericalSemigroup.from_generators, at + "generators",
-                      _field(item, at, "generators", _INTS))
-            loc = _load_point(field, at + "location", _field(item, at, "location", _POINT))
-            with _named(at):
-                singularities.append(MonomialSingularity(field, S, loc))
-        elif kind == "unibranch":
-            loc = _load_point(field, at + "location", _field(item, at, "location", _POINT))
-            basis = [_load_series(field, "%sbasis[%d]" % (at, j), b)
-                     for j, b in enumerate(_field(item, at, "basis", _SERIES_LIST))]
-            conductor = _field(item, at, "conductor", _INT)
-            with _named(at):
-                singularities.append(UnibranchSingularity(field, basis, conductor, loc))
-        elif kind == "two-branch":
-            locs = tuple(_load_point(field, "%slocations[%d]" % (at, k), q)
-                         for k, q in enumerate(_field(item, at, "locations", _POINT_PAIR)))
-            xi1, xi2 = _field(item, at, "conductor", _INT_PAIR)
-            pairs = _load_pairs(field, at + "basis", _field(item, at, "basis", _SERIES_PAIRS))
-            with _named(at):
-                ring = validate_ring(field, pairs, (xi1, xi2))
-                singularities.append(TwoBranchSingularity(ring, locs))
-        else:
-            raise ValueError("%skind: unknown singularity kind %r" % (at, kind))
+    for i, item in enumerate(_field(data, "singularities", _OBJECTS)):
+        try:
+            singularities.append(_singularity(field, item))
+        except ValueError as exc:
+            # a message that starts with a key (and its indices) continues the
+            # singularity's path; any other is about the singularity itself
+            key = str(exc).partition(":")[0].partition("[")[0]
+            at = "singularities[%d]%s" % (i, "." if key.isidentifier() else ": ")
+            raise ValueError(at + str(exc)) from None
     return RationalCurve(field, singularities)
 
 
@@ -276,15 +215,14 @@ def _cmd_curve(args):
 
 def _cmd_two_branch(args):
     data = _read_json_object(args.file, "ring")
-    field = field_of_characteristic(_field(data, "", "characteristic", _INT, 0))
-    xi1, xi2 = _field(data, "", "conductor", _INT_PAIR)
-    pairs = _load_pairs(field, "basis", _field(data, "", "basis", _SERIES_PAIRS))
-    ring = validate_ring(field, pairs, (xi1, xi2),
-                         strict=_field(data, "", "strict", _BOOL, True))
+    field = _checked("characteristic", field_of_characteristic,
+                     _field(data, "characteristic", _INT, 0))
+    ring = validate_ring(field, _field(data, "basis"), _field(data, "conductor"),
+                         strict=_field(data, "strict", _BOOL, True))
     S2 = value_semigroup(ring)
     payload = S2.to_json()
     lines = [
-        "conductor: (%d, %d)   delta: %d" % (xi1, xi2, S2.delta),
+        "conductor: (%d, %d)   delta: %d" % (ring.conductor + (S2.delta,)),
         "maximal points: %s   I = %d" % (payload["maximals"], S2.I),
         "branch semigroups: %s (delta1 %d), %s (delta2 %d)"
         % (S2.S1, S2.delta1, S2.S2, S2.delta2),

@@ -23,7 +23,9 @@ from .exact import (
     Polynomial,
     RationalFunction,
     TruncationError,
+    _checked,
     _from_ints,
+    _is_int,
     _mul_trunc,
     binomial,
     int_echelon,
@@ -58,12 +60,6 @@ def point_str(point):
     return "inf" if point is INF else str(point)
 
 
-def _parse_point(field, text):
-    if text in ("inf", "infinity", "oo"):
-        return INF
-    return field(text)
-
-
 # ---------------------------------------------------------------------------
 # Singularity descriptors
 # ---------------------------------------------------------------------------
@@ -87,16 +83,20 @@ class _Singularity:
     coefficient of s^i.  The constructors below set both once."""
 
     def _place(self, field, locations, uniformizers, conductors):
-        """Set the field, the locations (each coerced into the field, INF
-        kept) and the branches, and return the uniformizers: by default t - q,
-        or 1/t at INF, and each a degree-one map of the line vanishing to
-        order one at its location."""
+        """Set the field, the locations (INF, or "inf", "infinity" or "oo" for
+        it, else coerced into the field: errors name location or locations[k])
+        and the branches; return the uniformizers: by default t - q, or 1/t at
+        INF, each a degree-one map over the field of order one at its location."""
         t = Polynomial.variable(field)
-        locations = tuple(q if q is INF else field(q) for q in locations)
+        names = ["location"] if len(locations) == 1 else ["locations[0]", "locations[1]"]
+        locations = tuple(INF if q is INF or q in ("inf", "infinity", "oo")
+                          else _checked(name, field, q) for q, name in zip(locations, names))
         self.field, self.locations, self._branches = field, locations, []
         for q, u, c in zip(locations, uniformizers, conductors):
             if u is None:
                 u = RationalFunction(Polynomial(field, [1]), t) if q is INF else RationalFunction(t - q)
+            if u.num.field != field:
+                raise ValueError("uniformizer is over %r, the curve over %r" % (u.num.field, field))
             if u.num.degree > 1 or u.den.degree > 1:
                 raise ValueError("uniformizer must be a degree-one map of the line")
             if u.valuation(q) != 1:
@@ -135,6 +135,8 @@ class UnibranchSingularity(_Singularity):
 
     def __init__(self, field, basis, conductor_exponent, location, uniformizer=None):
         c = conductor_exponent
+        if not _is_int(c):
+            raise ValueError("conductor: expected an integer")
         (self.uniformizer,) = self._place(field, (location,), (uniformizer,), (c,))
         if c < 1:
             raise ValueError("conductor exponent must be positive")
@@ -142,7 +144,7 @@ class UnibranchSingularity(_Singularity):
         # with equality exactly when it is Gorenstein: a longer conductor is
         # refused before any series is expanded, and once the span checks
         # pass, c = 2n makes the value semigroup symmetric
-        basis = _elements([(b,) for b in basis], 1, "basis element %d is not a series")
+        basis = _elements(field, basis, "basis", 1)
         if basis and c > 2 * len(basis):
             raise ValueError("value semigroup is not symmetric: the ring is not Gorenstein")
         self._rows = _basis_rows(field, basis, (c,))
@@ -165,8 +167,9 @@ class TwoBranchSingularity(_Singularity):
     def __init__(self, ring, locations, uniformizers=(None, None)):
         if not isinstance(ring, TwoBranchRing):
             raise TypeError("expected a validated TwoBranchRing")
-        q1, q2 = locations
-        self._place(ring.field, (q1, q2), uniformizers, ring.conductor)
+        if not (isinstance(locations, (tuple, list)) and len(locations) == 2):
+            raise ValueError("locations: expected a pair")
+        self._place(ring.field, locations, uniformizers, ring.conductor)
         if self.locations[0] == self.locations[1]:
             raise ValueError("branch locations must be distinct")
         self.ring = ring

@@ -152,7 +152,7 @@ class FpElement:
         return str(self.value)
 
 
-# Bounds decimal exponents: Fraction("1e-999999999") builds 10^999999999.
+# Bounds the exponent of a number in text: Fraction("1e-999999999") builds 10^999999999.
 MAX_DECIMAL_EXPONENT = 100000
 
 
@@ -164,12 +164,12 @@ class RationalField:
     def __call__(self, value):
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, str):
             digits = value.lower().partition("e")[2].strip().lstrip("+-0_")
             if len(digits) > 20 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-                raise ValueError("decimal exponent beyond %d" % MAX_DECIMAL_EXPONENT)
+                raise ValueError("exponent beyond %d" % MAX_DECIMAL_EXPONENT)
             return Fraction(value)
         raise TypeError("cannot coerce %r into QQ" % (value,))
 
@@ -205,7 +205,7 @@ class PrimeField:
             if value.p != self.p:
                 raise ValueError("element of GF(%d) in GF(%d)" % (value.p, self.p))
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return FpElement(value, self.p)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
@@ -245,6 +245,25 @@ def GF(p):
 
 def field_of_characteristic(p):
     return QQ if p == 0 else GF(p)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _checked(path, convert, value):
+    """convert(value); a value it rejects, or one too large to allocate, raises
+    a ValueError naming the path.  A TypeError rejects only where a field
+    coerces the value: elsewhere it is a fault of the program, and passes."""
+    rejected = (ValueError, ZeroDivisionError, OverflowError)
+    if isinstance(convert, (RationalField, PrimeField)):
+        rejected += (TypeError,)
+    try:
+        return convert(value)
+    except rejected as exc:
+        raise ValueError("%s: invalid value %r (%s)" % (path, value, exc)) from None
+    except MemoryError:
+        raise ValueError("%s: value %r is too large to allocate" % (path, value)) from None
 
 
 class _Infinity:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .exact import _is_int
+
 
 class NumericalSemigroup:
     """Cofinite additive subsemigroup of N, stored by its finite gap set."""
@@ -16,10 +18,8 @@ class NumericalSemigroup:
     __slots__ = ("gaps", "generators")
 
     def __init__(self, gaps, _validated=False):
-        gaps = tuple(sorted(set(gaps)))
-        if gaps and gaps[0] < 1:
-            raise ValueError("gaps must be positive integers")
         if not _validated:
+            gaps = _positive_ints(gaps, "gaps")
             _check_gap_closure(gaps)
         self.gaps = gaps
         self.generators = tuple(_minimal_generators(gaps))
@@ -28,8 +28,8 @@ class NumericalSemigroup:
 
     @classmethod
     def from_generators(cls, gens):
-        gens = sorted(set(int(g) for g in gens))
-        if not gens or gens[0] < 1:
+        gens = _positive_ints(gens, "generators")
+        if not gens:
             raise ValueError("generators must be positive integers")
         if math.gcd(*gens) != 1:
             raise ValueError("gcd of generators must be 1 (semigroup not cofinite)")
@@ -110,6 +110,15 @@ class NumericalSemigroup:
             "symmetric": self.is_symmetric(),
             "weight": self.weight(),
         }
+
+
+def _positive_ints(values, name):
+    """The distinct values in ascending order; ValueError unless values is
+    a collection of ints (not bools), each at least 1."""
+    values = list(values) if hasattr(values, "__iter__") else [None]
+    if not all(_is_int(v) and v >= 1 for v in values):
+        raise ValueError("%s must be positive integers" % name)
+    return tuple(sorted(set(values)))
 
 
 def _check_gap_closure(gaps):

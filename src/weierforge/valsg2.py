@@ -15,8 +15,10 @@ import functools
 from .exact import (
     INF,
     Polynomial,
+    _checked,
     _dot_mod_p,
     _from_ints,
+    _is_int,
     _mul_trunc,
     _primitive,
     echelon_insert,
@@ -85,10 +87,13 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
     With strict=True a failed Gorenstein dimension count raises; otherwise
     the ring is admitted flagged non-Gorenstein (semigroup-only analysis).
     """
+    if not (isinstance(conductor, (tuple, list)) and len(conductor) == 2
+            and all(map(_is_int, conductor))):
+        raise ValueError("conductor: expected a pair of integers")
     xi1, xi2 = conductor
     if xi1 < 1 or xi2 < 1:
         raise ValueError("conductor exponents must be positive")
-    basis_pairs = _elements(basis_pairs, 2, "basis element %d is not a pair of branch series")
+    basis_pairs = _elements(field, basis_pairs, "basis", 2)
     # dim(normalization/conductor) <= 2 delta for every ring, with equality
     # exactly when it is Gorenstein, so the count needs no expansion.  A ring
     # failing it is refused first (as not Gorenstein when strict) if a
@@ -115,29 +120,38 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
     return TwoBranchRing(field, (xi1, xi2), delta, gorenstein, rows, echelon)
 
 
-def _elements(items, branches, message):
-    """The items as a list, item n checked to give one coefficient list (a list
-    or tuple of scalars) per branch, else ValueError(message % n)."""
-    items = list(items)
+def _elements(field, items, name, branches):
+    """The items as a list of elements, each a tuple of one coefficient list
+    per branch (an item is a pair of lists, or one list), every coefficient
+    coerced into the field, ints kept.  A ValueError names the argument for
+    a wrong shape, else the coefficient: name[n][k], or name[n][b][k]."""
+    lists = (tuple, list)
+    if not isinstance(items, lists):
+        raise ValueError("%s: expected a list" % name)
+    elements = []
     for n, item in enumerate(items):
-        if not (isinstance(item, (tuple, list)) and len(item) == branches and all(
-                isinstance(s, (tuple, list)) and not any(isinstance(x, (tuple, list)) for x in s)
-                for s in item)):
-            raise ValueError(message % n)
-    return items
+        at = "%s[%d]" % (name, n)
+        series, paths = (item, [at + "[0]", at + "[1]"]) if branches == 2 else ((item,), [at])
+        if not (isinstance(series, lists) and len(series) == branches and all(
+                isinstance(s, lists) and not any(isinstance(x, lists) for x in s) for s in series)):
+            raise ValueError("%s: element %d is not %s" % (name, n, (
+                "a coefficient list", "a pair of coefficient lists")[branches - 1]))
+        elements.append(tuple([x if type(x) is int else _checked("%s[%d]" % (a, k), field, x)
+                               for k, x in enumerate(s)] for a, s in zip(paths, series)))
+    return elements
 
 
 def _basis_rows(field, elements, conductor):
-    """Int rows of elements checked by _elements (residues over GF(p), cleared
-    over QQ): per branch its coefficients below conductor[k], zero past the
-    end of its list, ints or coerced by the field."""
+    """Int rows of elements from _elements (residues over GF(p), cleared over
+    QQ): per branch its coefficients below conductor[k], zero past the end
+    of its list."""
     p, rows = field.characteristic, []
     for element in elements:
         row = []
         for s, xi in zip(element, conductor):
-            row += list(s[:xi]) + [0] * (xi - len(s))
-        rows.append([x % p if type(x) is int else field(x).value for x in row] if p else
-                    scalar_ints([x if type(x) is int else field(x) for x in row], 0)[0])
+            row += s[:xi] + [0] * (xi - len(s))
+        rows.append([x % p if type(x) is int else x.value for x in row] if p else
+                    scalar_ints(row, 0)[0])
     return rows
 
 
@@ -598,7 +612,7 @@ def ring_from_generators(field, generators, window=16):
     """
     w1 = w2 = window
     p = field.characteristic
-    generators = _elements(generators, 2, "generator %d is not a pair of branch series")
+    generators = _elements(field, generators, "generators", 2)
     gens = _basis_rows(field, generators, (w1, w2))
     if any(g[0] != g[w1] for g in gens):
         raise ValueError("branch constant terms differ: the ring would not be local")

@@ -828,6 +828,15 @@ class TestLocationsAreCoercedIntoTheField:
             TwoBranchSingularity(node, (INF, INF))
         assert TwoBranchSingularity(node, (INF, 7)).locations == (INF, F7(0))
 
+    def test_a_uniformizer_over_another_field_is_refused(self):
+        t = RationalFunction(Polynomial.variable(QQ))
+        with pytest.raises(ValueError, match=r"^uniformizer is over QQ, the curve over GF\(7\)$"):
+            MonomialSingularity(GF(7), S34, 0, uniformizer=t)
+        node = validate_ring(GF(7), [([1], [1])], (1, 1))
+        with pytest.raises(ValueError, match=r"^uniformizer is over QQ, the curve over GF\(7\)$"):
+            TwoBranchSingularity(node, (0, 1), uniformizers=(None, t - 1))
+        assert MonomialSingularity(QQ, S34, 0, uniformizer=t).uniformizer == t
+
     def test_a_singularity_over_another_field_is_refused(self):
         cusp = NumericalSemigroup.from_generators([2, 3])
         for sing_field, curve_field in [(QQ, GF(7)), (GF(5), GF(7)), (GF(7), QQ)]:

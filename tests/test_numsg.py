@@ -51,6 +51,20 @@ class TestFromGenerators:
         with pytest.raises(ValueError):
             NumericalSemigroup.from_gaps([1, 4])
 
+    @pytest.mark.parametrize("gens", [[3.7, 4], [True, 2], [1, True], ["3", "4"], "3,4", 7,
+                                      [[3], 4], [], [0, 1]])
+    def test_only_positive_ints_generate(self, gens):
+        # a float, bool or string is refused, not rounded or parsed
+        with pytest.raises(ValueError, match="^generators must be positive integers$"):
+            NumericalSemigroup.from_generators(gens)
+
+    @pytest.mark.parametrize("gaps", [[1.5], [True], ["1"], "1", 1, [0]])
+    def test_only_positive_ints_are_gaps(self, gaps):
+        with pytest.raises(ValueError, match="^gaps must be positive integers$"):
+            NumericalSemigroup(gaps)
+        with pytest.raises(ValueError, match="^gaps must be positive integers$"):
+            NumericalSemigroup.from_gaps(gaps)
+
 
 class TestSymmetry:
     def test_3_4_symmetric(self):
