@@ -28,8 +28,8 @@ from .exact import (
     _is_int,
     _mul_trunc,
     binomial,
-    int_echelon,
     quotient_rows,
+    scalar_echelon,
     scalar_ints,
     scalar_nullspace,
     series_det_order,
@@ -85,8 +85,10 @@ class _Singularity:
     def _place(self, field, locations, uniformizers, conductors):
         """Set the field, the locations (INF, or "inf", "infinity" or "oo" for
         it, else coerced into the field: errors name location or locations[k])
-        and the branches; return the uniformizers: by default t - q, or 1/t at
-        INF, each a degree-one map over the field of order one at its location."""
+        and the branches; return the uniformizers, one per location: t - q or
+        1/t at INF by default, each a degree-one map of order one there."""
+        if not (isinstance(uniformizers, (tuple, list)) and len(uniformizers) == len(locations)):
+            raise ValueError("uniformizers: expected one per location, %d" % len(locations))
         t = Polynomial.variable(field)
         names = ["location"] if len(locations) == 1 else ["locations[0]", "locations[1]"]
         locations = tuple(INF if q is INF or q in ("inf", "infinity", "oo")
@@ -139,7 +141,7 @@ class UnibranchSingularity(_Singularity):
             raise ValueError("conductor: expected an integer")
         (self.uniformizer,) = self._place(field, (location,), (uniformizer,), (c,))
         if c < 1:
-            raise ValueError("conductor exponent must be positive")
+            raise ValueError("conductor: exponent must be positive")
         # every local ring has c <= 2 delta = 2 (c - n) for n basis elements,
         # with equality exactly when it is Gorenstein: a longer conductor is
         # refused before any series is expanded, and once the span checks
@@ -263,23 +265,22 @@ def dualizing_basis(X):
         blocks = _blocks(sing)
         for row in sing._rows:
             f = [x for s, c in blocks for x in row[s:s + c][::-1]]
-            rows.append([field(sum(a * b for a, b in zip(f, w))) for w in ws])
+            dots = [sum(a * b for a, b in zip(f, w)) for w in ws]
+            rows.append([x % p for x in dots] if p else dots)
 
-    null = scalar_nullspace(rows, len(windows[0]), field)
+    null = scalar_nullspace(rows, len(windows[0]), p)
     if len(null) != X.genus:
         raise SolutionDimensionMismatch("residue conditions cut dimension %d, expected genus %d"
                                         % (len(null), X.genus))
-    cleared = [scalar_ints(vec, p) for vec in null]
-    numerators = [c for c, _d in cleared]
-    polys = [_from_ints(field, c, d) for c, d in cleared]
-    local = _local_windows(windows, numerators, p)
+    # each null vector over its entry at its free column, its last nonzero one
+    polys = [_from_ints(field, v, next(x for x in reversed(v) if x)) for v in null]
+    local = _local_windows(windows, null, p)
     generator_index = {si: _find_generator(sing, local[si])
                        for si, sing in enumerate(X.singularities)}
     # order the basis by pole order at the first branch, deepest first: all
-    # share the denominator, so by numerator order there (-degree at INF)
+    # share the denominator, so by numerator order there
     q = X.singularities[0].branches()[0].location
-    order = sorted(range(len(null)),
-                   key=lambda i: -polys[i].degree if q is INF else polys[i].root_multiplicity(q))
+    order = sorted(range(len(null)), key=lambda i: polys[i].order_at(q))
     # each generator has the full pole on every branch, so no factor of the
     # denominator divides every numerator: it is their lcm
     basis = DualizingBasis(X, LinearSystem.over(denominator, [polys[i] for i in order]),
@@ -403,7 +404,7 @@ def _verify_generators(X, basis):
         gen = vectors[basis.generator_index[si]]
         cs = [c for _s, c in blocks]
         if all(gen[s] for s, _c in blocks):
-            pivots, ech = int_echelon([_product(row, gen, cs, p) for row in sing._rows], p)
+            pivots, ech = scalar_echelon([_product(row, gen, cs, p) for row in sing._rows], p)
             if not any(any(span_reduce(pivots, ech, v, p)) for v in vectors):
                 continue
         raise GeneratorNotFound(
@@ -443,12 +444,10 @@ def singular_weight(X, singularity_index, basis):
     G = _from_ints(X.field, G)
     k = orders.N + len(orders) - 1    # ord det(P) - (N+s) ord G = ord minor - k ord G
     weight = 2 * sing.delta * orders.N
-    for br in sing.branches():
-        order = _local_order(rows, br.location, X.characteristic)
-        if br.location is INF:
-            weight += order + k * G.degree - 2 * orders.N
-        else:
-            weight += order - k * G.root_multiplicity(br.location)
+    for q in sing.locations:
+        weight += _local_order(rows, q, X.characteristic) - k * G.order_at(q)
+        if q is INF:    # where dt has a double pole
+            weight -= 2 * orders.N
     return weight
 
 
@@ -535,9 +534,8 @@ def weight_report(X):
         # read off det and D: the determinant of the trivialized tuple is
         # gen^(-s) times the raw one, gen = G / D with G its numerator
         G, D = V.numerators[basis.generator_index[si]], V.denominator
-        direct = sum(raw_order[point_str(q)] - (g + N) * (
-            D.degree - G.degree if q is INF else G.root_multiplicity(q) - D.root_multiplicity(q))
-            for q in sing.locations)
+        direct = sum(raw_order[point_str(q)] - (g + N) * (G.order_at(q) - D.order_at(q))
+                     for q in sing.locations)
         if direct != w:
             raise TotalMismatch(
                 "singular weight disagreement at %s: %d vs %d"

@@ -332,10 +332,6 @@ class Polynomial:
     def variable(cls, field):
         return cls(field, [0, 1])
 
-    @classmethod
-    def monomial(cls, field, degree, c=1):
-        return cls(field, [0] * degree + [c])
-
     @property
     def coeffs(self):
         if self._coeffs is None:
@@ -513,6 +509,11 @@ class Polynomial:
         if n < self.degree:
             raise ValueError("reversal bound below degree")
         return _from_ints(self.field, (0,) * (n - self.degree) + self._c[::-1], self._d)
+
+    def order_at(self, q):
+        """Order at a place of the line: the root multiplicity at q, or minus
+        the degree at INF."""
+        return -self.degree if q is INF else self.root_multiplicity(q)
 
     def root_multiplicity(self, a):
         """Multiplicity of t = a as a root; inf for the zero polynomial."""
@@ -1006,9 +1007,7 @@ class RationalFunction:
         +inf for the zero function."""
         if self.is_zero():
             return math.inf
-        if point is INF:
-            return self.den.degree - self.num.degree
-        return self.num.root_multiplicity(point) - self.den.root_multiplicity(point)
+        return self.num.order_at(point) - self.den.order_at(point)
 
     def multiplicity_of_factor(self, g):
         """Order along the places cut out by the nonconstant polynomial g."""
@@ -1197,9 +1196,10 @@ def _signed_last_pivot(pivots):
     return [-x for x in row[c]] if inversions % 2 else row[c]
 
 
-def int_echelon(rows, p):
+def scalar_echelon(rows, p):
     """(pivots, rows): the reduced echelon form of the span of int rows over
-    GF(p), or over ZZ for p = 0."""
+    GF(p) (residues), or over ZZ for p = 0, as echelon_insert keeps it; the
+    pivots are the leading positions of the span's nonzero elements."""
     pivots, out = [], []
     for r in rows:
         echelon_insert(pivots, out, r, p)
@@ -1267,32 +1267,20 @@ def field_rows(pivots, rows, p):
     return [[Fraction(x, row[pc]) for x in row] for pc, row in zip(pivots, rows)]
 
 
-def scalar_echelon(rows):
-    """Reduced row echelon form over the field; returns (pivot columns,
-    rows).  The pivot columns are the leading positions of the span's
-    nonzero elements.  Input rows are not modified: each is cleared to ints
-    once, and the int rows are divided by their pivot entries on the way out.
-    """
-    x = next((x for r in rows for x in r), None)
-    p = x.p if isinstance(x, FpElement) else 0
-    pivots, out = int_echelon([scalar_ints(r, p)[0] for r in rows], p)
-    return pivots, field_rows(pivots, out, p)
-
-
-def scalar_nullspace(rows, ncols, field):
-    """Basis of the right nullspace of the matrix (vectors of length ncols)."""
-    if not rows:
-        return [[field.one if j == i else field.zero for j in range(ncols)]
-                for i in range(ncols)]
-    pivots, ech = scalar_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def scalar_nullspace(rows, ncols, p):
+    """A basis of the right nullspace of int rows of width ncols over GF(p)
+    (QQ for p = 0): one int vector per free column of their reduced echelon
+    form, whose entry there is its last nonzero one: 1 over GF(p), and
+    positive over ZZ, where the vector is primitive."""
+    pivots, ech = scalar_echelon(rows, p)
     basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for prow, pc in zip(ech, pivots):
-            vec[pc] = -prow[fc]
-        basis.append(vec)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        scale = math.lcm(*(row[pc] for pc, row in zip(pivots, ech) if row[fc]))    # 1 over GF(p)
+        vec = [0] * ncols
+        vec[fc] = scale
+        for pc, row in zip(pivots, ech):
+            vec[pc] = -row[fc] * (scale // row[pc])
+        basis.append([x % p for x in vec] if p else _primitive(vec))
     return basis
 
 

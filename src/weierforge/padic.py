@@ -113,7 +113,6 @@ def monomial_order_sequence(exponents, p):
     s = len(exponents)
     if p == 0:
         return OrderSequence(range(s), 0)
-    field = GF(p)
     chosen, pivots, rows = [], [], []
     for eps, _ in itertools.groupby(heapq.merge(*(_p_adically_below(a, p) for a in exponents))):
         if triangular_insert(pivots, rows, [binom_mod_p(a, eps, p) for a in exponents], p) is not None:
@@ -122,8 +121,8 @@ def monomial_order_sequence(exponents, p):
                 break
     else:
         raise AssertionError("order search exceeded the exponent bound")
-    matrix = [[field(binom_mod_p(a, e, p)) for a in exponents] for e in chosen]
-    if len(scalar_echelon(matrix)[0]) < s:
+    matrix = [[binom_mod_p(a, e, p) for a in exponents] for e in chosen]
+    if len(scalar_echelon(matrix, p)[0]) < s:
         raise AssertionError("greedy order sequence failed determinant verification")
     return OrderSequence(chosen, p)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 
 from .exact import (
-    INF,
     Polynomial,
     _checked,
     _dot_mod_p,
@@ -23,7 +22,6 @@ from .exact import (
     _primitive,
     echelon_insert,
     field_rows,
-    int_echelon,
     scalar_echelon,
     scalar_ints,
     span_reduce,
@@ -92,7 +90,7 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
         raise ValueError("conductor: expected a pair of integers")
     xi1, xi2 = conductor
     if xi1 < 1 or xi2 < 1:
-        raise ValueError("conductor exponents must be positive")
+        raise ValueError("conductor: exponents must be positive")
     basis_pairs = _elements(field, basis_pairs, "basis", 2)
     # dim(normalization/conductor) <= 2 delta for every ring, with equality
     # exactly when it is Gorenstein, so the count needs no expansion.  A ring
@@ -167,7 +165,7 @@ def closed_span(vectors, conductor, windows, p):
         raise ValueError("ring does not contain 1")
     n = sum(windows)
     starts = [sum(windows[:k]) for k in range(len(windows))]
-    pivots, ech = int_echelon(vectors, p)
+    pivots, ech = scalar_echelon(vectors, p)
     if len(pivots) != len(vectors):
         raise ValueError("basis is linearly dependent modulo the conductor")
     for s, xi, w in zip(starts, conductor, windows):
@@ -185,7 +183,8 @@ def closed_span(vectors, conductor, windows, p):
                 raise NotClosed("basis span is not closed under multiplication mod C")
     for k, (s, xi) in enumerate(zip(starts, conductor)):
         if contains([int(i == s + xi - 1) for i in range(n)]):
-            raise ValueError("declared conductor exponent on branch %d is not minimal" % (k + 1))
+            raise ValueError("conductor%s: declared exponent is not minimal"
+                             % ("[%d]" % k if len(conductor) > 1 else ""))
     return pivots, ech
 
 
@@ -294,13 +293,13 @@ def value_semigroup(ring):
         return ring._value_semigroup
     xi1, xi2 = ring.conductor
     w1 = xi1 + 2
-    pivots, rows = ring._echelon[0], field_rows(*ring._echelon, ring.field.characteristic)
+    p, (pivots, rows) = ring.field.characteristic, ring._echelon
     # V(x,0) is spanned by the echelon rows with pivot >= x; inside it, each
     # pivot of their u-window echelon below y is one more condition of V(x,y)
     dim = {}
     for x in range(xi1 + 2):
         u_rows = [r[w1:] for pc, r in zip(pivots, rows) if pc >= x]
-        u_pivots = scalar_echelon(u_rows)[0]
+        u_pivots = scalar_echelon(u_rows, p)[0]
         for y in range(xi2 + 2):
             dim[(x, y)] = len(u_rows) - sum(1 for pc in u_pivots if pc < y)
 
@@ -534,9 +533,6 @@ def adapted_basis(X):
     V, nums = basis._system, basis.numerators
     gen = V.numerators[basis.generator_index[0]]
 
-    def order(f, q):
-        return -f.degree if q is INF else f.root_multiplicity(q)
-
     numerators = []
     value_pairs = []
     maximal_indices = {}
@@ -546,7 +542,7 @@ def adapted_basis(X):
     for idx, (vec, pair) in enumerate(fixed):
         num = _from_ints(X.field, _dot_mod_p([[c] for c in vec[:g]], nums, p))
         numerators.append(num)
-        pair = tuple(v if v < c else order(num, q) - order(gen, q)
+        pair = tuple(v if v < c else num.order_at(q) - gen.order_at(q)
                      for v, (_s, c), q in zip(pair, blocks, sing.locations))
         value_pairs.append(pair)
         if pair[0] < xi1 and pair[0] in maximal_x:
@@ -629,7 +625,7 @@ def ring_from_generators(field, generators, window=16):
             k = triangular_insert(pivots, rows, _product(e, g, (w1, w2), p), p)
             if k is not None:
                 pending.append(rows[k])
-    pivots, echelon = int_echelon(rows[::-1], p)
+    pivots, echelon = scalar_echelon(rows[::-1], p)
 
     # a side's conductor exponent is the least m with every unit vector from
     # m to the window's end in the span; in a reduced echelon form e_j lies

@@ -21,8 +21,8 @@ from .exact import (
     _signed_last_pivot,
     coprime_refinement,
     fraction_free_rank_det,
-    int_echelon,
     place_key,
+    scalar_echelon,
     shared_denominator,
 )
 from .padic import OrderSequence, binom_mod_p
@@ -91,8 +91,8 @@ def _pivots(polys):
     of polynomials, taken on their stored int lists: scaling a row by its
     denominator keeps them."""
     width = max(f.degree for f in polys) + 1
-    return int_echelon([f._ints()[0] + (0,) * (width - 1 - f.degree) for f in polys],
-                       polys[0].field.characteristic)[0]
+    return scalar_echelon([f._ints()[0] + (0,) * (width - 1 - f.degree) for f in polys],
+                          polys[0].field.characteristic)[0]
 
 
 def order_sequence(V):
@@ -197,8 +197,8 @@ def smooth_weight(V, q):
     weight = differential_weight_at(V, q)
     bound = sum(a - b for a, b in zip(qorders, eps))
     p = V.characteristic
-    attained = not p or len(int_echelon([[binom_mod_p(qo, e, p) for qo in qorders]
-                                         for e in eps], p)[0]) == len(eps)
+    attained = not p or len(scalar_echelon([[binom_mod_p(qo, e, p) for qo in qorders]
+                                            for e in eps], p)[0]) == len(eps)
     if weight < bound or (weight == bound) != attained:
         raise AssertionError("smooth weight %d against bound %d, attained %s"
                              % (weight, bound, attained))

@@ -1,6 +1,7 @@
 """Shared helpers: deterministic random corpora of semigroups, rational
 functions, and Gorenstein two-branch rings."""
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -99,6 +100,58 @@ def bareiss_mod_p(work, p):
         prev = top[c]
         r += 1
     return r, prev, sign
+
+
+# The reduced echelon form and the nullspace on field scalars, as the package
+# computed them before its linear algebra ran on int rows only: Gauss-Jordan
+# with each new pivot normalised to 1.  The reference for exact.scalar_echelon
+# and exact.scalar_nullspace, and the rank test of oracles on field rows.
+
+def field_echelon_insert(pivots, rows, vec):
+    v = field_span_reduce(pivots, rows, vec)
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    inv = 1 / v[c]
+    v = [x * inv for x in v]
+    for i, row in enumerate(rows):
+        if row[c]:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, v)]
+    k = bisect.bisect(pivots, c)
+    pivots.insert(k, c)
+    rows.insert(k, v)
+    return True
+
+
+def field_span_reduce(pivots, echelon_rows, vec):
+    v = list(vec)
+    for prow, pc in zip(echelon_rows, pivots):
+        if v[pc]:
+            f = v[pc]
+            v = [a - f * b for a, b in zip(v, prow)]
+    return v
+
+
+def field_echelon(rows):
+    """(pivot columns, rows) of the reduced row echelon form over the field."""
+    pivots, out = [], []
+    for r in rows:
+        field_echelon_insert(pivots, out, r)
+    return pivots, out
+
+
+def field_nullspace(rows, ncols, field):
+    """Basis of the right nullspace, one vector per free column, 1 there."""
+    pivots, ech = field_echelon(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for prow, pc in zip(ech, pivots):
+            vec[pc] = -prow[fc]
+        basis.append(vec)
+    return basis
 
 
 def symmetric_semigroups(max_genus):

@@ -81,12 +81,11 @@ def run_file(command, text, path):
 
 
 # an error names the path of the value at fault, except the checks of a ring
-# file's ring as a whole (the ring is the whole file; the sign check on its
-# two conductor exponents is among them) and of a curve's singular points
+# file's ring as a whole (the ring is the whole file) and of a curve's
+# singular points
 _PATH = r"[A-Za-z-]+(\[\d+\])*(\.[A-Za-z-]+(\[\d+\])*)*: "
 _WHOLE_DOCUMENT = ("ring does not contain 1", "branch constant terms differ",
-                   "declared conductor exponent on branch", "dim(normalization/conductor)",
-                   "conductor exponents must be positive", "basis is linearly dependent",
+                   "dim(normalization/conductor)", "basis is linearly dependent",
                    "basis span is not closed", "delta invariant must be",
                    "a rational Gorenstein curve", "singularity locations must be")
 _ERROR_LINE = re.compile("error: (%s|%s).*\n"
@@ -137,6 +136,16 @@ BASIS = _TWO_BRANCH["basis"]
     # a bad coefficient past the conductor
     (lambda: validate_ring(QQ, [(["1", "zz"], ["1"])], (1, 1)), "basis[0][0][1]"),
     (lambda: UnibranchSingularity(QQ, [[1, 0, 0, "1/0"]], 2, 0), "basis[0][3]"),
+    # checks on the conductor alone: its sign and its minimality
+    (lambda: validate_ring(QQ, BASIS, [0, 1]), "conductor"),
+    (lambda: UnibranchSingularity(QQ, [[1]], 0, 0), "conductor"),
+    (lambda: validate_ring(QQ, [([1], [1]), ([0, 1], [0, 1]), ([0], [0, 0, 1])], [2, 3]),
+     "conductor[1]"),
+    (lambda: UnibranchSingularity(QQ, [[1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]], 5, 0),
+     "conductor"),
+    # one uniformizer for two locations once built a one-branch singularity
+    (lambda: TwoBranchSingularity(validate_ring(GF(7), BASIS, [2, 2]), (0, 1),
+                                  uniformizers=(None,)), "uniformizers"),
 ])
 def test_constructors_name_the_path_of_a_bad_value(build, path):
     with pytest.raises(ValueError) as exc:

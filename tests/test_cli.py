@@ -425,13 +425,13 @@ def test_python_dash_m_runs_the_cli():
 
 @pytest.mark.parametrize("singularity, message", [
     ({"kind": "monomial", "generators": [1], "location": 0},
-     "semigroup of a singular point must have a gap"),
+     ": semigroup of a singular point must have a gap"),
     ({"kind": "unibranch", "conductor": 0, "basis": [[1]], "location": 0},
-     "conductor exponent must be positive"),
+     ".conductor: exponent must be positive"),
     ({"kind": "unibranch", "conductor": 4, "basis": [], "location": 0},
-     "ring does not contain 1"),
+     ": ring does not contain 1"),
     ({"kind": "two-branch", "conductor": [1, 1], "basis": [], "locations": [0, 1]},
-     "ring does not contain 1"),
+     ": ring does not contain 1"),
 ], ids=["monomial-without-gap", "unibranch-conductor-0", "unibranch-empty-basis",
         "two-branch-empty-basis"])
 def test_constructor_errors_name_the_singularity(tmp_path, capsys, singularity, message):
@@ -440,7 +440,7 @@ def test_constructor_errors_name_the_singularity(tmp_path, capsys, singularity, 
     path.write_text(json.dumps({"singularities": [
         {"kind": "monomial", "generators": [2, 3], "location": 5}, singularity]}))
     assert main(["curve", str(path)]) == 2
-    assert capsys.readouterr().err == "error: singularities[1]: %s\n" % message
+    assert capsys.readouterr().err == "error: singularities[1]%s\n" % message
 
 
 def test_repeated_calls_reuse_one_parser(capsys, monkeypatch):

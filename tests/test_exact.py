@@ -1,4 +1,3 @@
-import bisect
 import itertools
 import json
 import math
@@ -31,7 +30,6 @@ from weierforge.exact import (
     echelon_insert,
     field_rows,
     fraction_free_rank_det,
-    int_echelon,
     scalar_echelon,
     scalar_ints,
     scalar_nullspace,
@@ -39,7 +37,17 @@ from weierforge.exact import (
     span_reduce,
     triangular_insert,
 )
-from conftest import bareiss_mod_p, derivative, random_polynomial, random_rational_function, valuation_at_zero
+from conftest import (
+    bareiss_mod_p,
+    derivative,
+    field_echelon,
+    field_echelon_insert,
+    field_nullspace,
+    field_span_reduce,
+    random_polynomial,
+    random_rational_function,
+    valuation_at_zero,
+)
 
 
 def t_over(field):
@@ -616,11 +624,11 @@ class TestFractionFreeLinearAlgebra:
         assert rank == 2 and det == -1
 
     def test_scalar_helpers(self):
-        rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert len(scalar_echelon(rows)[0]) == 1
-        null = scalar_nullspace(rows, 2, QQ)
+        rows = [[1, 2], [2, 4]]
+        assert len(scalar_echelon(rows, 0)[0]) == 1
+        null = scalar_nullspace(rows, 2, 0)
         assert len(null) == 1 and null[0][0] * 1 + null[0][1] * 2 == 0
-        assert scalar_echelon([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])[0] == [0, 1]
+        assert scalar_echelon([[2, 1], [1, 1]], 0)[0] == [0, 1]
 
 
 # Schoolbook polynomial arithmetic on field elements, as the kernel did it
@@ -829,7 +837,9 @@ class TestIntegerKernel:
                 for i in range(n):
                     term = term * rows[i][perm[i]]
                 expected = expected + (-term if inversions % 2 else term)
-            assert (len(scalar_echelon(rows)[0]) == n) == bool(expected)
+            p = field.characteristic
+            pivots = scalar_echelon([scalar_ints(r, p)[0] for r in rows], p)[0]
+            assert (len(pivots) == n) == bool(expected)
             singular += not expected
         assert singular > 5
 
@@ -935,34 +945,6 @@ def _assert_int_reduced(pivots, rows, p):
         assert all(not other[pc] for other in rows if other is not row)
 
 
-# The field-scalar reduced echelon insertion the int routine replaced, kept
-# as a reference: Gauss-Jordan with the new pivot normalised to 1.
-def _ref_echelon_insert(pivots, rows, vec):
-    v = _ref_span_reduce(pivots, rows, vec)
-    c = next((i for i, x in enumerate(v) if x), None)
-    if c is None:
-        return False
-    inv = 1 / v[c]
-    v = [x * inv for x in v]
-    for i, row in enumerate(rows):
-        if row[c]:
-            f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, v)]
-    k = bisect.bisect(pivots, c)
-    pivots.insert(k, c)
-    rows.insert(k, v)
-    return True
-
-
-def _ref_span_reduce(pivots, echelon_rows, vec):
-    v = list(vec)
-    for prow, pc in zip(echelon_rows, pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, prow)]
-    return v
-
-
 def _echelon_matrix(rng, field, m, n):
     """m rows of width n: over QQ with non-integer entries, contents up to
     2^70 and leading entries of either sign; some rows zero, repeated or
@@ -992,24 +974,23 @@ def _echelon_matrix(rng, field, m, n):
 class TestReducedEchelon:
     @pytest.mark.parametrize("characteristic", [0, 2, 3])
     def test_scalar_echelon(self, characteristic):
-        field = QQ if characteristic == 0 else GF(characteristic)
+        p = characteristic
         rng = random.Random(300 + characteristic)
         for _ in range(40):
             m, n = rng.randint(0, 5), rng.randint(1, 6)
-            rows = [[field(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+            rows = [[rng.randint(-2, 2) % p if p else rng.randint(-2, 2) for _ in range(n)]
+                    for _ in range(m)]
             if m >= 2:
-                rows.append([a - 2 * b for a, b in zip(rows[0], rows[1])])
+                rows.append([(a - 2 * b) % p if p else a - 2 * b for a, b in zip(rows[0], rows[1])])
             before = [list(r) for r in rows]
-            pivots, ech = scalar_echelon(rows)
+            pivots, ech = scalar_echelon(rows, p)
             assert rows == before
-            _assert_reduced(pivots, ech)
-            ints = [scalar_ints(r, characteristic)[0] for r in ech]
-            assert all(not any(span_reduce(pivots, ints, scalar_ints(r, characteristic)[0],
-                                           characteristic)) for r in rows)
+            _assert_int_reduced(pivots, ech, p)
+            assert all(not any(span_reduce(pivots, ech, r, p)) for r in rows)
             # the reduced echelon form of a span does not depend on the order
             # or the choice of its spanning rows
-            assert scalar_echelon(rows[::-1]) == (pivots, ech)
-            assert scalar_echelon(ech) == (pivots, ech)
+            assert scalar_echelon(rows[::-1], p) == (pivots, ech)
+            assert scalar_echelon(ech, p) == (pivots, ech)
 
     @pytest.mark.parametrize("characteristic", [0, 2, 3])
     def test_echelon_insert(self, characteristic):
@@ -1023,7 +1004,7 @@ class TestReducedEchelon:
         for _ in range(40):
             n = rng.randint(1, 6)
             rows = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 4))]
-            pivots, ech = int_echelon(rows, p)
+            pivots, ech = scalar_echelon(rows, p)
             coeffs = [rng.randint(-2, 2) for _ in rows]
             member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
             member = [x % p for x in member] if p else member
@@ -1038,7 +1019,7 @@ class TestReducedEchelon:
             _assert_int_reduced(pivots, ech, p)
             assert len(pivots) == len(snapshot[0]) + new
             assert all(not any(span_reduce(pivots, ech, r, p)) for r in rows + [vec])
-            assert (pivots, ech) == int_echelon(rows + [vec], p)
+            assert (pivots, ech) == scalar_echelon(rows + [vec], p)
 
     @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
     def test_int_rows_match_the_field_scalar_echelon(self, field):
@@ -1050,20 +1031,54 @@ class TestReducedEchelon:
             ref_pivots, ref_rows, pivots, ints = [], [], [], []
             for r in rows:
                 cleared = scalar_ints(r, p)[0]
-                assert echelon_insert(pivots, ints, cleared, p) is _ref_echelon_insert(
+                assert echelon_insert(pivots, ints, cleared, p) is field_echelon_insert(
                     ref_pivots, ref_rows, r)
                 _assert_int_reduced(pivots, ints, p)
                 assert pivots == ref_pivots
                 assert field_rows(pivots, ints, p) == ref_rows
-            assert scalar_echelon(rows) == (ref_pivots, ref_rows)
+            whole = scalar_echelon([scalar_ints(r, p)[0] for r in rows], p)
+            assert (whole[0], field_rows(*whole, p)) == (ref_pivots, ref_rows)
             for probe in _echelon_matrix(rng, field, 4, n) + rows:
                 assert (not any(span_reduce(pivots, ints, scalar_ints(probe, p)[0], p))) is (
-                    not any(_ref_span_reduce(ref_pivots, ref_rows, probe)))
+                    not any(field_span_reduce(ref_pivots, ref_rows, probe)))
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
+    def test_int_rows_match_the_field_reference(self, field):
+        # scalar_echelon and scalar_nullspace on int rows against Gauss-Jordan
+        # on field scalars: an empty row list and zero rows, where every
+        # column is free, then seeded matrices
+        p = field.characteristic
+        rng = random.Random(480 + p)
+        cases = [([], 3), ([[field.zero] * 4] * 2, 4)] + [
+            (_echelon_matrix(rng, field, rng.randint(0, 6), n), n)
+            for n in (rng.randint(1, 7) for _ in range(60))]
+        free_seen = 0
+        for rows, n in cases:
+            ints = [scalar_ints(r, p)[0] for r in rows]
+            ref_pivots, ref_rows = field_echelon(rows)
+            _assert_reduced(ref_pivots, ref_rows)
+            pivots, ech = scalar_echelon(ints, p)
+            assert (pivots, field_rows(pivots, ech, p)) == (ref_pivots, ref_rows)
+            null = scalar_nullspace(ints, n, p)
+            free = [c for c in range(n) if c not in pivots]
+            assert len(null) == len(free)
+            assert [[field(x) / v[fc] for x in v] for fc, v in zip(free, null)] == (
+                field_nullspace(rows, n, field))
+            for fc, v in zip(free, null):
+                assert all(type(x) is int for x in v)
+                dots = [sum(a * b for a, b in zip(r, v)) for r in ints]
+                assert not any(x % p for x in dots) if p else not any(dots)
+                if p:
+                    assert v[fc] == 1 and all(0 <= x < p for x in v)
+                else:
+                    assert v[fc] > 0 and math.gcd(*v) == 1
+            free_seen += len(free) == n
+        assert free_seen >= 3
 
     def test_back_reduction_by_a_unit_pivot_row_keeps_rows_primitive(self):
         # clearing column 1 of (2, 1, 1) with the unit-pivot row (0, 1, -1)
         # leaves (2, 0, 2), stored as (1, 0, 1)
-        assert int_echelon([[2, 1, 1], [0, 1, -1]], 0) == ([0, 1], [[1, 0, 1], [0, 1, -1]])
+        assert scalar_echelon([[2, 1, 1], [0, 1, -1]], 0) == ([0, 1], [[1, 0, 1], [0, 1, -1]])
         rng = random.Random(460)
         for _ in range(60):
             n = rng.randint(2, 7)
@@ -1098,11 +1113,11 @@ class TestReducedEchelon:
                 pc, row = tri_pivots[k], tri[k]
                 assert tri_pivots == sorted(set(tri_pivots)) and not any(row[:pc])
                 assert row[pc] == 1 if p else row[pc] > 0 and math.gcd(*row) == 1
-            pivots, ech = int_echelon(rows, p)
+            pivots, ech = scalar_echelon(rows, p)
             assert tri_pivots == pivots
             unreduced += tri != ech
             # one insertion pass in descending pivot order reduces it
-            assert int_echelon(tri[::-1], p) == (pivots, ech)
+            assert scalar_echelon(tri[::-1], p) == (pivots, ech)
             members = [[sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
                        for coeffs in ([rng.randint(-3, 3) for _ in rows] for _ in range(3))]
             probes = [scalar_ints(r, p)[0] for r in _echelon_matrix(rng, field, 4, n)]
@@ -1126,7 +1141,7 @@ class TestReducedEchelon:
                 unit = [field.one if i == j else field.zero for i in range(n)]
                 rows.append([a + b for a, b in zip(unit, rows[-1])] if rows else unit)
                 rows.append(unit if rng.random() < 0.5 else [field(2) * x for x in unit])
-            pivots, ints = int_echelon([scalar_ints(r, p)[0] for r in rows], p)
+            pivots, ints = scalar_echelon([scalar_ints(r, p)[0] for r in rows], p)
             for j in range(n):
                 unit = [1 if i == j else 0 for i in range(n)]
                 member = not any(span_reduce(pivots, ints, unit, p))

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from weierforge import exact, padic
-from weierforge.exact import GF, scalar_echelon, triangular_insert
+from weierforge.exact import GF, triangular_insert
 from weierforge.numsg import NumericalSemigroup
 from weierforge.padic import (
     OrderSequence,
@@ -17,6 +17,7 @@ from weierforge.padic import (
     satisfies_p_adic_criterion,
     uses_all_weight,
 )
+from conftest import field_echelon
 
 
 class TestBinomModP:
@@ -98,7 +99,7 @@ def brute_force_minimal_sequence(exponents, p):
         if cand[0] != 0:
             continue
         rows = [[field(binom_mod_p(a, e, p)) for a in exponents] for e in cand]
-        if len(scalar_echelon(rows)[0]) == s:
+        if len(field_echelon(rows)[0]) == s:
             best = cand
             break
     return best
@@ -106,15 +107,15 @@ def brute_force_minimal_sequence(exponents, p):
 
 def echelon_rerun_order_sequence(exponents, p):
     """monomial_order_sequence's search before it inserted each row once:
-    scalar_echelon re-run on FpElement rows, the reduced rows so far plus
-    the candidate, for every eps."""
+    the reduced echelon form re-run on FpElement rows, the reduced rows so
+    far plus the candidate, for every eps."""
     field = GF(p)
     exponents = [a - exponents[0] for a in exponents]
     chosen, echelon_rows, eps = [], [], -1
     while len(chosen) < len(exponents):
         eps += 1
         row = [field(binom_mod_p(a, eps, p)) for a in exponents]
-        _, reduced = scalar_echelon(echelon_rows + [row])
+        _, reduced = field_echelon(echelon_rows + [row])
         if len(reduced) > len(echelon_rows):
             chosen.append(eps)
             echelon_rows = reduced

@@ -10,7 +10,6 @@ from weierforge.exact import (
     INF,
     QQ,
     field_rows,
-    int_echelon,
     scalar_echelon,
     scalar_ints,
 )
@@ -36,8 +35,14 @@ from weierforge.curve import RationalCurve, TwoBranchSingularity, dualizing_basi
 from weierforge.wronski import LinearSystem, differential_weight_at
 from weierforge import valsg2 as valsg2_module
 from weierforge.gallery import node_ring, asymmetric_branch_ring, tacnode_ring
-from conftest import _BRANCH_ORDERS, _branch_series
-from test_exact import _ref_echelon_insert, _ref_span_reduce
+from conftest import (
+    _BRANCH_ORDERS,
+    _branch_series,
+    field_echelon,
+    field_echelon_insert,
+    field_nullspace,
+    field_span_reduce,
+)
 
 
 def _reduced_basis(ring):
@@ -67,13 +72,12 @@ def semigroup_membership_witness(ring, x, y):
         # vectors in the row span vanishing on the first a t-columns and
         # first b u-columns
         cols = list(range(a)) + list(range(w1, w1 + b))
-        pivots, ech = scalar_echelon(rows)
+        pivots, ech = field_echelon(rows)
         out = []
         # solve: combinations of echelon rows with zero constrained coords
         sub = [[r[c] for c in cols] for r in ech]
-        from weierforge.exact import scalar_nullspace
-        null = scalar_nullspace([list(col) for col in zip(*sub)] if sub and cols else [],
-                                len(ech), ring.field) if cols else \
+        null = field_nullspace([list(col) for col in zip(*sub)] if sub and cols else [],
+                               len(ech), ring.field) if cols else \
             [[ring.field.one if i == j else ring.field.zero for j in range(len(ech))]
              for i in range(len(ech))]
         for combo in null:
@@ -182,7 +186,7 @@ class TestValueSemigroup:
             while True:
                 mat = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
                        for _ in range(n)]
-                if len(scalar_echelon(mat)[0]) == n:
+                if len(field_echelon(mat)[0]) == n:
                     break
             new_basis = [tuple([sum(mat[i][j] * basis[j][side][k]
                                     for j in range(n)) for k in range(xi)]
@@ -490,9 +494,9 @@ class TestVSystems:
     def test_value_semigroup_is_built_once_per_ring(self, monkeypatch):
         tables = []
 
-        def counting(rows):
+        def counting(rows, p):
             tables.append(rows)
-            return scalar_echelon(rows)
+            return scalar_echelon(rows, p)
 
         monkeypatch.setattr(valsg2_module, "scalar_echelon", counting)
         ring = asymmetric_branch_ring()
@@ -569,7 +573,7 @@ class TestRingFromGenerators:
                        for bt, bu in _reduced_basis(ring)]
             for j in list(range(xi1, w)) + list(range(w + xi2, 2 * w)):
                 closure.append([QQ.one if i == j else QQ.zero for i in range(2 * w)])
-            assert scalar_echelon(monomials) == scalar_echelon(closure)
+            assert field_echelon(monomials) == field_echelon(closure)
 
     def test_same_branch_rejected(self):
         with pytest.raises(ValueError):
@@ -712,19 +716,19 @@ def _ref_closure(field, generators, window):
     gens = [(window_of(gt, w1), window_of(gu, w2)) for gt, gu in generators]
     one = (window_of([1], w1), window_of([1], w2))
     pivots, echelon = [], []
-    pending = [e for e in [one] + gens if _ref_echelon_insert(pivots, echelon, e[0] + e[1])]
+    pending = [e for e in [one] + gens if field_echelon_insert(pivots, echelon, e[0] + e[1])]
     while pending:
         et, eu = pending.pop()
         for gt, gu in gens:
             product = (_truncated_product(et, gt, w1, field), _truncated_product(eu, gu, w2, field))
-            if _ref_echelon_insert(pivots, echelon, product[0] + product[1]):
+            if field_echelon_insert(pivots, echelon, product[0] + product[1]):
                 pending.append(product)
 
     def unit(j):
         return [field.one if i == j else field.zero for i in range(w1 + w2)]
 
     def contains(vec):
-        return not any(_ref_span_reduce(pivots, echelon, vec))
+        return not any(field_span_reduce(pivots, echelon, vec))
 
     xi1 = next((m for m in range(w1)
                 if all(contains(unit(j)) for j in range(m, w1))), None)
@@ -788,7 +792,7 @@ def _declared_gallery_rings(monkeypatch):
 def _invertible(rng, field, n):
     while True:
         mat = [[field(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if len(scalar_echelon(mat)[0]) == n:
+        if len(field_echelon(mat)[0]) == n:
             return mat
 
 
@@ -797,9 +801,9 @@ def _check_against_the_old_route(field, ring, basis_pairs, conductor, rng):
     rows, coefficients, old_rows = _old_route(field, basis_pairs, conductor)
     sing = TwoBranchSingularity(ring, (field(0), field(1)))
     # one span: the singularity's int rows against the old route's
-    assert int_echelon(sing._rows, p) == int_echelon(rows, p)
+    assert scalar_echelon(sing._rows, p) == scalar_echelon(rows, p)
     # the reduced echelon form: the old field rows, cleared
-    assert tuple(ring._echelon) == int_echelon([scalar_ints(r, p)[0] for r in old_rows], p)
+    assert tuple(ring._echelon) == scalar_echelon([scalar_ints(r, p)[0] for r in old_rows], p)
     # another basis of the span prints the same ring
     mat = _invertible(rng, field, len(coefficients))
     other = [tuple([sum((mat[i][j] * coefficients[j][side][k] for j in range(len(mat))),

@@ -19,7 +19,6 @@ from weierforge.exact import (
     _signed_last_pivot,
     coprime_refinement,
     fraction_free_rank_det,
-    int_echelon,
     quotient_rows,
     scalar_echelon,
 )
@@ -44,7 +43,7 @@ from weierforge.curve import (
 )
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import validate_ring
-from conftest import bareiss_mod_p, derivative, pole_term_weight_at, random_polynomial
+from conftest import bareiss_mod_p, derivative, field_echelon, pole_term_weight_at, random_polynomial
 
 
 def one(field):
@@ -303,7 +302,7 @@ def field_element_order_sequence(V):
     """The order-sequence search as it ran on field elements: rows of
     Polynomial Hasse derivatives of the numerators, evaluated by Horner on
     field scalars at t = 2..7 over QQ or at the first six residues over
-    GF(p) and ranked by scalar_echelon, with Bareiss on the polynomial rows
+    GF(p) and ranked by their reduced echelon form, with Bareiss on the polynomial rows
     where every point is singular.  Returns the orders, the wronskian and
     how many rows Bareiss found independent."""
     field, s = V.field, len(V)
@@ -320,7 +319,7 @@ def field_element_order_sequence(V):
     while len(chosen) < s:
         eps += 1
         rows = accepted + [[n.hasse(eps) for n in V.numerators]]
-        if any(len(scalar_echelon([[value(f, x) for f in r] for r in rows])[0]) == len(rows)
+        if any(len(field_echelon([[value(f, x) for f in r] for r in rows])[0]) == len(rows)
                for x in points):
             independent = True
         else:
@@ -379,8 +378,8 @@ def certified_order_sequence(V):
     while len(chosen) < s:
         eps += 1
         rows = accepted + [[_hasse_mod_p(c, eps, p) for c, _d in cleared]]
-        if any(len(int_echelon([[_horner(c, x, p) if p else _homogeneous(c, x, 1) for c in r]
-                                for r in rows], p)[0]) == len(rows)
+        if any(len(scalar_echelon([[_horner(c, x, p) if p else _homogeneous(c, x, 1) for c in r]
+                                   for r in rows], p)[0]) == len(rows)
                for x in (range(min(p, 6)) if p else range(2, 8))) \
                 or bareiss_mod_p([list(r) for r in rows], p)[0] == len(rows):
             chosen.append(eps)
