@@ -113,6 +113,7 @@ def monomial_order_sequence(exponents, p):
     s = len(exponents)
     if p == 0:
         return OrderSequence(range(s), 0)
+    GF(p)    # rejects a p that is not prime before any digit is taken
     chosen, pivots, rows = [], [], []
     for eps, _ in itertools.groupby(heapq.merge(*(_p_adically_below(a, p) for a in exponents))):
         if triangular_insert(pivots, rows, [binom_mod_p(a, eps, p) for a in exponents], p) is not None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import weierforge
+from weierforge import padic
 from weierforge.cli import main
 from weierforge.numsg import NumericalSemigroup
 
@@ -81,6 +82,15 @@ class TestPadicAndOrders:
                                        "--format", "json"])
         assert time.perf_counter() - start < 1.0
         assert code == 0 and data["orders"] == [0, 1099511627776]
+
+    @pytest.mark.parametrize("p", ["1", "-1"])
+    def test_characteristic_below_2_exits_2(self, p, capsys, monkeypatch):
+        def enumerated(a, p):
+            raise AssertionError("digits taken before p was checked")
+
+        monkeypatch.setattr(padic, "_p_adically_below", enumerated)
+        assert main(["orders", "--exponents", "0,1", "--p", p]) == 2
+        assert capsys.readouterr().err == f"error: characteristic {p} is not prime\n"
 
     def test_characteristic_beyond_the_primality_range(self, capsys):
         assert main(["orders", "--exponents", "0,3,4", "--p", str(10 ** 25 + 13)]) == 2

@@ -1021,39 +1021,13 @@ class TestReducedEchelon:
             assert all(not any(span_reduce(pivots, ech, r, p)) for r in rows + [vec])
             assert (pivots, ech) == scalar_echelon(rows + [vec], p)
 
-    @pytest.mark.parametrize("field", _KERNEL_FIELDS, ids=repr)
+    @pytest.mark.parametrize("field", _KERNEL_FIELDS + [GF(7)], ids=repr)
     def test_int_rows_match_the_field_scalar_echelon(self, field):
+        # echelon_insert, scalar_echelon and scalar_nullspace on int rows
+        # against Gauss-Jordan on field scalars
         p = field.characteristic
-        rng = random.Random(450 + p)
-        for _ in range(60):
-            m, n = rng.randint(0, 7), rng.randint(1, 7)
-            rows = _echelon_matrix(rng, field, m, n)
-            ref_pivots, ref_rows, pivots, ints = [], [], [], []
-            for r in rows:
-                cleared = scalar_ints(r, p)[0]
-                assert echelon_insert(pivots, ints, cleared, p) is field_echelon_insert(
-                    ref_pivots, ref_rows, r)
-                _assert_int_reduced(pivots, ints, p)
-                assert pivots == ref_pivots
-                assert field_rows(pivots, ints, p) == ref_rows
-            whole = scalar_echelon([scalar_ints(r, p)[0] for r in rows], p)
-            assert (whole[0], field_rows(*whole, p)) == (ref_pivots, ref_rows)
-            for probe in _echelon_matrix(rng, field, 4, n) + rows:
-                assert (not any(span_reduce(pivots, ints, scalar_ints(probe, p)[0], p))) is (
-                    not any(field_span_reduce(ref_pivots, ref_rows, probe)))
 
-    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
-    def test_int_rows_match_the_field_reference(self, field):
-        # scalar_echelon and scalar_nullspace on int rows against Gauss-Jordan
-        # on field scalars: an empty row list and zero rows, where every
-        # column is free, then seeded matrices
-        p = field.characteristic
-        rng = random.Random(480 + p)
-        cases = [([], 3), ([[field.zero] * 4] * 2, 4)] + [
-            (_echelon_matrix(rng, field, rng.randint(0, 6), n), n)
-            for n in (rng.randint(1, 7) for _ in range(60))]
-        free_seen = 0
-        for rows, n in cases:
+        def check_whole(rows, n):
             ints = [scalar_ints(r, p)[0] for r in rows]
             ref_pivots, ref_rows = field_echelon(rows)
             _assert_reduced(ref_pivots, ref_rows)
@@ -1072,8 +1046,27 @@ class TestReducedEchelon:
                     assert v[fc] == 1 and all(0 <= x < p for x in v)
                 else:
                     assert v[fc] > 0 and math.gcd(*v) == 1
-            free_seen += len(free) == n
-        assert free_seen >= 3
+            return ref_pivots, ref_rows
+
+        # an empty row list and zero rows, where every column is free
+        assert check_whole([], 3) == ([], [])
+        assert check_whole([[field.zero] * 4] * 2, 4) == ([], [])
+        rng = random.Random(450 + p)
+        for _ in range(60):
+            m, n = rng.randint(0, 7), rng.randint(1, 7)
+            rows = _echelon_matrix(rng, field, m, n)
+            ref_pivots, ref_rows, pivots, ints = [], [], [], []
+            for r in rows:
+                cleared = scalar_ints(r, p)[0]
+                assert echelon_insert(pivots, ints, cleared, p) is field_echelon_insert(
+                    ref_pivots, ref_rows, r)
+                _assert_int_reduced(pivots, ints, p)
+                assert pivots == ref_pivots
+                assert field_rows(pivots, ints, p) == ref_rows
+            assert check_whole(rows, n) == (ref_pivots, ref_rows)
+            for probe in _echelon_matrix(rng, field, 4, n) + rows:
+                assert (not any(span_reduce(pivots, ints, scalar_ints(probe, p)[0], p))) is (
+                    not any(field_span_reduce(ref_pivots, ref_rows, probe)))
 
     def test_back_reduction_by_a_unit_pivot_row_keeps_rows_primitive(self):
         # clearing column 1 of (2, 1, 1) with the unit-pivot row (0, 1, -1)

@@ -166,6 +166,17 @@ class TestMonomialOrderSequence:
     def test_char0(self):
         assert monomial_order_sequence((0, 5, 9), 0) == (0, 1, 2)
 
+    @pytest.mark.parametrize("p", [1, -1, 4])
+    def test_nonprime_rejected_before_any_digit(self, p, monkeypatch):
+        # the digits of a in base 1 or -1 never run out, so p is refused
+        # before the search enumerates any of them
+        def enumerated(a, p):
+            raise AssertionError("digits taken before p was checked")
+
+        monkeypatch.setattr(padic, "_p_adically_below", enumerated)
+        with pytest.raises(ValueError, match="not prime"):
+            monomial_order_sequence((0, 1), p)
+
     def test_shift_invariance(self):
         assert (monomial_order_sequence((2, 5, 6), 2)
                 == monomial_order_sequence((0, 3, 4), 2))
