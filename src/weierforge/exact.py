@@ -522,13 +522,12 @@ class Polynomial:
     def strip_root(self, a):
         """(m, self / (t - a)^m) for the nonzero self, m the multiplicity of
         t = a as a root: on the stored ints q and a = u / w, divide q by
-        w t - u (exact in ZZ[t] by Gauss's lemma) while w^n q(a) = 0."""
+        w t - u (exact in ZZ[t] by Gauss's lemma) while it divides."""
         a, p, q = self.field(a), self.field.characteristic, self._c
         u, w = (a.value, 1) if p else (a.numerator, a.denominator)
-        m = 0
-        while not (_horner(q, u, p) if p else _homogeneous(q, u, w)):
-            q = _exact_div_mod_p(q, _mod_p([-u, w], p), p)
-            m += 1
+        m, s = 0, _div_linear(q, u, w, p)
+        while s is not None:
+            q, m, s = s, m + 1, _div_linear(s, u, w, p)
         return m, _from_ints(self.field, [x * w ** m for x in q], self._d)
 
     def multiplicity_of_factor(self, g):
@@ -698,6 +697,50 @@ def _dot_mod_p(xs, ys, p):
 def _hasse_mod_p(a, i, p):
     """i-th Hasse derivative: a_j t^j contributes C(j, i) a_j t^(j-i)."""
     return _mod_p([math.comb(j, i) * a[j] for j in range(i, len(a))], p)
+
+
+def _cross(a, x, b, y, p, n=None):
+    """a x - b y mod p (p = 0: over ZZ) in one accumulator, without trailing
+    zeros, cut to its first n coefficients when n is given."""
+    if n is None:
+        n = max(len(a) + len(x), len(b) + len(y)) - 1
+    out = [0] * n
+    for i, c in enumerate(a[:n]):
+        if c:
+            for j, z in enumerate(x[:n - i], i):
+                out[j] += c * z
+    for i, c in enumerate(b[:n]):
+        if c:
+            for j, z in enumerate(y[:n - i], i):
+                out[j] -= c * z
+    return _mod_p(out, p)
+
+
+def _sylvester(a, x, b, y, prev, p):
+    """Sylvester's step (a x - b y) / prev, the division exact and checked
+    (ArithmeticError), coefficient by coefficient for a constant prev."""
+    out = _cross(a, x, b, y, p)
+    if len(prev) > 1:
+        return _exact_div_mod_p(out, prev, p)
+    if prev == [1]:
+        return out
+    d = pow(prev[0], -1, p) if p else prev[0]
+    if not p and any(c % d for c in out):
+        raise ArithmeticError("inexact polynomial division")
+    return [c * d % p for c in out] if p else [c // d for c in out]
+
+
+def _div_linear(c, u, w, p):
+    """c / (w t - u) by synthetic division from the top (w = 1 over GF(p)),
+    or None when w t - u does not divide c: over ZZ a step w does not divide
+    (c is then not in (w t - u) ZZ[t], by Gauss's lemma), or a remainder."""
+    quo, s = [], 0
+    for x in reversed(c):
+        s, r = divmod((x + u * s) % p if p else x + u * s, w)
+        if r:
+            return None
+        quo.append(s)
+    return None if quo.pop() else quo[::-1]
 
 
 def _divmod_mod_p(a, b, p):
@@ -1025,7 +1068,9 @@ class RationalFunction:
         With num and den cleared to int lists over one common denominator
         (residues over GF(p)), D^(i)f is carried as P_i / den^(i+1) with the
         int recurrence P_i = D^(i)(num) den^i - sum_{a<i} P_a den^(i-1-a)
-        D^(i-a)(den), so only the final packaging reduces fractions.
+        D^(i-a)(den).  In characteristic 0 no gcd reduces P_i / den^(i+1):
+        a pole of order m has order m + i in D^(i)f, as C(-m, i) != 0, so the
+        reduced form is (P_i / g^i) / (den^(i+1) / g^i), g = gcd(den, den').
         """
         if n < 0:
             raise ValueError("negative Hasse derivative order")
@@ -1042,9 +1087,20 @@ class RationalFunction:
                 acc = _sub_mod_p(acc, _mul_mod_p(_mul_mod_p(parts[a], den_pow[i - 1 - a], p),
                                                  dden[i - a], p), p)
             parts.append(acc)
-        return [self] + [RationalFunction(_from_ints(self.field, parts[i]),
-                                          _from_ints(self.field, den_pow[i + 1]))
-                         for i in range(1, n + 1)]
+        if p:    # C(-m, i) can vanish mod p: reduce by a gcd
+            return [self] + [RationalFunction(_from_ints(self.field, parts[i]),
+                                              _from_ints(self.field, den_pow[i + 1]))
+                             for i in range(1, n + 1)]
+        g = _gcd_mod_p(den, _derivative(den), 0)
+        rad, g_pow, out = _exact_div_mod_p(den, g, 0), [1], [self]
+        for P in parts[1:]:    # a zero P_i comes from a polynomial f, whose den is constant
+            den, g_pow = _mul_mod_p(den, rad, 0), _mul_mod_p(g_pow, g, 0)    # den^(i+1) / g^i
+            f = RationalFunction.__new__(RationalFunction)
+            f.num = _from_ints(self.field, _exact_div_mod_p(P, g_pow, 0) if g_pow != [1] else P,
+                               den[-1])
+            f.den = _from_ints(self.field, den, den[-1])
+            out.append(f)
+        return out
 
     def __str__(self):
         if self.is_polynomial():
@@ -1154,8 +1210,7 @@ def series_det_order(rows, p, K):
         for r, row in enumerate(work):
             f = row.pop(c)[v:]
             if f:    # a and b vanish below x^v: as first factors, their zeros are skipped
-                row = [_sub_mod_p(_mul_trunc(a, unit, K, p), _mul_trunc(b, f, K, p), p)
-                       for a, b in zip(row, top)]
+                row = [_cross(a, unit, b, f, p, K) for a, b in zip(row, top)]
                 g = 0 if p else math.gcd(*(x for a in row for x in a))
                 work[r] = [[x // g for x in a] for a in row] if g > 1 else row
     return order
@@ -1176,8 +1231,7 @@ def _bareiss_insert(pivots, row, p):
         live.remove(c)
         a, b = top[c], row[c]
         for j in live:
-            row[j] = _exact_div_mod_p(_sub_mod_p(_mul_mod_p(a, row[j], p),
-                                                 _mul_mod_p(b, top[j], p), p), prev, p)
+            row[j] = _sylvester(a, row[j], b, top[j], prev, p)
         row[c], prev = [], a
     c = next((j for j in live if row[j]), None)
     if c is None:

@@ -295,13 +295,15 @@ def value_semigroup(ring):
     w1 = xi1 + 2
     p, (pivots, rows) = ring.field.characteristic, ring._echelon
     # V(x,0) is spanned by the echelon rows with pivot >= x; inside it, each
-    # pivot of their u-window echelon below y is one more condition of V(x,y)
-    dim = {}
-    for x in range(xi1 + 2):
-        u_rows = [r[w1:] for pc, r in zip(pivots, rows) if pc >= x]
-        u_pivots = scalar_echelon(u_rows, p)[0]
+    # pivot of their u-windows' span below y is one more condition of V(x,y),
+    # read off one triangular form that takes each u-window once, x descending
+    dim, u_pivots, u_rows, k = {}, [], [], len(rows)
+    for x in range(xi1 + 1, -1, -1):
+        while k and pivots[k - 1] >= x:
+            k -= 1
+            triangular_insert(u_pivots, u_rows, rows[k][w1:], p)
         for y in range(xi2 + 2):
-            dim[(x, y)] = len(u_rows) - sum(1 for pc in u_pivots if pc < y)
+            dim[(x, y)] = len(rows) - k - sum(1 for pc in u_pivots if pc < y)
 
     finite_points = {(x, y) for x in range(xi1 + 1) for y in range(xi2 + 1)
                      if dim[(x, y)] > dim[(x + 1, y)] and dim[(x, y)] > dim[(x, y + 1)]}

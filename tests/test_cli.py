@@ -193,6 +193,17 @@ class TestCurveCommand:
         assert [w["weight"] for w in data["weights"]] == [253, 255, 260]
         assert data["smooth"] == [] and data["total"] == data["expected"] == 768
 
+    def test_branch_at_infinity_scaling_file_over_qq(self, capsys):
+        # the same curve over QQ, as the CI scaling step runs it: its Hasse
+        # derivatives are reduced without a gcd in characteristic 0
+        path = Path(__file__).parent / "data" / "scale-3-4-at-inf-0-1.json"
+        code, data = run_json(capsys, ["curve", str(path), "--format", "json"])
+        assert code == 0
+        assert data["genus"] == 9 and data["orders"] == list(range(9))
+        assert [w["weight"] for w in data["weights"]] == [238, 238, 238]
+        assert [(f["degree"], f["multiplicity"]) for f in data["smooth"]] == [(6, 1)]
+        assert data["total"] == data["expected"] == 720
+
     def test_missing_file(self, capsys):
         assert main(["curve", "/nonexistent/path.json"]) == 2
 

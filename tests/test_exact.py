@@ -20,12 +20,15 @@ from weierforge.exact import (
     TruncationError,
     _bareiss_insert,
     _cleared,
+    _cross,
+    _exact_div_mod_p,
     _from_ints,
     _is_prime,
     _mul_mod_p,
     _mul_trunc,
     _signed_last_pivot,
     _sub_mod_p,
+    _sylvester,
     coprime_refinement,
     echelon_insert,
     field_rows,
@@ -122,6 +125,28 @@ class TestHasseDerivative:
             rhs = sum((fl[a] * gl[i - a] for a in range(i + 1)),
                       RationalFunction(Polynomial(field, [])))
             assert lhs == rhs
+
+    def test_char0_list_equals_the_gcd_reduced_quotients(self):
+        # in characteristic 0 hasse_list reduces P_i / den^(i+1) without a
+        # gcd; each entry must be the constructor's reduced, monic-denominator
+        # form of P_i / den^(i+1), P_i read off the ordinary derivatives
+        t = t_over(QQ)
+        cases = [
+            (3 * t ** 4 - t + 7, (t - 1) ** 3 * (t + 2) ** 2 * (2 * t - 3)),    # repeated linear
+            (t ** 3 - Fraction(1, 2), (t ** 2 + 1) ** 2 * (t - 1)),    # irreducible quadratic
+            (Fraction(2, 3) * t ** 5 + t ** 2 - 4, Polynomial(QQ, [5])),    # a polynomial
+            (Polynomial(QQ, []), t ** 2 + 1),    # zero
+            (t - 1, (t - 1) ** 4 * t ** 3),    # not reduced as given
+        ]
+        for num, den in cases:
+            f = RationalFunction(num, den)
+            ordinary = f
+            for i, h in enumerate(f.hasse_list(6)):
+                den_i = f.den ** (i + 1)
+                P = (ordinary.num * den_i).exact_div(ordinary.den) * Fraction(1, math.factorial(i))
+                assert h == RationalFunction(P, den_i) == ordinary * Fraction(1, math.factorial(i))
+                assert h.den.leading_coefficient == 1
+                ordinary = derivative(ordinary)
 
     def test_factorial_identity_char0(self):
         rng = random.Random(7)
@@ -370,6 +395,22 @@ class TestRootFinding:
         f = Fraction(3, 4) * (t - a) ** 3 * cofactor
         assert f.strip_root(a) == (3, Fraction(3, 4) * cofactor)
         assert f.strip_root(Fraction(1, 2)) == (0, f)
+
+    @pytest.mark.parametrize("field, a", [(QQ, Fraction(982451653, 7919)), (QQ, Fraction(-5, 3)),
+                                          (QQ, Fraction(4)), (GF(2), 1), (GF(7), 3),
+                                          (GF(200003), 199999)], ids=repr)
+    def test_strip_root_matches_repeated_exact_division(self, field, a):
+        # one synthetic division by w t - u per step gives the same (m, cofactor)
+        # as dividing by t - a while it divides
+        rng = random.Random(1300 + field.characteristic)
+        lin = Polynomial(field, [-field(a), 1])
+        for m in range(7):
+            for _ in range(4):
+                f = random_polynomial(rng, field, 5, zero_ok=False) * lin ** m
+                k, rest = 0, f
+                while (rest % lin).is_zero():
+                    k, rest = k + 1, rest.exact_div(lin)
+                assert f.strip_root(field(a)) == (k, rest) and k >= m
 
     def test_constants_have_no_roots(self):
         for field in _ROOT_FIELDS:
@@ -906,6 +947,47 @@ class TestIntegerKernel:
                         assert r.valuation(a) == lead[0] - lead_g[0]
         assert seen >= set(range(5))
         assert Polynomial(field, [6, -5, 1]).root_multiplicity(2) == 1
+
+
+class TestOnePassKernels:
+    @pytest.mark.parametrize("p", [0, 2, 7, 200003])
+    def test_sylvester_and_series_steps_match_the_composed_kernels(self, p):
+        # (a x - b y) / prev in Bareiss and a unit - b f mod x^K in
+        # series_det_order, each in one accumulator, against the composition
+        # of the list kernels; empty entries, constant prevs and inexact
+        # divisions included
+        rng = random.Random(1400 + p)
+
+        def ints(n):
+            return exact._mod_p([rng.randrange(p) if p else rng.choice([0, 1, -1, 3, -6, 2 ** 40])
+                                 for _ in range(rng.randint(0, n))], p)
+
+        prevs = [q for q in (exact._mod_p(q, p) for q in ([1], [2], [6], [3, 0, 1], [4, -3])) if q]
+        for trial in range(300):
+            a, b, x, y = ints(3), ints(3), ints(5), ints(5)
+            prev = prevs[trial % len(prevs)]
+            if trial % 3:    # make the division exact
+                x, y = _mul_mod_p(x, prev, p), _mul_mod_p(y, prev, p)
+            composed = _sub_mod_p(_mul_mod_p(a, x, p), _mul_mod_p(b, y, p), p)
+            try:
+                expected = _exact_div_mod_p(composed, prev, p)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    _sylvester(a, x, b, y, prev, p)
+            else:
+                assert _sylvester(a, x, b, y, prev, p) == expected, (a, x, b, y, prev)
+            assert _cross(a, x, b, y, p) == composed
+            for K in range(0, 9, 2):
+                assert _cross(a, x, b, y, p, K) == \
+                    _sub_mod_p(_mul_trunc(a, x, K, p), _mul_trunc(b, y, K, p), p)
+
+    def test_inexact_division_raises(self):
+        # neither 6 nor 2t + 1 divides 3 + t over ZZ, nor t + 1 over GF(7)
+        for prev, p in (([6], 0), ([1, 2], 0), ([1, 1], 7)):
+            with pytest.raises(ArithmeticError):
+                _sylvester([1], [3, 1], [], [], prev, p)
+        assert _sylvester([2], [3, 1], [], [], [2], 0) == [3, 1]
+        assert _sylvester([1], [3, 1], [], [], [2], 7) == [5, 4]
 
 
 def _ref_taylor_lead(poly, a):

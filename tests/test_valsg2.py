@@ -12,6 +12,7 @@ from weierforge.exact import (
     field_rows,
     scalar_echelon,
     scalar_ints,
+    triangular_insert,
 )
 from weierforge.numsg import NumericalSemigroup
 from weierforge.valsg2 import (
@@ -494,13 +495,13 @@ class TestVSystems:
     def test_value_semigroup_is_built_once_per_ring(self, monkeypatch):
         tables = []
 
-        def counting(rows, p):
-            tables.append(rows)
-            return scalar_echelon(rows, p)
+        def counting(pivots, rows, vec, p):
+            tables.append(vec)
+            return triangular_insert(pivots, rows, vec, p)
 
         # both rings are built first, so only value_semigroup is counted
         ring, fresh = asymmetric_branch_ring(), asymmetric_branch_ring()
-        monkeypatch.setattr(valsg2_module, "scalar_echelon", counting)
+        monkeypatch.setattr(valsg2_module, "triangular_insert", counting)
         S = value_semigroup(ring)
         built = len(tables)
         assert built and value_semigroup(ring) is S
