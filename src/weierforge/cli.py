@@ -21,7 +21,7 @@ from .curve import (
     weight_report,
 )
 from .exact import _checked, _is_int, field_of_characteristic
-from .gallery import SCENARIOS, ScenarioMismatch
+from .gallery import EXAMPLE_2_9_CHARACTERISTICS, SCENARIOS, ScenarioMismatch
 from .numsg import NumericalSemigroup
 from .padic import (
     classicality_product_test,
@@ -79,7 +79,7 @@ def build_parser():
     p_rp = sub.add_parser("reproduce", parents=[common], help="run a named built-in scenario")
     p_rp.add_argument("name", help="scenario name, or 'all'; use 'list' to enumerate")
     p_rp.add_argument("--char", type=int, default=None,
-                      help="characteristic filter where a scenario supports several")
+                      help="run example-2.9 in one of its characteristics: 0, 2 or 3")
     return parser
 
 
@@ -238,6 +238,10 @@ def _cmd_reproduce(args):
             print(name)
         return 0
     names = sorted(SCENARIOS) if args.name == "all" else [args.name]
+    if ("example-2.9" in names and args.char is not None
+            and args.char not in EXAMPLE_2_9_CHARACTERISTICS):
+        raise ValueError("--char %d: example-2.9 has published weights only in characteristics %s"
+                         % (args.char, ", ".join(map(str, EXAMPLE_2_9_CHARACTERISTICS))))
     results = []
     for name in names:
         if name not in SCENARIOS:

@@ -239,10 +239,6 @@ class DualizingBasis:
     def numerators(self):
         return tuple(n._ints()[0] for n in self._system.numerators)
 
-    def generator(self, singularity_index):
-        V = self._system
-        return RationalFunction(V.numerators[self.generator_index[singularity_index]], V.denominator)
-
 
 def dualizing_basis(X):
     """Solve the residue conditions for the space of global dualizing

@@ -437,9 +437,14 @@ class AdaptedBasis:
 
 def adapted_basis(X):
     """Adapted dualizing basis for a rational curve whose only singularity
-    is two-branch: Gaussian elimination on value pairs, raising the order on
-    the second branch by subtracting differentials of larger first-branch
-    order until every target value is met.
+    is two-branch: Gaussian elimination on value pairs.  Each differential
+    in turn is reduced against the holder of its value until that value is
+    new: first-branch values over all of them, then second-branch values
+    over those at or past xi1 on the first branch, in order, and the rest by
+    descending first-branch value, so one below xi1 is raised only by
+    differentials of larger first-branch value.  Each of those must end at
+    its target: the second coordinate of its maximal point, or xi2 on the
+    top edge.
 
     A differential is carried as its coefficient vector over the dualizing
     basis and its window vector at the singularity.  Divided by the
@@ -461,100 +466,75 @@ def adapted_basis(X):
     def nu(vec):
         return tuple(next((j for j in range(c) if vec[s + j]), c) for s, c in blocks)
 
-    def cancel(item, other, branch):
-        """Subtract the multiple of other sharing item's leading term on the branch."""
-        j = blocks[branch][0] + item[1][branch]
-        v, w = item[0], other[0]
-        if p:
-            f = v[j] * pow(w[j], -1, p)
-            v = [(x - f * y) % p for x, y in zip(v, w)]
-        else:
-            v = _primitive([w[j] * x - v[j] * y for x, y in zip(v, w)])
-        if not any(v[:g]):
-            raise EliminationStuck("dependent differentials in value elimination")
-        item[:] = v, nu(v)
+    def insert(item, branch, holders):
+        """Subtract from item the multiple of the holder of its value on the
+        branch sharing its leading term until that value is new, and hold
+        it there if it is below the conductor."""
+        s, c = blocks[branch]
+        while item[1][branch] in holders:
+            v, w = item[0], holders[item[1][branch]][0]
+            j = s + item[1][branch]
+            if p:
+                f = v[j] * pow(w[j], -1, p)
+                v = [(x - f * y) % p for x, y in zip(v, w)]
+            else:
+                v = _primitive([w[j] * x - v[j] * y for x, y in zip(v, w)])
+            if not any(v[:g]):
+                raise EliminationStuck("dependent differentials in value elimination")
+            item[:] = v, nu(v)
+        if item[1][branch] < c:
+            holders[item[1][branch]] = item
 
     work = []
     for k, window in enumerate(basis._windows[0]):
         vec = [int(i == k) for i in range(g)] + window
         work.append([vec, nu(vec)])
-
-    # echelonize first-branch values below xi1, then among the rest
-    # second-branch values below xi2: each item in turn is reduced against
-    # the earlier holder of its value until that value is new
-    by_v1 = {}
+    by_v1, by_v2 = {}, {}
     for item in work:
-        while item[1][0] in by_v1:
-            cancel(item, by_v1[item[1][0]], 0)
-        if item[1][0] < xi1:
-            by_v1[item[1][0]] = item
-    by_v2 = {}
-    for item in work:
-        if item[1][0] < xi1:
-            continue
-        while item[1][1] in by_v2:
-            cancel(item, by_v2[item[1][1]], 1)
-        if item[1][1] >= xi2:
-            raise EliminationStuck(
-                "differential with values beyond the conductor on both branches")
-        by_v2[item[1][1]] = item
+        insert(item, 0, by_v1)
 
-    maximal_x = {a: b for a, b in S2.maximals}
-    top_edge_x = {x for (x, _y) in edge_points(S2).top}
-
-    # raise second-branch values, working down the first-branch order
-    fixed = [item for item in work if item[1][0] >= xi1]
-    pending = sorted((item for item in work if item[1][0] < xi1),
-                     key=lambda it: -it[1][0])
-    for item in pending:
+    maximal_y = dict(S2.maximals)
+    targets = {x: xi2 for x, _y in edge_points(S2).top} | maximal_y
+    # the items at or past xi1 all hold the capped value xi1, so a stable sort
+    # keeps them first and in order
+    ordered = sorted(work, key=lambda item: -item[1][0])
+    for item in ordered:
         v1 = item[1][0]
-        if v1 in maximal_x:
-            target = maximal_x[v1]
-            exact = True
-        elif v1 in top_edge_x:
-            target = xi2
-            exact = False
-        else:
+        if v1 < xi1 and v1 not in targets:
             raise EliminationStuck(
                 "first-branch value %d is neither maximal nor a top-edge point" % v1)
-        while item[1][1] < target:
-            v2 = item[1][1]
-            partner = next((f for f in fixed
-                            if f[1][0] > v1 and f[1][1] == v2), None)
-            if partner is None:
-                raise EliminationStuck(
-                    "no partner to raise the second-branch value past %d" % v2)
-            cancel(item, partner, 1)
-        if exact and item[1][1] != target:
+        insert(item, 1, by_v2)
+        v2 = item[1][1]
+        if v1 >= xi1 and v2 >= xi2:
             raise EliminationStuck(
-                "second-branch value overshot the maximal point (%d, %d)" % (v1, target))
-        fixed.append(item)
+                "differential with values beyond the conductor on both branches")
+        if v1 < xi1 and v2 < targets[v1]:
+            raise EliminationStuck(
+                "no partner to raise the second-branch value past %d" % v2)
+        if v1 < xi1 and v2 > targets[v1]:
+            raise EliminationStuck(
+                "second-branch value overshot the maximal point (%d, %d)" % (v1, targets[v1]))
 
     # each result is one numerator combination over the ansatz denominator D,
     # their lcm: the one of value pair (0, 0) has the full pole on both branches
     V, nums = basis._system, basis.numerators
     gen = V.numerators[basis.generator_index[0]]
 
-    numerators = []
-    value_pairs = []
-    maximal_indices = {}
-    top_indices = {}
-    right_indices = {}
-    generator_index = None
-    for idx, (vec, pair) in enumerate(fixed):
+    numerators, value_pairs = [], []
+    maximal_indices, top_indices, right_indices = {}, {}, {}
+    for idx, (vec, pair) in enumerate(ordered):
         num = _from_ints(X.field, _dot_mod_p([[c] for c in vec[:g]], nums, p))
         numerators.append(num)
         pair = tuple(v if v < c else num.order_at(q) - gen.order_at(q)
                      for v, (_s, c), q in zip(pair, blocks, sing.locations))
         value_pairs.append(pair)
-        if pair[0] < xi1 and pair[0] in maximal_x:
-            maximal_indices[(pair[0], maximal_x[pair[0]])] = idx
-            if pair == (0, 0):
-                generator_index = idx
+        if pair[0] in maximal_y:
+            maximal_indices[(pair[0], maximal_y[pair[0]])] = idx
         elif pair[0] < xi1:
             top_indices[pair[0]] = idx
         else:
             right_indices[pair[1]] = idx
+    generator_index = maximal_indices.get((0, 0))
     if generator_index is None:
         raise EliminationStuck("no differential with value pair (0, 0)")
     if len(maximal_indices) != S2.I:

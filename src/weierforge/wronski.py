@@ -263,8 +263,11 @@ def weight_divisor(V, excluded_points=()):
     for q in D.rational_roots():    # the poles left
         (m, det), (_k, D) = det.strip_root(q), D.strip_root(q)
         weights.append((Polynomial(field, [-q, 1]), m))
-    # the f_j's denominators split D's places: each has one order in every f_j
-    for place in coprime_refinement([det] + ([f.den for f in V.functions] if D.degree else [])):
+    # the f_j's denominators D / gcd(n_j, D) split D's places: each has one
+    # order in every f_j
+    dens = ([V.denominator.exact_div(V.denominator.gcd(n)) for n in V.numerators]
+            if D.degree else [])
+    for place in coprime_refinement([det] + dens):
         weights.append((place, det.multiplicity_of_factor(place)))
     entries = sorted(((place, w) for place, w in weights if w), key=lambda e: place_key(e[0]))
     if INF not in excluded_points:

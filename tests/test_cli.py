@@ -412,6 +412,16 @@ class TestReproduce:
         assert code == 0
         assert data["runs"][0]["report"]["weights"][0]["weight"] == 24
 
+    @pytest.mark.parametrize("argv", [["example-2.9", "--char", "5"], ["all", "--char", "7"]])
+    def test_char_without_published_weights_exits_2(self, argv, capsys):
+        # for p = 5, 7, 11, 13 the curve has weight 22, not the published 24:
+        # a characteristic the scenario does not cover is a usage error
+        assert main(["reproduce"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --char ") and err.count("\n") == 1
+        assert "0, 2, 3" in err
+
     def test_all_json_matches_the_committed_output(self, capsys):
         # tests/data/reproduce_all.json pins the gallery output byte for byte
         expected = (Path(__file__).parent / "data" / "reproduce_all.json").read_bytes()

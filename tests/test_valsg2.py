@@ -336,6 +336,34 @@ class TestAdaptedBasis:
             assert len(ad.top_edge_indices) == S.delta1
             assert len(ad.right_edge_indices) == S.delta2
 
+    @pytest.mark.parametrize("make_ring, alter, message", [
+        # drop the last maximal point
+        (tacnode_ring, lambda ms: ms[:-1],
+         "first-branch value 1 is neither maximal nor a top-edge point"),
+        (asymmetric_branch_ring, lambda ms: ms[:-1],
+         "first-branch value 6 is neither maximal nor a top-edge point"),
+        # raise the last maximal point's y by one
+        (tacnode_ring, lambda ms: ms[:-1] + ((ms[-1][0], ms[-1][1] + 1),),
+         "no partner to raise the second-branch value past 1"),
+        (asymmetric_branch_ring, lambda ms: ms[:-1] + ((ms[-1][0], ms[-1][1] + 1),),
+         "no partner to raise the second-branch value past 2"),
+        # lower every y after the first by one
+        (tacnode_ring, lambda ms: ms[:1] + tuple((x, y - 1) for x, y in ms[1:]),
+         "second-branch value overshot the maximal point (1, 0)"),
+        (asymmetric_branch_ring, lambda ms: ms[:1] + tuple((x, y - 1) for x, y in ms[1:]),
+         "second-branch value overshot the maximal point (6, 1)"),
+    ])
+    def test_elimination_stuck_on_altered_maximals(self, make_ring, alter, message, monkeypatch):
+        def altered(ring):
+            S = value_semigroup(ring)
+            return valsg2_module.ValueSemigroup2(
+                S.ring, S.conductor, S.finite_points, S.infinite_vertical,
+                S.infinite_horizontal, alter(S.maximals), S.S1, S.S2)
+
+        monkeypatch.setattr(valsg2_module, "value_semigroup", altered)
+        with pytest.raises(EliminationStuck) as info:
+            adapted_basis(curve_of(make_ring()))
+        assert str(info.value) == message
 
     def test_windows_match_the_rational_function_reference(self, ring_corpus):
         # the elimination on (coefficient vector, window vector) pairs gives
