@@ -238,6 +238,9 @@ def _cmd_reproduce(args):
             print(name)
         return 0
     names = sorted(SCENARIOS) if args.name == "all" else [args.name]
+    if args.char is not None and args.name in SCENARIOS and args.name != "example-2.9":
+        raise ValueError("--char %d: %s has no characteristic to choose; --char applies to "
+                         "example-2.9 only" % (args.char, args.name))
     if ("example-2.9" in names and args.char is not None
             and args.char not in EXAMPLE_2_9_CHARACTERISTICS):
         raise ValueError("--char %d: example-2.9 has published weights only in characteristics %s"

@@ -1062,7 +1062,8 @@ class RationalFunction:
         return self.hasse_list(i)[i]
 
     def hasse_list(self, n):
-        """[D^(0)f, ..., D^(n)f] via the product-rule recurrence
+        """[D^(0)f, ..., D^(n)f].  For a polynomial f (den = 1) this is
+        num.hasse(i) over den 1.  Otherwise it is the product-rule recurrence
         D^(i)(num) = sum_{a+b=i} D^(a)(f) * D^(b)(den).
 
         With num and den cleared to int lists over one common denominator
@@ -1074,6 +1075,8 @@ class RationalFunction:
         """
         if n < 0:
             raise ValueError("negative Hasse derivative order")
+        if self.is_polynomial():
+            return [self] + [self._reduced(self.num.hasse(i), self.den) for i in range(1, n + 1)]
         p = self.field.characteristic
         (num, den), _d = _cleared((self.num, self.den))
         dden = [_hasse_mod_p(den, i, p) for i in range(n + 1)]
@@ -1093,14 +1096,19 @@ class RationalFunction:
                              for i in range(1, n + 1)]
         g = _gcd_mod_p(den, _derivative(den), 0)
         rad, g_pow, out = _exact_div_mod_p(den, g, 0), [1], [self]
-        for P in parts[1:]:    # a zero P_i comes from a polynomial f, whose den is constant
+        for P in parts[1:]:
             den, g_pow = _mul_mod_p(den, rad, 0), _mul_mod_p(g_pow, g, 0)    # den^(i+1) / g^i
-            f = RationalFunction.__new__(RationalFunction)
-            f.num = _from_ints(self.field, _exact_div_mod_p(P, g_pow, 0) if g_pow != [1] else P,
-                               den[-1])
-            f.den = _from_ints(self.field, den, den[-1])
-            out.append(f)
+            out.append(self._reduced(_from_ints(self.field, _exact_div_mod_p(P, g_pow, 0)
+                                                if g_pow != [1] else P, den[-1]),
+                                     _from_ints(self.field, den, den[-1])))
         return out
+
+    @classmethod
+    def _reduced(cls, num, den):
+        """num / den for a pair already reduced, den monic: no gcd."""
+        f = cls.__new__(cls)
+        f.num, f.den = num, den
+        return f
 
     def __str__(self):
         if self.is_polynomial():
@@ -1167,20 +1175,22 @@ def fraction_free_rank_det(rows):
 def quotient_rows(field, numerators, G, eps):
     """The rows P_e = G^(e+1) D^(e)(n_j / G), e in eps, as int lists, of
     int lists n_j and G (residues over GF(p)).  By the Leibniz rule P_e is
-    the sum over a <= e of D^(a)(n_j) G^a Q_(e-a), Q_b = G^(b+1) D^(b)(1/G)
-    from one hasse_list of 1/G.  The quotient-rule recurrence for Q_b has
-    integer coefficients, so every Q_b is an int list (its stored
-    denominator is 1) and all terms of a row share one scale: no term is
-    cleared on its own."""
+    the sum over a <= e of D^(a)(n_j) G^a Q_(e-a), Q_b = G^(b+1) D^(b)(1/G).
+    The Leibniz rule on G * (1/G) = 1 gives the quotient-rule recurrence
+    Q_0 = 1, Q_b = -sum_{i=1..b} H_i Q_(b-i), H_i = D^(i)(G) G^(i-1), with
+    integer coefficients: every Q_b is an int list, nothing is reduced by a
+    gcd, and all terms of a row share one scale."""
     if not eps:
         return []
     p, top = field.characteristic, max(eps)
     powers = [[1]]    # G^a
-    for _ in range(top + 1):
+    for _ in range(top):
         powers.append(_mul_mod_p(powers[-1], G, p))
-    inverse = RationalFunction(Polynomial(field, [1]), _from_ints(field, G))
-    quotients = [[1]] + [(_from_ints(field, powers[b + 1]).exact_div(h.den) * h.num)._ints()[0]
-                         for b, h in enumerate(inverse.hasse_list(top)) if b]    # Q_0 = 1
+    dG = RationalFunction(_from_ints(field, G)).hasse_list(top)
+    H = [_mul_mod_p(dG[i].num._ints()[0], powers[i - 1], p) for i in range(1, top + 1)]
+    quotients = [[1]]    # Q_0 = 1
+    for b in range(1, top + 1):
+        quotients.append(_mod_p([-c for c in _dot_mod_p(H[:b], quotients[::-1], p)], p))
     hasse = [[_hasse_mod_p(n, a, p) for n in numerators] for a in range(top + 1)]
     rows = []
     for e in eps:

@@ -422,6 +422,17 @@ class TestReproduce:
         assert err.startswith("error: --char ") and err.count("\n") == 1
         assert "0, 2, 3" in err
 
+    @pytest.mark.parametrize("argv", [["example-2.1", "--char", "5"], ["node", "--char", "7"],
+                                      ["tacnode", "--char", "0"]])
+    def test_char_on_another_scenario_exits_2(self, argv, capsys):
+        # only example-2.9 runs in a chosen characteristic: any other
+        # scenario would print its fixed-characteristic output unchanged
+        assert main(["reproduce"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --char ") and err.count("\n") == 1
+        assert argv[0] in err
+
     def test_all_json_matches_the_committed_output(self, capsys):
         # tests/data/reproduce_all.json pins the gallery output byte for byte
         expected = (Path(__file__).parent / "data" / "reproduce_all.json").read_bytes()

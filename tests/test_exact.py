@@ -23,6 +23,7 @@ from weierforge.exact import (
     _cross,
     _exact_div_mod_p,
     _from_ints,
+    _hasse_mod_p,
     _is_prime,
     _mul_mod_p,
     _mul_trunc,
@@ -33,6 +34,7 @@ from weierforge.exact import (
     echelon_insert,
     field_rows,
     fraction_free_rank_det,
+    quotient_rows,
     scalar_echelon,
     scalar_ints,
     scalar_nullspace,
@@ -158,6 +160,26 @@ class TestHasseDerivative:
                 ordinary = derivative(ordinary)
             assert f.hasse(i) * math.factorial(i) == ordinary
 
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3, 5, 10111])
+    def test_polynomial_list_is_the_polynomial_hasse_over_1(self, characteristic):
+        # a polynomial takes no product-rule recurrence: D^(i)f is
+        # num.hasse(i) over den 1; by linearity it must agree with the
+        # general path on f + r minus r, r = 1/(t - a) not a polynomial
+        field = QQ if characteristic == 0 else GF(characteristic)
+        rng = random.Random(2600 + characteristic)
+        t, one = t_over(field), Polynomial(field, [1])
+        for _ in range(20):
+            f = random_polynomial(rng, field, 9)
+            n = rng.randint(0, 7)
+            got = RationalFunction(f).hasse_list(n)
+            assert len(got) == n + 1
+            for i, h in enumerate(got):
+                assert h.num == f.hasse(i) and h.den == one
+                assert h == RationalFunction(f.hasse(i))
+            r = RationalFunction(one, t - rng.randint(-3, 3))
+            shifted, pole = (f + r).hasse_list(n), r.hasse_list(n)
+            assert [a - b for a, b in zip(shifted, pole)] == got
 
 class TestValuation:
     def test_finite_zero(self):
@@ -947,6 +969,61 @@ class TestIntegerKernel:
                         assert r.valuation(a) == lead[0] - lead_g[0]
         assert seen >= set(range(5))
         assert Polynomial(field, [6, -5, 1]).root_multiplicity(2) == 1
+
+
+def _quotient_rows_via_inverse(field, numerators, G, eps):
+    """The route quotient_rows took before the quotient-rule recurrence:
+    Q_b = G^(b+1) D^(b)(1/G) from one hasse_list of 1/G (each term reduced
+    by a gcd over GF(p)), multiplied back out as G^(b+1) / den * num."""
+    if not eps:
+        return []
+    p, top = field.characteristic, max(eps)
+    powers = [[1]]
+    for _ in range(top + 1):
+        powers.append(_mul_mod_p(powers[-1], G, p))
+    inverse = RationalFunction(Polynomial(field, [1]), _from_ints(field, G))
+    quotients = [[1]] + [(_from_ints(field, powers[b + 1]).exact_div(h.den) * h.num)._ints()[0]
+                         for b, h in enumerate(inverse.hasse_list(top)) if b]
+    rows = []
+    for e in eps:
+        row = []
+        for n in numerators:
+            acc = []
+            for a in range(e + 1):
+                term = _mul_mod_p(_mul_mod_p(_hasse_mod_p(n, a, p), powers[a], p),
+                                  quotients[e - a], p)
+                acc = exact._mod_p([x + y for x, y in itertools.zip_longest(acc, term,
+                                                                          fillvalue=0)], p)
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+class TestQuotientRows:
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 10111])
+    def test_recurrence_matches_the_inverse_route(self, p):
+        # seeded G, numerators and eps; in small characteristic G has a root
+        # whose multiplicity p divides, where the gcd cut the old terms most
+        field = QQ if p == 0 else GF(p)
+        rng = random.Random(2610 + p)
+        t = t_over(field)
+        for trial in range(40):
+            G = random_polynomial(rng, field, 4, zero_ok=False)
+            if trial % 2:
+                root = t - rng.randint(0, 4)
+                G = G * root ** (p if 0 < p < 10 else rng.randint(2, 4))
+            (G,), _d = _cleared((G,))
+            numerators = [_cleared((random_polynomial(rng, field, 6),))[0][0]
+                          for _ in range(rng.randint(1, 4))]
+            eps = sorted(rng.sample(range(9), rng.randint(0, 4)))
+            assert quotient_rows(field, numerators, G, eps) == \
+                _quotient_rows_via_inverse(field, numerators, G, eps), (G, numerators, eps)
+
+    def test_rows_of_1_are_the_quotients(self):
+        # n = 1 gives P_e = Q_e = G^(e+1) D^(e)(1/G); for G = t^2 - 1 over QQ
+        # Q_1 = -2t, Q_2 = 3t^2 + 1
+        assert quotient_rows(QQ, [[1]], [-1, 0, 1], [0, 1, 2]) == [[[1]], [[0, -2]], [[1, 0, 3]]]
+        assert quotient_rows(QQ, [[1]], [-1, 0, 1], []) == []
 
 
 class TestOnePassKernels:
