@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: semigroup, padic, orders, curve, two-branch, reproduce.
-Exit codes: 0 success, 2 invalid input, 3 internal invariant failure.
+Exit codes: 0 success; 2 an invalid input, a ValueError or OSError naming
+the option or path at fault; 3 an internal invariant failure, an
+AssertionError or the ArithmeticError of an inexact division.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ import sys
 from .curve import (
     MonomialSingularity,
     RationalCurve,
-    SolutionDimensionMismatch,
-    TotalMismatch,
     TwoBranchSingularity,
     UnibranchSingularity,
     weight_report,
 )
-from .exact import _checked, _is_int, field_of_characteristic
-from .gallery import EXAMPLE_2_9_CHARACTERISTICS, SCENARIOS, ScenarioMismatch
+from .exact import GF, _checked, _is_int, field_of_characteristic
+from .gallery import EXAMPLE_2_9_CHARACTERISTICS, SCENARIOS
 from .numsg import NumericalSemigroup
 from .padic import (
     classicality_product_test,
@@ -29,7 +29,7 @@ from .padic import (
     satisfies_p_adic_criterion,
     uses_all_weight,
 )
-from .valsg2 import NotClosed, NotGorenstein, validate_ring, value_semigroup
+from .valsg2 import validate_ring, value_semigroup
 
 USER_ERROR = 2
 INTERNAL_ERROR = 3
@@ -92,7 +92,7 @@ def _emit(args, payload, text_lines):
 
 
 def _cmd_semigroup(args):
-    S = (_checked("--gens", NumericalSemigroup.from_generators, args.gens) if args.gens
+    S = (_checked("--gens", NumericalSemigroup.from_generators, args.gens) if args.gens is not None
          else _checked("--gaps", NumericalSemigroup.from_gaps, args.gaps))
     data = S.to_json()
     lines = [
@@ -106,14 +106,14 @@ def _cmd_semigroup(args):
 
 
 def _cmd_padic(args):
-    p = args.p
+    p = _checked("--p", GF, args.p).p
     if args.seq is not None:
-        ok = satisfies_p_adic_criterion(args.seq, p)
+        ok = _checked("--seq", lambda seq: satisfies_p_adic_criterion(seq, p), args.seq)
         payload = {"p": p, "sequence": args.seq, "satisfies_criterion": ok}
         _emit(args, payload, ["sequence %s %s the %d-adic criterion"
                               % (args.seq, "satisfies" if ok else "violates", p)])
         return 0
-    gaps = args.gaps
+    gaps = list(_checked("--gaps", NumericalSemigroup.from_gaps, args.gaps).gaps)
     classical = classicality_product_test(gaps, p)
     full = uses_all_weight(gaps, p)
     payload = {"p": p, "gaps": gaps, "classical_product_test": classical,
@@ -127,7 +127,9 @@ def _cmd_padic(args):
 
 
 def _cmd_orders(args):
-    orders = monomial_order_sequence(args.exponents, args.p)
+    p = _checked("--p", field_of_characteristic, args.p).characteristic
+    orders = _checked("--exponents", lambda exponents: monomial_order_sequence(exponents, p),
+                      args.exponents)
     payload = {"p": args.p, "exponents": args.exponents, "orders": list(orders)}
     _emit(args, payload, ["orders: %s" % (", ".join(map(str, orders)))])
     return 0
@@ -181,7 +183,7 @@ def _singularity(field, item):
 
 def _curve_from_json(data, char_override=None):
     characteristic = _field(data, "characteristic", _INT, 0)
-    field = (field_of_characteristic(char_override) if char_override is not None
+    field = (_checked("--char", field_of_characteristic, char_override) if char_override is not None
              else _checked("characteristic", field_of_characteristic, characteristic))
     singularities = []
     for i, item in enumerate(_field(data, "singularities", _OBJECTS)):
@@ -237,23 +239,17 @@ def _cmd_reproduce(args):
         for name in sorted(SCENARIOS):
             print(name)
         return 0
-    names = sorted(SCENARIOS) if args.name == "all" else [args.name]
-    if args.char is not None and args.name in SCENARIOS and args.name != "example-2.9":
+    if args.name != "all" and args.name not in SCENARIOS:
+        raise ValueError("unknown scenario %r; try 'reproduce list'" % args.name)
+    if args.char is not None and args.name not in ("all", "example-2.9"):
         raise ValueError("--char %d: %s has no characteristic to choose; --char applies to "
                          "example-2.9 only" % (args.char, args.name))
-    if ("example-2.9" in names and args.char is not None
-            and args.char not in EXAMPLE_2_9_CHARACTERISTICS):
+    if args.char is not None and args.char not in EXAMPLE_2_9_CHARACTERISTICS:
         raise ValueError("--char %d: example-2.9 has published weights only in characteristics %s"
                          % (args.char, ", ".join(map(str, EXAMPLE_2_9_CHARACTERISTICS))))
-    results = []
-    for name in names:
-        if name not in SCENARIOS:
-            raise ValueError("unknown scenario %r; try 'reproduce list'" % name)
-        runner = SCENARIOS[name]
-        if name == "example-2.9" and args.char is not None:
-            results.append(runner(args.char))
-        else:
-            results.append(runner())
+    names = sorted(SCENARIOS) if args.name == "all" else [args.name]
+    results = [SCENARIOS[name](args.char) if name == "example-2.9" else SCENARIOS[name]()
+               for name in names]
     payload = results[0] if len(results) == 1 else results
     lines = []
     for res in results:
@@ -292,12 +288,10 @@ def main(argv=None):
         sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except (TotalMismatch, ScenarioMismatch, AssertionError) as exc:
+    except (AssertionError, ArithmeticError) as exc:
         print("internal invariant failure: %s" % exc, file=sys.stderr)
         return INTERNAL_ERROR
-    except (ValueError, KeyError, OSError, ZeroDivisionError, OverflowError,
-            NotClosed, NotGorenstein, SolutionDimensionMismatch,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USER_ERROR
     finally:

@@ -47,11 +47,12 @@ class SolutionDimensionMismatch(ValueError):
     the singularity descriptors are non-Gorenstein or inconsistent."""
 
 
-class GeneratorNotFound(RuntimeError):
-    """No single basis element generates the dualizing sheaf at the point."""
+class GeneratorNotFound(AssertionError):
+    """No single basis element generates the dualizing sheaf at the point;
+    at the Gorenstein points of a validated curve one always does."""
 
 
-class TotalMismatch(RuntimeError):
+class TotalMismatch(AssertionError):
     """Computed weights do not add up to the expected global total; this is
     an internal consistency failure, never a user error."""
 
@@ -316,8 +317,11 @@ def _ansatz(X):
             (v, e, de), (vt, ts, dt) = _branch_series(br.uniformizer, roots, c, p)
             block = []
             for k in range(n):
-                if v < -c:    # e holds s^v .. s^(v+c-1), short of s^-1
-                    raise TruncationError("ansatz expansion known only below s^%d" % (v + c))
+                # e holds s^v .. s^(v+c-1); v >= -c on every branch: at a finite
+                # one dt / D has a pole of order c and t none, at INF
+                # t^k dt / D has order deg D - 2 - k >= -c for k < n
+                if v < -c:
+                    raise AssertionError("ansatz expansion known only below s^%d" % (v + c))
                 block.append([e[j - v] * dt ** (n - 1 - k) if j >= v else 0 for j in range(-c, 0)])
                 e, v = _mul_trunc(ts, e, c, p), v + vt
             parts.append((block, de * dt ** (n - 1)))

@@ -2,7 +2,7 @@
 
 Each entry builds a curve or ring, runs the analysis, asserts the expected
 numbers, and returns a JSON-ready report.  A failed assertion raises
-ScenarioMismatch, which the CLI turns into a nonzero exit.
+ScenarioMismatch, an invariant failure, which the CLI turns into exit 3.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .valsg2 import (
 )
 
 
-class ScenarioMismatch(RuntimeError):
+class ScenarioMismatch(AssertionError):
     """A built-in scenario produced a value different from its published one."""
 
 

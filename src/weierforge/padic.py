@@ -104,10 +104,10 @@ def monomial_order_sequence(exponents, p):
     order.  For p = 0 it is (0, ..., n).
     """
     exponents = tuple(exponents)
+    if not exponents or exponents[0] < 0:
+        raise ValueError("exponents must be nonempty and nonnegative")
     if any(b <= a for a, b in zip(exponents, exponents[1:])):
         raise ValueError("exponents must be strictly increasing")
-    if exponents and exponents[0] < 0:
-        raise ValueError("exponents must be nonnegative")
     shift = exponents[0]
     exponents = tuple(a - shift for a in exponents)  # shifting changes no orders
     s = len(exponents)

@@ -39,9 +39,9 @@ class NotGorenstein(ValueError):
     """dim(normalization/conductor) differs from twice the delta invariant."""
 
 
-class EliminationStuck(RuntimeError):
+class EliminationStuck(AssertionError):
     """Value-echelon elimination cannot reach the configuration promised by
-    the adapted-basis theorem; the descriptor is inconsistent."""
+    the adapted-basis theorem; for a validated ring an invariant failure."""
 
 
 class TwoBranchRing:

@@ -1,7 +1,8 @@
 """The input boundary: the constructors check and coerce every curve and
 ring value, name the argument path at fault, and the command line adds only
-the path of the singularity in its file.  A seeded fuzz run of the loader
-checks that every malformed file exits with one error line."""
+the path of the singularity in its file.  Seeded fuzz runs of the loader and
+of the options check that every malformed file or option value exits 2 with
+one error line naming it; an invariant failure exits 3."""
 
 import contextlib
 import copy
@@ -12,9 +13,11 @@ import operator
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
+from weierforge import curve, exact, gallery, padic, valsg2
 from weierforge.cli import main
 from weierforge.curve import MonomialSingularity, TwoBranchSingularity, UnibranchSingularity
 from weierforge.exact import GF, INF, QQ
@@ -105,6 +108,99 @@ def test_malformed_files_exit_2_with_one_error_line_naming_a_path(tmp_path):
         codes.append(code)
     assert time.perf_counter() - start < 2.0
     assert 0 in codes and 2 in codes
+
+
+# the option commands with valid values: a fuzz run gives one option one of
+# the values below; CURVE stands for a curve file valid in every characteristic
+OPTION_COMMANDS = (
+    (["semigroup"], {"--gens": "3,4"}),
+    (["semigroup"], {"--gaps": "1,2,5"}),
+    (["padic"], {"--p": "2", "--seq": "0,1,4"}),
+    (["padic"], {"--p": "2", "--gaps": "1,2,5"}),
+    (["orders"], {"--exponents": "0,3,4", "--p": "2"}),
+    (["curve", "CURVE"], {"--char": "2"}),
+    (["reproduce", "example-2.9"], {"--char": "2"}),
+)
+INT_OPTIONS = ("--p", "--char")
+FAULTY_INTS = (0, 1, -1, 3, 4, 7, 1000003, 10 ** 25 + 13, 10 ** 30)
+# no list asks for a large allocation: a semigroup sieve of 10^30 entries
+# overflows an index at once, where one of 10^9 entries would be allocated
+FAULTY_LISTS = ((), (0,), (-1, 0), (1, 1), (5, 2), (2, 5), (4, 6), (1, 2, 5), (0, 3, 4),
+                (10 ** 30,), (3, 10 ** 30 + 1))
+
+
+def run_options(argv):
+    """(exit code, stdout, stderr) of the command line run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_faulty_option_values_exit_2_with_one_error_line_naming_the_option(tmp_path):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"singularities": [
+        {"kind": "monomial", "location": "0", "generators": [3, 4]}]}))
+    rng = random.Random(27)
+    start = time.perf_counter()
+    codes = set()
+    for _ in range(300):
+        command, options = rng.choice(OPTION_COMMANDS)
+        option = rng.choice(sorted(options))
+        value = (str(rng.choice(FAULTY_INTS)) if option in INT_OPTIONS
+                 else ",".join(map(str, rng.choice(FAULTY_LISTS))))
+        argv = [str(curve_file) if word == "CURVE" else word for word in command]
+        argv += ["%s=%s" % (name, value if name == option else options[name])
+                 for name in options]
+        code, out, err = run_options(argv)
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert out == "" and re.fullmatch("error: %s[: ].*\n" % option, err), (argv, err)
+        else:
+            assert err == "", argv
+        codes.add((command[0], code))
+    assert time.perf_counter() - start < 2.0
+    assert codes == {(command, code) for command in ("semigroup", "padic", "orders", "curve",
+                                                      "reproduce") for code in (0, 2)}
+
+
+def _raising(exc):
+    def planted(*args, **kwargs):
+        raise exc
+    return planted
+
+
+_BRANCH_SERIES = curve._branch_series
+
+
+def _too_deep(u, roots, terms, p):
+    """A branch expansion starting below s^-c, c = terms, which no valid
+    curve gives."""
+    (v, e, de), series_of_t = _BRANCH_SERIES(u, roots, terms, p)
+    return (v - terms - 1, e, de), series_of_t
+
+
+# each invariant failure planted where the program raises it; the scale
+# file is a genus-12 curve over GF(2)
+@pytest.mark.parametrize("module, name, replacement, argv", [
+    (curve, "_local_order", _raising(curve.TotalMismatch("planted")), ["curve", "SCALE"]),
+    (curve, "_find_generator", _raising(curve.GeneratorNotFound("planted")), ["curve", "SCALE"]),
+    (valsg2, "adapted_basis", _raising(valsg2.EliminationStuck("planted")),
+     ["reproduce", "tacnode"]),
+    (gallery, "_expect", _raising(gallery.ScenarioMismatch("planted")), ["reproduce", "node"]),
+    (padic, "_p_adically_below", _raising(AssertionError("planted")),
+     ["orders", "--exponents", "0,3,4", "--p", "2"]),
+    (exact, "_exact_div_mod_p", _raising(ArithmeticError("planted")), ["curve", "SCALE"]),
+    (curve, "_branch_series", _too_deep, ["curve", "SCALE"]),
+], ids=["TotalMismatch", "GeneratorNotFound", "EliminationStuck", "ScenarioMismatch",
+        "AssertionError", "ArithmeticError", "ansatz-truncation"])
+def test_invariant_failure_exits_3_with_one_line(monkeypatch, module, name, replacement, argv):
+    scale = Path(__file__).parent / "data" / "scale-4-5-at-0-1-gf2.json"
+    monkeypatch.setattr(module, name, replacement)
+    code, out, err = run_options([str(scale) if word == "SCALE" else word for word in argv])
+    assert code == 3 and out == ""
+    message = "ansatz expansion known only below" if replacement is _too_deep else "planted"
+    assert re.fullmatch("internal invariant failure: %s.*\n" % message, err), err
 
 
 S34 = NumericalSemigroup.from_generators([3, 4])

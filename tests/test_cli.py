@@ -62,7 +62,8 @@ class TestPadicAndOrders:
 
     def test_negative_term_exits_2(self, capsys):
         assert main(["padic", "--seq=-1,0", "--p", "2"]) == 2
-        assert "error: terms must be nonnegative" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --seq: invalid value [-1, 0] (terms must be nonnegative)\n")
 
     def test_gap_tests(self, capsys):
         code, data = run_json(capsys, ["padic", "--gaps", "1,2,5", "--p", "2",
@@ -90,11 +91,13 @@ class TestPadicAndOrders:
 
         monkeypatch.setattr(padic, "_p_adically_below", enumerated)
         assert main(["orders", "--exponents", "0,1", "--p", p]) == 2
-        assert capsys.readouterr().err == f"error: characteristic {p} is not prime\n"
+        assert capsys.readouterr().err == (
+            f"error: --p: invalid value {p} (characteristic {p} is not prime)\n")
 
     def test_characteristic_beyond_the_primality_range(self, capsys):
         assert main(["orders", "--exponents", "0,3,4", "--p", str(10 ** 25 + 13)]) == 2
-        assert "error: characteristic" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: --p: invalid value %d (characteristic"
+                                                  % (10 ** 25 + 13))
 
 
 def test_generators_too_large_to_allocate_exit_2_naming_the_field(tmp_path, capsys,
@@ -488,10 +491,10 @@ def test_constructor_errors_name_the_singularity(tmp_path, capsys, singularity, 
 def test_repeated_calls_reuse_one_parser(capsys, monkeypatch):
     # main builds its argparse parser once per process; help text, error
     # messages and exit codes 0, 2 and 3 stay the same from call to call
-    from weierforge import cli
+    from weierforge import cli, gallery
 
     def broken():
-        raise cli.ScenarioMismatch("planted")
+        raise gallery.ScenarioMismatch("planted")
 
     monkeypatch.setitem(cli.SCENARIOS, "broken", broken)
     assert cli.build_parser() is cli.build_parser()
