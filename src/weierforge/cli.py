@@ -137,9 +137,13 @@ def _cmd_orders(args):
 
 def _read_json_object(path, what):
     """The top-level JSON object of a description file.  A non-integer number
-    is read as the text it spells, which the field reads exactly."""
-    with open(path) as fh:
-        data = json.load(fh, parse_float=str)
+    is read as the text it spells, which the field reads exactly.  A file
+    not UTF-8 JSON within the recursion limit is a ValueError naming its path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh, parse_float=str)
+        except (RecursionError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
     if not isinstance(data, dict):
         raise ValueError("%s file: expected a JSON object" % what)
     return data

@@ -78,10 +78,10 @@ class _Branch:
 
 
 class _Singularity:
-    """What the curve reads of a singular point: its branches, and a basis of
-    its local ring modulo the conductor as int rows (residues over GF(p)),
-    one block of c coordinates per branch, entry i of a block the
-    coefficient of s^i.  The constructors below set both once."""
+    """What the curve reads of a singular point: its branches, and the reduced
+    echelon basis of its local ring modulo the conductor as int rows
+    (residues over GF(p)), one block of c coordinates per branch, entry i of
+    a block the coefficient of s^i.  The constructors below set both once."""
 
     def _place(self, field, locations, uniformizers, conductors):
         """Set the field, the locations (INF, or "inf", "infinity" or "oo" for
@@ -150,8 +150,8 @@ class UnibranchSingularity(_Singularity):
         basis = _elements(field, basis, "basis", 1)
         if basis and c > 2 * len(basis):
             raise ValueError("value semigroup is not symmetric: the ring is not Gorenstein")
-        self._rows = _basis_rows(field, basis, (c,))
-        pivots, _echelon = closed_span(self._rows, (c,), (c,), field.characteristic)
+        pivots, self._rows = closed_span(_basis_rows(field, basis, (c,)), (c,),
+                                         field.characteristic)
         # the values below c are the leading exponents of the span: its pivots
         self.semigroup = NumericalSemigroup([n for n in range(1, c) if n not in pivots])
         self.conductor_exponent = c
@@ -177,7 +177,7 @@ class TwoBranchSingularity(_Singularity):
             raise ValueError("branch locations must be distinct")
         self.ring = ring
         self.delta = ring.delta
-        self._rows = ring._rows
+        self._rows = ring._echelon[1]
 
     def describe(self):
         return "two-branch (delta %d) at %s,%s" % (

@@ -20,7 +20,6 @@ from .exact import (
     _is_int,
     _mul_trunc,
     _primitive,
-    echelon_insert,
     field_rows,
     scalar_echelon,
     scalar_ints,
@@ -45,35 +44,31 @@ class EliminationStuck(AssertionError):
 
 
 class TwoBranchRing:
-    """Validated local ring: its basis modulo the conductor ideal as int rows
-    (residues over GF(p)), one block of conductor[k] coordinates per branch."""
+    """Validated local ring: the reduced echelon form (pivots, int rows) of its
+    span modulo the conductor ideal, one block of conductor[k] coordinates per
+    branch."""
 
-    __slots__ = ("field", "conductor", "delta", "gorenstein", "_rows", "_echelon",
-                 "_value_semigroup")
+    __slots__ = ("field", "conductor", "delta", "gorenstein", "_echelon", "_value_semigroup")
 
-    def __init__(self, field, conductor, delta, gorenstein, rows, echelon):
+    def __init__(self, field, conductor, delta, gorenstein, echelon):
         self.field = field
         self.conductor = tuple(conductor)
         self.delta = delta
         self.gorenstein = gorenstein
-        self._rows = rows
-        # (pivots, int rows): reduced echelon form of the basis and the
-        # conductor tail inside the windows of conductor[k] + 2 coordinates
         self._echelon = echelon
         self._value_semigroup = None    # set by value_semigroup
 
     def to_json(self):
         """The ring with the reduced echelon basis of its span modulo C, each
-        row divided by its pivot entry, conductor[k] + 2 entries per branch."""
-        (xi1, xi2), w1 = self.conductor, self.conductor[0] + 2
-        kept = [(pc, row) for pc, row in zip(*self._echelon) if pc < xi1 or w1 <= pc < w1 + xi2]
-        rows = field_rows(*zip(*kept), self.field.characteristic)
+        row divided by its pivot entry, conductor[k] entries per branch."""
+        xi1, p = self.conductor[0], self.field.characteristic
         return {
-            "characteristic": self.field.characteristic,
+            "characteristic": p,
             "conductor": list(self.conductor),
             "delta": self.delta,
             "gorenstein": self.gorenstein,
-            "basis": [[[str(x) for x in row[:w1]], [str(x) for x in row[w1:]]] for row in rows],
+            "basis": [[[str(x) for x in row[:xi1]], [str(x) for x in row[xi1:]]]
+                      for row in field_rows(*self._echelon, p)],
         }
 
 
@@ -108,14 +103,12 @@ def validate_ring(field, basis_pairs, conductor, strict=True):
     rows = _basis_rows(field, basis_pairs, conductor)
     if any(v[0] != v[xi1] for v in rows):
         raise ValueError("branch constant terms differ: the ring would not be local")
-    # the windows reach two past the conductor, where value_semigroup reads V(x, y)
-    echelon = closed_span([v[:xi1] + [0, 0] + v[xi1:] + [0, 0] for v in rows], (xi1, xi2),
-                          (xi1 + 2, xi2 + 2), field.characteristic)
+    echelon = closed_span(rows, (xi1, xi2), field.characteristic)
     if delta < 1:
         raise ValueError("delta invariant must be at least 1")
     if refusal and strict:
         raise refusal
-    return TwoBranchRing(field, (xi1, xi2), delta, gorenstein, rows, echelon)
+    return TwoBranchRing(field, (xi1, xi2), delta, gorenstein, echelon)
 
 
 def _elements(field, items, name, branches):
@@ -153,24 +146,21 @@ def _basis_rows(field, elements, conductor):
     return rows
 
 
-def closed_span(vectors, conductor, windows, p):
+def closed_span(vectors, conductor, p):
     """Check a basis of a local ring modulo its conductor ideal C, given as
-    int vectors over GF(p) (ZZ for p = 0) with one block of windows[k]
+    int vectors over GF(p) (ZZ for p = 0) with one block of conductor[k]
     coordinates per branch: it must be independent, hold 1 and be closed
     under multiplication mod C, and no branch's conductor exponent may be
     smaller than declared.  Returns the reduced echelon form (pivots, int
-    rows) of its span and the conductor tail inside the windows.
+    rows) of its span.
     """
-    if not vectors:    # before any window is built: they may be long
+    if not vectors:    # before a vector of sum(conductor) entries is built
         raise ValueError("ring does not contain 1")
-    n = sum(windows)
-    starts = [sum(windows[:k]) for k in range(len(windows))]
+    n = sum(conductor)
+    starts = [sum(conductor[:k]) for k in range(len(conductor))]
     pivots, ech = scalar_echelon(vectors, p)
     if len(pivots) != len(vectors):
         raise ValueError("basis is linearly dependent modulo the conductor")
-    for s, xi, w in zip(starts, conductor, windows):
-        for j in range(s + xi, s + w):
-            echelon_insert(pivots, ech, [int(i == j) for i in range(n)], p)
 
     def contains(vec):
         return not any(span_reduce(pivots, ech, vec, p))
@@ -179,7 +169,7 @@ def closed_span(vectors, conductor, windows, p):
         raise ValueError("ring does not contain 1")
     for i, a in enumerate(vectors):
         for b in vectors[i:]:
-            if not contains(_product(a, b, windows, p)):
+            if not contains(_product(a, b, conductor, p)):
                 raise NotClosed("basis span is not closed under multiplication mod C")
     for k, (s, xi) in enumerate(zip(starts, conductor)):
         if contains([int(i == s + xi - 1) for i in range(n)]):
@@ -292,18 +282,19 @@ def value_semigroup(ring):
     if ring._value_semigroup is not None:
         return ring._value_semigroup
     xi1, xi2 = ring.conductor
-    w1 = xi1 + 2
     p, (pivots, rows) = ring.field.characteristic, ring._echelon
-    # V(x,0) is spanned by the echelon rows with pivot >= x; inside it, each
-    # pivot of their u-windows' span below y is one more condition of V(x,y),
-    # read off one triangular form that takes each u-window once, x descending
+    # dim V(x,y) mod t^(xi1 + 2) x u^(xi2 + 2): its part in C, xi1 + 2 - max(x, xi1)
+    # coordinates on t and likewise on u, plus its image mod C, the rows with t-block
+    # zero below min(x, xi1) less one condition per pivot below y of their u-blocks'
+    # span, read off one triangular form that takes each u-block once, x descending
     dim, u_pivots, u_rows, k = {}, [], [], len(rows)
     for x in range(xi1 + 1, -1, -1):
-        while k and pivots[k - 1] >= x:
+        while k and pivots[k - 1] >= min(x, xi1):
             k -= 1
-            triangular_insert(u_pivots, u_rows, rows[k][w1:], p)
+            triangular_insert(u_pivots, u_rows, rows[k][xi1:], p)
         for y in range(xi2 + 2):
-            dim[(x, y)] = len(rows) - k - sum(1 for pc in u_pivots if pc < y)
+            dim[(x, y)] = (len(rows) - k - sum(1 for pc in u_pivots if pc < y)
+                           + xi1 + 2 - max(x, xi1) + xi2 + 2 - max(y, xi2))
 
     finite_points = {(x, y) for x in range(xi1 + 1) for y in range(xi2 + 1)
                      if dim[(x, y)] > dim[(x + 1, y)] and dim[(x, y)] > dim[(x, y + 1)]}
@@ -588,6 +579,8 @@ def ring_from_generators(field, generators, window=16):
     constant terms differ, and when no conductor lies safely inside the
     window (non-finite delta or window too small).
     """
+    if not (_is_int(window) and window >= 1):
+        raise ValueError("window: expected a positive integer")
     w1 = w2 = window
     p = field.characteristic
     generators = _elements(field, generators, "generators", 2)

@@ -9,9 +9,11 @@ from weierforge.exact import (
     GF,
     INF,
     QQ,
+    echelon_insert,
     field_rows,
     scalar_echelon,
     scalar_ints,
+    span_reduce,
     triangular_insert,
 )
 from weierforge.numsg import NumericalSemigroup
@@ -22,7 +24,6 @@ from weierforge.valsg2 import (
     NotGorenstein,
     _product,
     adapted_basis,
-    closed_span,
     edge_points,
     expected_smooth_count,
     ring_from_generators,
@@ -49,12 +50,23 @@ from conftest import (
 def _reduced_basis(ring):
     """The reduced echelon basis of the ring modulo its conductor as
     (t-side, u-side) lists of field scalars, each row divided by its pivot
-    entry and cut below the conductor exponents."""
-    (xi1, xi2), w1 = ring.conductor, ring.conductor[0] + 2
-    kept = [(pc, row) for pc, row in zip(*ring._echelon) if pc < xi1 or w1 <= pc < w1 + xi2]
-    rows = field_rows([pc for pc, _row in kept], [row for _pc, row in kept],
-                      ring.field.characteristic)
-    return [(row[:xi1], row[w1:w1 + xi2]) for row in rows]
+    entry."""
+    xi1 = ring.conductor[0]
+    return [(row[:xi1], row[xi1:])
+            for row in field_rows(*ring._echelon, ring.field.characteristic)]
+
+
+def _padded_field_rows(ring):
+    """The ring modulo t^(xi1 + 2) x u^(xi2 + 2) as field rows in windows of
+    xi + 2 coordinates per branch: its reduced echelon basis modulo C, each
+    block padded by two zeros, and the four unit vectors of C inside the
+    padding."""
+    (xi1, xi2), F = ring.conductor, ring.field
+    w1, n = xi1 + 2, xi1 + xi2 + 4
+    rows = [bt + [F.zero] * 2 + bu + [F.zero] * 2 for bt, bu in _reduced_basis(ring)]
+    for j in (xi1, xi1 + 1, w1 + xi2, w1 + xi2 + 1):
+        rows.append([F.one if i == j else F.zero for i in range(n)])
+    return rows
 
 
 def curve_of(ring):
@@ -67,7 +79,7 @@ def semigroup_membership_witness(ring, x, y):
     never the union of two proper subspaces)."""
     xi1, xi2 = ring.conductor
     w1, w2 = xi1 + 2, xi2 + 2
-    rows = field_rows(*ring._echelon, ring.field.characteristic)
+    rows = _padded_field_rows(ring)
 
     def basis_of(a, b):
         # vectors in the row span vanishing on the first a t-columns and
@@ -605,6 +617,20 @@ class TestRingFromGenerators:
                 closure.append([QQ.one if i == j else QQ.zero for i in range(2 * w)])
             assert field_echelon(monomials) == field_echelon(closure)
 
+    def test_window_must_be_a_positive_integer(self):
+        gens = [([0, 1], [0]), ([0], [0, 1])]
+        for window in (0, -3, 2.5, "8", True, None):
+            with pytest.raises(ValueError, match="^window: expected a positive integer$"):
+                ring_from_generators(QQ, gens, window=window)
+        # the node's conductor (1, 1) is out of a window of 1 and too close
+        # to the end of a window of 2
+        with pytest.raises(ValueError, match="^no conductor found inside the window$"):
+            ring_from_generators(QQ, gens, window=1)
+        with pytest.raises(ValueError,
+                           match=r"^window too small for the conductor \(1, 1\)$"):
+            ring_from_generators(QQ, gens, window=2)
+        assert ring_from_generators(QQ, gens, window=3).conductor == (1, 1)
+
     def test_same_branch_rejected(self):
         with pytest.raises(ValueError):
             ring_from_generators(QQ, [([0, 1], [0, 1]), ([0, 0, 1], [0, 0, 1])],
@@ -680,8 +706,8 @@ class TestRingFromGenerators:
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
     def test_block_product_with_unequal_windows(self, field):
-        # closed_span multiplies in the windows (xi1 + 2, xi2 + 2): each block
-        # is the product cut to its own window, over ZZ divided by its content
+        # closed_span multiplies in the blocks (xi1, xi2): each block is the
+        # product cut to its own width, over ZZ divided by its content
         p = field.characteristic
         rng = random.Random(970 + p)
         for windows in [(3, 7), (8, 4), (1, 5), (6, 6)]:
@@ -783,9 +809,10 @@ def _old_route(field, basis_pairs, conductor):
     list and padded with zeros to the window xi + 2, cleared to one int row
     per element (the coefficients below each window, concatenated, through
     scalar_ints), and the reduced echelon form of the span as field rows.
-    Returns (rows in conductor blocks, cut coefficient pairs, field rows)."""
+    Returns (rows in conductor blocks, cut coefficient pairs, field rows cut
+    to the conductor blocks, the padded echelon form)."""
     p = field.characteristic
-    windows = tuple(xi + 2 for xi in conductor)
+    (xi1, xi2), windows = conductor, tuple(xi + 2 for xi in conductor)
 
     def cut(s, xi):
         return [field(s[i]) if i < len(s) else field.zero for i in range(xi)]
@@ -795,10 +822,72 @@ def _old_route(field, basis_pairs, conductor):
                             for c in s + [field.zero] * (w - len(s))], p)[0]
 
     coefficients = [tuple(cut(s, xi) for s, xi in zip(pair, conductor)) for pair in basis_pairs]
-    pivots, ech = closed_span([window_ints(e, windows) for e in coefficients], conductor,
-                              windows, p)
+    padded = _padded_closed_span([window_ints(e, windows) for e in coefficients], conductor,
+                                 windows, p)
+    # the rows with pivots below the conductor, cut to it: the span mod C
+    w1 = windows[0]
+    kept = [(pc, row) for pc, row in zip(*padded) if pc < xi1 or w1 <= pc < w1 + xi2]
     return ([window_ints(e, conductor) for e in coefficients], coefficients,
-            field_rows(pivots, ech, p))
+            [row[:xi1] + row[w1:w1 + xi2] for row in field_rows(*zip(*kept), p)], padded)
+
+
+def _padded_closed_span(vectors, conductor, windows, p):
+    """closed_span as it ran on windows of windows[k] coordinates per branch:
+    the same checks, with the unit vectors of the conductor tail inside the
+    windows inserted into the reduced echelon form it returns."""
+    if not vectors:
+        raise ValueError("ring does not contain 1")
+    n = sum(windows)
+    starts = [sum(windows[:k]) for k in range(len(windows))]
+    pivots, ech = scalar_echelon(vectors, p)
+    if len(pivots) != len(vectors):
+        raise ValueError("basis is linearly dependent modulo the conductor")
+    for s, xi, w in zip(starts, conductor, windows):
+        for j in range(s + xi, s + w):
+            echelon_insert(pivots, ech, [int(i == j) for i in range(n)], p)
+
+    def contains(vec):
+        return not any(span_reduce(pivots, ech, vec, p))
+
+    if not contains([int(j in starts) for j in range(n)]):
+        raise ValueError("ring does not contain 1")
+    for i, a in enumerate(vectors):
+        for b in vectors[i:]:
+            if not contains(_product(a, b, windows, p)):
+                raise NotClosed("basis span is not closed under multiplication mod C")
+    for k, (s, xi) in enumerate(zip(starts, conductor)):
+        if contains([int(i == s + xi - 1) for i in range(n)]):
+            raise ValueError("conductor%s: declared exponent is not minimal"
+                             % ("[%d]" % k if len(conductor) > 1 else ""))
+    return pivots, ech
+
+
+def _padded_semigroup(padded, conductor, p):
+    """(finite points, vertical fibers, horizontal fibers, maximals, gaps of
+    S1, gaps of S2) read off the dimension table of the padded echelon form
+    of _old_route, as value_semigroup read it before the padding went."""
+    xi1, xi2 = conductor
+    w1, (pivots, rows) = xi1 + 2, padded
+    dim, u_pivots, u_rows, k = {}, [], [], len(rows)
+    for x in range(xi1 + 1, -1, -1):
+        while k and pivots[k - 1] >= x:
+            k -= 1
+            triangular_insert(u_pivots, u_rows, rows[k][w1:], p)
+        for y in range(xi2 + 2):
+            dim[(x, y)] = len(rows) - k - sum(1 for pc in u_pivots if pc < y)
+    finite = {(x, y) for x in range(xi1 + 1) for y in range(xi2 + 1)
+              if dim[(x, y)] > dim[(x + 1, y)] and dim[(x, y)] > dim[(x, y + 1)]}
+    vertical = {x for x in range(xi1 + 1) if dim[(x, xi2)] > dim[(x + 1, xi2)]}
+    horizontal = {y for y in range(xi2 + 1) if dim[(xi1, y)] > dim[(xi1, y + 1)]}
+    maximals = tuple((x, y) for (x, y) in sorted(finite)
+                     if x not in vertical and y not in horizontal
+                     and not any((x, y2) in finite for y2 in range(y + 1, xi2 + 1))
+                     and not any((x2, y) in finite for x2 in range(x + 1, xi1 + 1)))
+    s1 = {x for x, _y in finite} | vertical
+    s2 = {y for _x, y in finite} | horizontal
+    return (finite, vertical, horizontal, maximals,
+            tuple(n for n in range(1, xi1) if n not in s1),
+            tuple(n for n in range(1, xi2) if n not in s2))
 
 
 def _declared_gallery_rings(monkeypatch):
@@ -828,7 +917,7 @@ def _invertible(rng, field, n):
 
 def _check_against_the_old_route(field, ring, basis_pairs, conductor, rng):
     p = field.characteristic
-    rows, coefficients, old_rows = _old_route(field, basis_pairs, conductor)
+    rows, coefficients, old_rows, _padded = _old_route(field, basis_pairs, conductor)
     sing = TwoBranchSingularity(ring, (field(0), field(1)))
     # one span: the singularity's int rows against the old route's
     assert scalar_echelon(sing._rows, p) == scalar_echelon(rows, p)
@@ -865,14 +954,71 @@ class TestIntRowRepresentation:
             pairs, conductor = _ref_closure(field, generators, 14)
             assert conductor == ring.conductor
             # the closure's printed basis is the reduced echelon basis it declared
-            assert ring.to_json()["basis"] == [
-                [[str(c) for c in side] + ["0", "0"] for side in pair] for pair in pairs]
+            assert ring.to_json()["basis"] == [[[str(c) for c in side] for side in pair]
+                                               for pair in pairs]
             _check_against_the_old_route(field, ring, pairs, conductor, rng)
 
     def test_hand_written_basis_prints_its_reduced_echelon_basis(self):
         ring = validate_ring(QQ, [([2, 3], [2, 3]), ([0, 1], [0, 1])], (2, 2))
-        assert ring.to_json()["basis"] == [[["1", "0", "0", "0"], ["1", "0", "0", "0"]],
-                                           [["0", "1", "0", "0"], ["0", "1", "0", "0"]]]
+        assert ring.to_json()["basis"] == [[["1", "0"], ["1", "0"]], [["0", "1"], ["0", "1"]]]
+
+
+def _rings_over(field, germ_corpus, ring_corpus, monkeypatch):
+    """(ring, basis pairs it was declared or closed from) over the field: the
+    ring corpus's printed bases, the germ corpus and seeded germs closed over
+    the field (their pairs from the field-scalar closure) and the gallery
+    rings' declared bases; one that is no ring over the field is left out."""
+    out = []
+    for ring in ring_corpus:
+        pairs = ring.to_json()["basis"]
+        try:
+            out.append((validate_ring(field, pairs, ring.conductor), pairs))
+        except ValueError:
+            pass
+    seeded = _germs_with_generators(field, 4, 990 + field.characteristic)
+    for generators, _ring in germ_corpus + seeded:
+        try:
+            ring = ring_from_generators(field, generators, window=14)
+        except ValueError:
+            continue
+        out.append((ring, _ref_closure(field, generators, 14)[0]))
+    for _ring, pairs, conductor in _declared_gallery_rings(monkeypatch):
+        try:
+            out.append((validate_ring(field, pairs, conductor), pairs))
+        except ValueError:
+            pass
+    return out
+
+
+_LAYOUT_FIELDS = [QQ, GF(2), GF(3), GF(7)]
+
+
+class TestModConductorLayout:
+    @pytest.mark.parametrize("field", _LAYOUT_FIELDS, ids=repr)
+    def test_value_semigroup_matches_the_padded_route(self, field, germ_corpus, ring_corpus,
+                                                      monkeypatch):
+        # the dimension table over the span mod C plus the part of C inside
+        # V(x, y) gives the semigroup the padded windows and their conductor
+        # tail gave
+        p = field.characteristic
+        rings = _rings_over(field, germ_corpus, ring_corpus, monkeypatch)
+        assert len(rings) >= 16
+        for ring, pairs in rings:
+            S = value_semigroup(ring)
+            padded = _old_route(field, pairs, ring.conductor)[3]
+            assert (S.finite_points, S.infinite_vertical, S.infinite_horizontal, S.maximals,
+                    tuple(S.S1.gaps), tuple(S.S2.gaps)) == \
+                _padded_semigroup(padded, ring.conductor, p), (ring.conductor, pairs)
+
+    @pytest.mark.parametrize("field", _LAYOUT_FIELDS, ids=repr)
+    def test_printed_basis_reads_back(self, field, germ_corpus, ring_corpus, monkeypatch):
+        # one block of conductor[k] coordinates per branch, held and printed
+        for ring, _pairs in _rings_over(field, germ_corpus, ring_corpus, monkeypatch):
+            assert all(len(row) == sum(ring.conductor) for row in ring._echelon[1])
+            assert [list(map(len, pair)) for pair in ring.to_json()["basis"]] == \
+                [list(ring.conductor)] * len(ring._echelon[1])
+            assert validate_ring(field, ring.to_json()["basis"], ring.conductor).to_json() \
+                == ring.to_json()
 
 
 class TestBoundaryInputs:
@@ -881,7 +1027,7 @@ class TestBoundaryInputs:
         for pair in [([half], [half]), ((half,), ["1/2"]), ([GF(5)(3)], [half])]:
             ring = validate_ring(GF(5), [pair], (1, 1))
             assert ring.delta == 1
-            assert ring.to_json()["basis"] == [[["1", "0", "0"], ["1", "0", "0"]]]
+            assert ring.to_json()["basis"] == [[["1"], ["1"]]]
 
     def test_an_element_of_another_field_is_refused(self):
         gens = [([0, 1], [0, 1]), ([0, 0, 1], [0, 0, 0, 1])]
