@@ -259,17 +259,6 @@ def test_an_unreadable_file_exits_2_naming_it(tmp_path, capsys, command, name):
     assert err.startswith("error: %s: " % path) and err.count("\n") == 1, err
 
 
-def test_a_deeply_nested_file_exits_2_without_a_traceback(tmp_path):
-    path = tmp_path / "deep.json"
-    path.write_bytes(_UNREADABLE["deep"])
-    src = str(Path(weierforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "weierforge", "curve", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: %s: " % path) and proc.stderr.count("\n") == 1
-
-
 _TWO_BRANCH = {"kind": "two-branch", "locations": ["0", "1"], "conductor": [2, 2],
                "basis": [[["1", "0"], ["1", "0"]], [["0", "1"], ["0", "1"]]]}
 _MONOMIAL = {"kind": "monomial", "location": "0", "generators": [3, 4]}
